@@ -10,8 +10,6 @@ reservoir back-ends, the selection pipeline and diagnostics.
 __version__ = "0.1.0"
 
 from .analysis import (
-    CorrelationMode,
-    SymbolSequence,
     node_target_correlation,
     ordinal_symbols,
     reservoir_entropy,
@@ -55,12 +53,10 @@ from .linalg import (
     ridge_fit,
 )
 from .pipeline import (
-    SelectionSpec,
     SweepRow,
     TaskResult,
     analysis_sweep,
     percent_improvement,
-    run_single,
     sweep,
 )
 from .reservoir import (

@@ -8,8 +8,6 @@ with the target signals an underdriven reservoir.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,35 +17,20 @@ from .reservoir import StateMatrix
 DEFAULT_WINDOW = 4
 
 
-class CorrelationMode(Enum):
-    PEARSON = "pearson"
-    PAPER_LITERAL = "paper-literal"
-
-
-@dataclass
-class SymbolSequence:
-    """Ordinal-pattern codes of one signal, one code per window position."""
-
-    symbols: np.ndarray
-    window: int
-
-
-def ordinal_symbols(series, window: int = DEFAULT_WINDOW, stride: int = 1) -> SymbolSequence:
+def ordinal_symbols(series, window: int = DEFAULT_WINDOW) -> np.ndarray:
     """Encode each window's rank pattern as an integer in 0..window!-1.
 
     Points inside a window are ranked by value with ties broken in favor of
     the earlier index; the rank pattern is encoded by its Lehmer code (its
-    position in the lexicographic order of permutations). Windows slide with
-    the given stride (1 = fully overlapping, ``window`` = disjoint).
+    position in the lexicographic order of permutations). Windows overlap
+    fully, so a series of length n gives n - window + 1 codes.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be 1-D")
     if x.size < window:
         raise ValueError(f"series length {x.size} shorter than window {window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    win = sliding_window_view(x, window)[::stride]
+    win = sliding_window_view(x, window)
     order = np.argsort(win, axis=1, kind="stable")
     ranks = np.empty_like(order)
     rows = np.arange(win.shape[0])[:, None]
@@ -56,14 +39,10 @@ def ordinal_symbols(series, window: int = DEFAULT_WINDOW, stride: int = 1) -> Sy
     for i in range(window - 1):
         larger_later = (ranks[:, i + 1 :] < ranks[:, i : i + 1]).sum(axis=1)
         codes += larger_later * math.factorial(window - 1 - i)
-    return SymbolSequence(symbols=codes, window=window)
+    return codes
 
 
-def reservoir_entropy(
-    state: StateMatrix,
-    window: int = DEFAULT_WINDOW,
-    stride: int = 1,
-) -> float:
+def reservoir_entropy(state: StateMatrix, window: int = DEFAULT_WINDOW) -> float:
     """Shannon entropy (bits) of the joint all-node ordinal symbol.
 
     At each window position the per-node codes form one tuple-valued symbol;
@@ -74,27 +53,18 @@ def reservoir_entropy(
         raise ValueError(
             f"need at least {window} rows, have {values.shape[0]}"
         )
-    per_node = [
-        ordinal_symbols(values[:, j], window, stride).symbols
-        for j in range(values.shape[1])
-    ]
+    per_node = [ordinal_symbols(values[:, j], window) for j in range(values.shape[1])]
     joint = np.stack(per_node, axis=1)
     _, counts = np.unique(joint, axis=0, return_counts=True)
     p = counts / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
 
-def node_target_correlation(
-    state: StateMatrix,
-    g,
-    mode: CorrelationMode = CorrelationMode.PEARSON,
-) -> float:
-    """Mean over nodes of the absolute zero-lag correlation with ``g``.
+def node_target_correlation(state: StateMatrix, g) -> float:
+    """Mean over nodes of the absolute zero-lag Pearson correlation with ``g``.
 
-    PEARSON uses the standard correlation coefficient. PAPER_LITERAL divides
-    the raw inner product by the plain product of sums instead; when either
-    sum's magnitude falls below 1e-12 that node's value is a flagged NaN,
-    which propagates into the mean.
+    A constant node has an undefined correlation; its NaN propagates into
+    the mean.
     """
     g = np.asarray(g, dtype=float)
     values = state.values
@@ -102,21 +72,10 @@ def node_target_correlation(
         raise ValueError(
             f"target length {g.shape} does not match {values.shape[0]} state rows"
         )
-    mode = CorrelationMode(mode)
-    if mode is CorrelationMode.PEARSON:
-        xc = values - values.mean(axis=0)
-        gc = g - g.mean()
-        num = xc.T @ gc
-        den = np.sqrt((xc**2).sum(axis=0) * (gc**2).sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_node = np.abs(num / den)
-    else:
-        num = values.T @ g
-        col_sums = values.sum(axis=0)
-        g_sum = g.sum()
-        den = col_sums * g_sum
-        bad = (np.abs(col_sums) < 1e-12) | (abs(g_sum) < 1e-12)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_node = np.abs(num / den)
-        per_node[bad] = np.nan
+    xc = values - values.mean(axis=0)
+    gc = g - g.mean()
+    num = xc.T @ gc
+    den = np.sqrt((xc**2).sum(axis=0) * (gc**2).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_node = np.abs(num / den)
     return float(np.mean(per_node))

@@ -60,15 +60,19 @@ def _apply_overrides(resolved: dict, args) -> dict:
 
 
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SHIFTRC_THREADS")
-    if env:
+    """Worker threads from ``--threads``, else ``SHIFTRC_THREADS``, else 1."""
+    threads, source = getattr(args, "threads", None), "--threads"
+    if threads is None:
+        env = os.environ.get("SHIFTRC_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), "SHIFTRC_THREADS"
         except ValueError:
             raise ConfigError(f"SHIFTRC_THREADS is not an integer: {env!r}") from None
-    return 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict,

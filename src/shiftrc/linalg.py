@@ -71,39 +71,15 @@ class PivotedQR:
         if out.shape[0] != t:
             raise ValueError(f"expected leading dimension {t}, got {out.shape[0]}")
         for k in range(m):
-            self._apply_reflector(out, k)
+            tau = self.taus[k]
+            if tau == 0.0:
+                continue
+            tail = self.packed[k, k + 1 :]
+            s = out[k] + tail @ out[k + 1 :]
+            out[k] -= tau * s
+            if tail.size:
+                out[k + 1 :] -= np.multiply.outer(tail, tau * s)
         return out
-
-    def apply_q(self, y: np.ndarray) -> np.ndarray:
-        """Return ``Q @ y`` for a length-T vector or ``(T, n)`` matrix."""
-        t, m = self.shape
-        out = np.array(y, dtype=float)
-        if out.shape[0] != t:
-            raise ValueError(f"expected leading dimension {t}, got {out.shape[0]}")
-        for k in reversed(range(m)):
-            self._apply_reflector(out, k)
-        return out
-
-    def thin_q(self) -> np.ndarray:
-        """Materialize the first M columns of Q (the economy factor)."""
-        t, m = self.shape
-        eye = np.zeros((t, m))
-        np.fill_diagonal(eye, 1.0)
-        return self.apply_q(eye)
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``Q @ R``, i.e. the factored matrix with permuted columns."""
-        return self.thin_q() @ self.r
-
-    def _apply_reflector(self, y: np.ndarray, k: int) -> None:
-        tau = self.taus[k]
-        if tau == 0.0:
-            return
-        tail = self.packed[k, k + 1 :]
-        s = y[k] + tail @ y[k + 1 :]
-        y[k] -= tau * s
-        if tail.size:
-            y[k + 1 :] -= np.multiply.outer(tail, tau * s)
 
 
 def _householder(x: np.ndarray) -> tuple[float, float]:
@@ -183,14 +159,16 @@ def qr_column_pivot(b: np.ndarray) -> PivotedQR:
                 norms_ref[rows] = fresh
             norms[k + 1 :] = updated
 
-    qr = PivotedQR(packed=work, taus=taus, perm=perm, r_diag=r_diag)
-    _log_row_dominance(qr)
-    return qr
+    return PivotedQR(packed=work, taus=taus, perm=perm, r_diag=r_diag)
 
 
-def _log_row_dominance(qr: PivotedQR) -> None:
-    # Pivoting makes |R_kk| the largest entry of row k in exact arithmetic;
-    # rounding can break this by ~eps, which is logged rather than raised.
+def log_row_dominance(qr: PivotedQR) -> None:
+    """Warn when some ``|R_kj|`` (j > k) exceeds ``|R_kk|``.
+
+    Pivoting makes ``|R_kk|`` the largest entry of row k in exact
+    arithmetic; rounding can break this by ~eps, which is logged rather
+    than raised.
+    """
     r = qr.r
     m = r.shape[0]
     if m < 2 or qr.r_diag[0] == 0.0:

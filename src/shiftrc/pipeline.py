@@ -20,19 +20,6 @@ from .config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
 from .linalg import NrmseMode
 
 
-@dataclass(frozen=True)
-class SelectionSpec:
-    """Which columns to keep in one pipeline run.
-
-    ``method`` is "rrqr", "random" or "baseline"; the baseline is the
-    unshifted reservoir evaluated on the same trimmed row window.
-    """
-
-    method: str
-    m_red: int | None = None
-    subset_seed: int | None = None
-
-
 @dataclass
 class TaskResult:
     nrmse_train: float
@@ -69,27 +56,29 @@ def percent_improvement(delta_rand: float, delta_rrqr: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _series_cached(data: DataConfig) -> np.ndarray:
-    params_fn = (
-        dynamics.lorenz_params
-        if data.system == "lorenz"
-        else dynamics.rossler_params
-    )
+def _series_cached(system: str, dt_internal: float, sample_interval: float,
+                   transient_samples: int, initial_state: tuple,
+                   n_samples: int) -> np.ndarray:
+    params_fn = dynamics.lorenz_params if system == "lorenz" else dynamics.rossler_params
     params = params_fn(
-        dt_internal=data.dt_internal,
-        sample_interval=data.sample_interval,
-        transient_samples=data.transient_samples,
+        dt_internal=dt_internal,
+        sample_interval=sample_interval,
+        transient_samples=transient_samples,
     )
-    series = dynamics.integrate_chaotic(
-        params, data.initial_state, data.train_steps + data.test_steps + 1
-    )
+    series = dynamics.integrate_chaotic(params, initial_state, n_samples)
     series.setflags(write=False)
     return series
 
 
 def build_series(data: DataConfig) -> np.ndarray:
-    """Sampled 3-column source series for a data config (cached, read-only)."""
-    return _series_cached(data)
+    """Sampled 3-column source series for a data config (cached, read-only).
+
+    The cache is keyed on the integration parameters only, so configs that
+    differ in task or drive standardization share one integration.
+    """
+    return _series_cached(data.system, data.dt_internal, data.sample_interval,
+                          data.transient_samples, data.initial_state,
+                          data.train_steps + data.test_steps + 1)
 
 
 def build_dataset(data: DataConfig, task: str | None = None) -> dynamics.TaskDataset:
@@ -177,16 +166,6 @@ class MaskContext:
     shifted_test: shifts.ShiftedMatrix
     target_train: np.ndarray
     target_test: np.ndarray
-    n_nodes: int
-    pivot: shifts.SelectionResult | None = None
-
-    def full_pivot(self) -> shifts.SelectionResult:
-        """Full-width ranked selection, computed once and reused per m_red."""
-        if self.pivot is None:
-            self.pivot = shifts.rrqr_select(
-                self.shifted_train, self.shifted_train.n_columns
-            )
-        return self.pivot
 
 
 def prepare_mask_context(
@@ -207,7 +186,6 @@ def prepare_mask_context(
         shifted_test=shifts.build_shifted_matrix(test, tau),
         target_train=g_train[tau:],
         target_test=g_test[tau:],
-        n_nodes=train.n_nodes,
     )
 
 
@@ -237,71 +215,37 @@ def score_selection(
     return train_err, test_err
 
 
-def _selection_pairs(ctx: MaskContext, spec: SelectionSpec):
-    if spec.method == "baseline":
-        return [(node, 0) for node in range(ctx.n_nodes)]
-    if spec.m_red is None:
-        raise ValueError(f"selection method {spec.method!r} requires m_red")
-    if spec.method == "rrqr":
-        return ctx.full_pivot().retained[: spec.m_red]
-    if spec.method == "random":
-        if spec.subset_seed is None:
-            raise ValueError("random selection requires subset_seed")
-        return shifts.random_select(
-            ctx.shifted_train, spec.m_red, spec.subset_seed
-        ).retained
-    raise ValueError(f"unknown selection method {spec.method!r}")
-
-
-def run_single(
-    cfg: ExperimentConfig,
-    mask_seed: int,
-    selection: SelectionSpec,
-    mask_id: int | None = None,
-    dataset: dynamics.TaskDataset | None = None,
-    ctx: MaskContext | None = None,
-) -> TaskResult:
-    """One full train/test evaluation for one reservoir realization."""
-    if ctx is None:
-        ctx = prepare_mask_context(cfg, mask_seed, dataset)
-    pairs = _selection_pairs(ctx, selection)
-    train_err, test_err = score_selection(
-        ctx, pairs, cfg.ridge_lambda, cfg.include_bias, NrmseMode(cfg.nrmse_mode)
-    )
-    return TaskResult(
-        nrmse_train=train_err,
-        nrmse_test=test_err,
-        method=selection.method,
-        m_red=len(pairs),
-        mask_id=mask_id if mask_id is not None else mask_seed,
-        subset_seed=selection.subset_seed,
-    )
-
-
 def _sweep_one_mask(cfg, mask_id, dataset, subset_mode):
-    trial_seed = derive_seed(cfg.master_seed, "trial", mask_id)
-    ctx = prepare_mask_context(cfg, trial_seed, dataset)
+    """Score every cell of one mask: ranked prefixes, random subsets, baseline.
+
+    The ranked arm takes prefixes of one full-width pivot. The baseline is
+    the unshifted reservoir evaluated on the same trimmed row window.
+    """
+    ctx = prepare_mask_context(
+        cfg, derive_seed(cfg.master_seed, "trial", mask_id), dataset
+    )
+    mode = NrmseMode(cfg.nrmse_mode)
     cells: list[TaskResult] = []
-    do_rrqr = subset_mode in ("both", "rrqr")
-    do_random = subset_mode in ("both", "random")
+
+    def score(method, pairs, subset_seed=None):
+        train_err, test_err = score_selection(
+            ctx, pairs, cfg.ridge_lambda, cfg.include_bias, mode
+        )
+        cells.append(TaskResult(train_err, test_err, method, len(pairs),
+                                mask_id, subset_seed))
+
+    pivot = None
+    if subset_mode in ("both", "rrqr"):
+        pivot = shifts.rrqr_select(ctx.shifted_train, ctx.shifted_train.n_columns)
     for m_red in cfg.m_red_grid:
-        if do_rrqr:
-            cells.append(
-                run_single(cfg, trial_seed, SelectionSpec("rrqr", m_red),
-                           mask_id=mask_id, ctx=ctx)
-            )
-        if do_random:
+        if pivot is not None:
+            score("rrqr", pivot.retained[:m_red])
+        if subset_mode in ("both", "random"):
             for subset_id in range(cfg.n_random_subsets):
                 seed = derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
-                cells.append(
-                    run_single(cfg, trial_seed,
-                               SelectionSpec("random", m_red, subset_seed=seed),
-                               mask_id=mask_id, ctx=ctx)
-                )
-    cells.append(
-        run_single(cfg, trial_seed, SelectionSpec("baseline"), mask_id=mask_id, ctx=ctx)
-    )
-    pivot = ctx.full_pivot() if do_rrqr else None
+                selection = shifts.random_select(ctx.shifted_train, m_red, seed)
+                score("random", selection.retained, seed)
+    score("baseline", [(node, 0) for node in range(cfg.n_nodes)])
     return cells, pivot
 
 

@@ -8,7 +8,6 @@ feedback loop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +37,20 @@ class StateMatrix:
         return self.values.shape[1]
 
 
-def _sparse_uniform(m: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Length-m vector, round(fraction*m) entries uniform in [-1, 1], rest zero."""
-    n_nonzero = round(fraction * m)
+def _sparse_uniform(m: int, f_w: float, rng_seed: int) -> np.ndarray:
+    """Length-m vector, round(f_w*m) entries uniform in [-1, 1], rest zero.
+
+    Positions are chosen without replacement.
+    """
+    if not 0.0 < f_w <= 1.0:
+        raise ValueError(f"f_w must be in (0, 1], got {f_w}")
+    n_nonzero = round(f_w * m)
+    if n_nonzero == 0:
+        raise ValueError(
+            f"round(f_w * m) = 0 for f_w={f_w}, m={m}; the reservoir would "
+            "receive no input"
+        )
+    rng = np.random.default_rng(rng_seed)
     values = np.zeros(m)
     positions = rng.choice(m, size=n_nonzero, replace=False)
     values[positions] = rng.uniform(-1.0, 1.0, size=n_nonzero)
@@ -54,28 +64,14 @@ def generate_mask(m: int, theta: int, f_w: float, rng_seed: int) -> np.ndarray:
     at positions chosen without replacement. The mask is interpreted as
     piecewise constant over node intervals of length ``theta``.
     """
-    if not 0.0 < f_w <= 1.0:
-        raise ValueError(f"f_w must be in (0, 1], got {f_w}")
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    if round(f_w * m) == 0:
-        raise ValueError(
-            f"round(f_w * m) = 0 for f_w={f_w}, m={m}; the reservoir would "
-            "receive no input"
-        )
-    return _sparse_uniform(m, f_w, np.random.default_rng(rng_seed))
+    return _sparse_uniform(m, f_w, rng_seed)
 
 
 def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
     """Sparse input weight vector for the tanh reservoir (same draw as a mask)."""
-    if not 0.0 < f_w <= 1.0:
-        raise ValueError(f"f_w must be in (0, 1], got {f_w}")
-    if round(f_w * m) == 0:
-        raise ValueError(
-            f"round(f_w * m) = 0 for f_w={f_w}, m={m}; the reservoir would "
-            "receive no input"
-        )
-    return _sparse_uniform(m, f_w, np.random.default_rng(rng_seed))
+    return _sparse_uniform(m, f_w, rng_seed)
 
 
 def generate_adjacency(
@@ -147,18 +143,6 @@ class TanhReservoirConfig:
             raise ValueError(f"w_in shape {self.w_in.shape} != ({self.m},)")
         if np.any(np.diag(self.a) != 0.0):
             raise ValueError("adjacency diagonal must be zero")
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": "tanh",
-            "m": self.m,
-            "alpha": self.alpha,
-            "f_a": self.f_a,
-            "f_w": self.f_w,
-            "spectral_radius": self.spectral_radius,
-            "a": self.a.tolist(),
-            "w_in": self.w_in.tolist(),
-        }
 
 
 def make_tanh_config(
@@ -264,23 +248,6 @@ class OEOConfig:
     def tau_d(self) -> int:
         return self.m * self.theta
 
-    @property
-    def tau_in(self) -> int:
-        return self.m * self.theta
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": "oeo",
-            "m": self.m,
-            "theta": self.theta,
-            "beta": self.beta,
-            "phi": self.phi,
-            "rho": self.rho,
-            "f_w": self.f_w,
-            "sample_offset": self.sample_offset,
-            "mask": self.mask.tolist(),
-        }
-
 
 def make_oeo_config(
     m: int = 10,
@@ -317,7 +284,7 @@ def run_oeo_reservoir(
     within each delay period, which is evaluated period-by-period with an
     IIR filter; the arithmetic is the exact Heun update, regrouped.
 
-    Node j of input step n is v at step n*tau_in + j*theta + sample_offset;
+    Node j of input step n is v at step n*tau_d + j*theta + sample_offset;
     the first ``washout`` input steps are discarded.
     """
     drive = np.asarray(drive, dtype=float)
@@ -329,7 +296,6 @@ def run_oeo_reservoir(
 
     theta = cfg.theta
     tau_d = cfg.tau_d
-    tau_in = cfg.tau_in
     tau_l = float(cfg.tau_l)
 
     # Heun coefficients for v' = (-v + F(t)) / tau_L at unit step.
@@ -339,7 +305,7 @@ def run_oeo_reservoir(
     denom = np.array([1.0, -a])
     numer = np.array([1.0])
 
-    total = n_in * tau_in
+    total = n_in * tau_d
     # v_full[tau_d + t] = v(t); the leading tau_d zeros are the delay history.
     v_full = np.zeros(tau_d + total + 1)
     v_full[tau_d] = float(v0)
@@ -347,7 +313,7 @@ def run_oeo_reservoir(
     mask_period = np.repeat(cfg.mask, theta)
     forcing_arg = np.empty(tau_d + 1)
     for n in range(n_in):
-        base = n * tau_in
+        base = n * tau_d
         forcing_arg[:tau_d] = (cfg.rho * drive[n]) * mask_period
         nxt = drive[n + 1] if n + 1 < n_in else drive[n_in - 1]
         forcing_arg[tau_d] = cfg.rho * nxt * cfg.mask[0]
@@ -356,7 +322,7 @@ def run_oeo_reservoir(
         forcing = cfg.beta * np.sin(forcing_arg) ** 2
         b = c1 * forcing[:-1] + c2 * forcing[1:]
         seg, _ = lfilter(numer, denom, b, zi=np.array([a * v_full[tau_d + base]]))
-        v_full[tau_d + base + 1 : tau_d + base + tau_in + 1] = seg
+        v_full[base + tau_d + 1 : base + 2 * tau_d + 1] = seg
 
     if not np.all(np.isfinite(v_full)):
         bad = int(np.nonzero(~np.isfinite(v_full))[0][0]) - tau_d
@@ -364,7 +330,7 @@ def run_oeo_reservoir(
 
     offset = cfg.sample_offset if cfg.sample_offset is not None else theta
     sample_t = (
-        np.arange(n_in)[:, None] * tau_in
+        np.arange(n_in)[:, None] * tau_d
         + np.arange(cfg.m)[None, :] * theta
         + offset
     )
@@ -372,20 +338,3 @@ def run_oeo_reservoir(
     return StateMatrix(
         values=states[washout:], node_ids=list(range(cfg.m)), washout=washout
     )
-
-
-def export_state_matrix(csv_path, state: StateMatrix, config: dict) -> None:
-    """Write a state matrix as CSV plus a JSON echo of its configuration."""
-    m = state.n_nodes
-    header = "n," + ",".join(f"node_{j}" for j in range(m))
-    lines = [header]
-    for n, row in enumerate(state.values):
-        lines.append(f"{n}," + ",".join(f"{v:.17g}" for v in row))
-    csv_path = str(csv_path)
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    json_path = csv_path[: -len(".csv")] + ".config.json" if csv_path.endswith(".csv") \
-        else csv_path + ".config.json"
-    with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import qr_column_pivot
+from .linalg import log_row_dominance, qr_column_pivot
 from .reservoir import StateMatrix
 
 
@@ -67,7 +67,6 @@ class SelectionResult:
 
     method: SelectionMethod
     retained: list[tuple[int, int]]
-    pivot_order: list[tuple[int, int]] | None = None
     r_diag: np.ndarray | None = None
     seed: int | None = None
 
@@ -98,16 +97,16 @@ def rrqr_select(shifted: ShiftedMatrix, m_red: int) -> SelectionResult:
 
     Runs the pivoted QR on the shifted matrix; the pivot order ranks columns
     from most to least independent and the first ``m_red`` are retained.
+    A row-dominance violation of the factorization is logged as a warning.
     """
     c = shifted.n_columns
     if not 1 <= m_red <= c:
         raise ValueError(f"m_red must be in 1..{c}, got {m_red}")
     qr = qr_column_pivot(shifted.values)
-    order = [shifted.columns[j] for j in qr.perm]
+    log_row_dominance(qr)
     return SelectionResult(
         method=SelectionMethod.RRQR,
-        retained=order[:m_red],
-        pivot_order=order,
+        retained=[shifted.columns[j] for j in qr.perm[:m_red]],
         r_diag=qr.r_diag.copy(),
     )
 

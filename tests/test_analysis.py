@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from shiftrc.analysis import (
-    CorrelationMode,
     node_target_correlation,
     ordinal_symbols,
     reservoir_entropy,
@@ -25,38 +24,34 @@ def lexicographic_code(ranks):
 class TestOrdinalSymbols:
     def test_reference_window_ordering(self):
         # (0.1, 0.3, -0.1, 0.2) ranks as 2,4,1,3 (1-based)
-        seq = ordinal_symbols(np.array([0.1, 0.3, -0.1, 0.2]), window=4)
-        assert seq.symbols.shape == (1,)
-        assert seq.symbols[0] == lexicographic_code([1, 3, 0, 2])
+        codes = ordinal_symbols(np.array([0.1, 0.3, -0.1, 0.2]), window=4)
+        assert codes.shape == (1,)
+        assert codes[0] == lexicographic_code([1, 3, 0, 2])
 
     def test_increasing_window_is_identity(self):
-        seq = ordinal_symbols(np.arange(10.0), window=4)
-        np.testing.assert_array_equal(seq.symbols, 0)
+        codes = ordinal_symbols(np.arange(10.0), window=4)
+        np.testing.assert_array_equal(codes, 0)
 
     def test_constant_window_ties_resolve_to_identity(self):
-        seq = ordinal_symbols(np.zeros(8), window=4)
-        np.testing.assert_array_equal(seq.symbols, 0)
+        codes = ordinal_symbols(np.zeros(8), window=4)
+        np.testing.assert_array_equal(codes, 0)
 
     def test_codes_in_range_and_bijective(self, rng):
         x = rng.normal(size=2000)
-        seq = ordinal_symbols(x, window=4)
-        assert seq.symbols.min() >= 0
-        assert seq.symbols.max() < math.factorial(4)
+        codes = ordinal_symbols(x, window=4)
+        assert codes.min() >= 0
+        assert codes.max() < math.factorial(4)
         # with this much random data every pattern appears
-        assert len(np.unique(seq.symbols)) == math.factorial(4)
+        assert len(np.unique(codes)) == math.factorial(4)
 
     def test_matches_lexicographic_oracle(self, rng):
         x = rng.normal(size=200)
-        seq = ordinal_symbols(x, window=4)
+        codes = ordinal_symbols(x, window=4)
         for t in range(0, 197, 13):
             window = x[t : t + 4]
             ranks = np.empty(4, dtype=int)
             ranks[np.argsort(window, kind="stable")] = np.arange(4)
-            assert seq.symbols[t] == lexicographic_code(ranks)
-
-    def test_disjoint_stride(self):
-        seq = ordinal_symbols(np.arange(12.0), window=4, stride=4)
-        assert seq.symbols.shape == (3,)
+            assert codes[t] == lexicographic_code(ranks)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="window"):
@@ -126,21 +121,6 @@ class TestNodeTargetCorrelation:
         g = rng.normal(size=60)
         state = _state(np.column_stack([-g, -g]))
         assert node_target_correlation(state, g) == pytest.approx(1.0, abs=1e-12)
-
-    def test_literal_hand_value(self):
-        state = _state(np.array([[1.0], [2.0]]))
-        got = node_target_correlation(
-            state, np.array([1.0, 2.0]), CorrelationMode.PAPER_LITERAL
-        )
-        assert got == pytest.approx(5.0 / 9.0, abs=1e-15)
-
-    def test_literal_flags_degenerate_denominator(self):
-        # node sums to zero: the literal normalization is undefined
-        state = _state(np.array([[1.0], [-1.0]]))
-        got = node_target_correlation(
-            state, np.array([1.0, 2.0]), CorrelationMode.PAPER_LITERAL
-        )
-        assert math.isnan(got)
 
     def test_pearson_in_unit_interval(self, rng):
         state = _state(rng.normal(size=(200, 6)))

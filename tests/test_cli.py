@@ -152,6 +152,24 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_SWEEP)
+        for value in ("0", "-1"):
+            out = tmp_path / f"out{value}"
+            code = main(["sweep", "--config", cfg, "--out", str(out),
+                         "--threads", value])
+            assert code == 2
+            assert "--threads" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_threads_env_below_one_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SHIFTRC_THREADS", "0")
+        cfg = write_config(tmp_path, TINY_SWEEP)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "SHIFTRC_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nrmse_mode_flag(self, tmp_path):
         payload = json.loads(json.dumps(TINY_SWEEP))
         payload["task"]["kind"] = "observer"  # strictly positive target

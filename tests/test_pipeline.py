@@ -5,19 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from shiftrc import dynamics, pipeline
 from shiftrc.config import DataConfig, ExperimentConfig, derive_seed
 from shiftrc.pipeline import (
     MaskContext,
-    SelectionSpec,
     build_dataset,
     percent_improvement,
     prepare_mask_context,
-    run_single,
     score_selection,
     sweep,
 )
 from shiftrc.reservoir import StateMatrix
-from shiftrc.shifts import build_shifted_matrix
+from shiftrc.shifts import build_shifted_matrix, random_select, rrqr_select
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -75,7 +74,6 @@ def _synthetic_context(rng, target_in_span=True):
         shifted_test=build_shifted_matrix(test, tau),
         target_train=g_full[:80][tau:],
         target_test=g_full[80:][tau:],
-        n_nodes=3,
     )
 
 
@@ -101,22 +99,29 @@ class TestScoreSelection:
 
 
 class TestRunSingle:
+    """Cells of a single mask: baseline, arm convergence, leakage."""
+
     def test_baseline_uses_all_nodes_unshifted(self):
-        cfg = tiny_config()
-        res = run_single(cfg, derive_seed(cfg.master_seed, "trial", 0),
-                         SelectionSpec("baseline"), mask_id=0)
-        assert res.method == "baseline"
-        assert res.m_red == 4
-        assert res.nrmse_test >= 0.0 and np.isfinite(res.nrmse_test)
+        cfg = tiny_config(n_masks=1)
+        baseline = [c for c in sweep(cfg).cells if c.method == "baseline"]
+        assert len(baseline) == 1
+        assert baseline[0].m_red == 4
+        assert baseline[0].mask_id == 0 and baseline[0].subset_seed is None
+        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        _, test_err = score_selection(ctx, [(n, 0) for n in range(4)],
+                                      cfg.ridge_lambda)
+        assert baseline[0].nrmse_test == test_err
+        assert test_err >= 0.0 and np.isfinite(test_err)
 
     def test_rrqr_and_random_converge_at_full_width(self):
         cfg = tiny_config()
-        seed = derive_seed(cfg.master_seed, "trial", 0)
-        ctx = prepare_mask_context(cfg, seed)
+        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
         full = cfg.n_shift_columns
-        r1 = run_single(cfg, seed, SelectionSpec("rrqr", full), ctx=ctx)
-        r2 = run_single(cfg, seed, SelectionSpec("random", full, subset_seed=9), ctx=ctx)
-        assert r1.nrmse_test == pytest.approx(r2.nrmse_test, rel=1e-8)
+        ranked = rrqr_select(ctx.shifted_train, full).retained
+        drawn = random_select(ctx.shifted_train, full, seed=9).retained
+        _, e1 = score_selection(ctx, ranked, cfg.ridge_lambda)
+        _, e2 = score_selection(ctx, drawn, cfg.ridge_lambda)
+        assert e1 == pytest.approx(e2, rel=1e-8)
 
     def test_no_test_leakage(self):
         # corrupting the test split must not change selection or weights
@@ -128,8 +133,9 @@ class TestRunSingle:
         ctx_b.shifted_test.values[:] = rng.normal(size=ctx_b.shifted_test.values.shape)
         ctx_b.target_test = rng.normal(size=ctx_b.target_test.shape)
 
-        sel_a = ctx_a.full_pivot()
-        sel_b = ctx_b.full_pivot()
+        full = cfg.n_shift_columns
+        sel_a = rrqr_select(ctx_a.shifted_train, full)
+        sel_b = rrqr_select(ctx_b.shifted_train, full)
         assert sel_a.retained == sel_b.retained
 
         from shiftrc.linalg import ridge_fit
@@ -140,11 +146,6 @@ class TestRunSingle:
         w_b = ridge_fit(reduce_columns(ctx_b.shifted_train, sel_b.retained[:8]).values,
                         ctx_b.target_train, cfg.ridge_lambda).w
         np.testing.assert_array_equal(w_a, w_b)
-
-    def test_random_requires_subset_seed(self):
-        cfg = tiny_config()
-        with pytest.raises(ValueError, match="subset_seed"):
-            run_single(cfg, 1, SelectionSpec("random", 4))
 
 
 class TestSweep:
@@ -209,6 +210,29 @@ class TestSeedDerivation:
             for role in ("trial", "mask", "adjacency", "input-weights", "subset")
         }
         assert len(seeds) == 5
+
+
+def test_series_cache_ignores_task(monkeypatch):
+    # an observer and a prediction run of one system share one integration
+    calls = []
+    integrate = dynamics.integrate_chaotic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_chaotic", counting)
+    pipeline._series_cached.cache_clear()
+    prediction = tiny_config().data
+    observer = dataclasses.replace(prediction, task="observer")
+    obs = build_dataset(observer)
+    pred = build_dataset(prediction)
+    assert len(calls) == 1
+    assert obs.task_kind is dynamics.TaskKind.OBSERVER
+    assert pred.task_kind is dynamics.TaskKind.ONE_STEP_PREDICTION
+    np.testing.assert_array_equal(obs.drive_train, pred.drive_train)
+    build_dataset(dataclasses.replace(prediction, train_steps=401))
+    assert len(calls) == 2  # a different row count integrates again
 
 
 def test_dataset_cache_returns_consistent_data():

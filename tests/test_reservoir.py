@@ -8,7 +8,6 @@ from shiftrc.reservoir import (
     OEOConfig,
     StateMatrix,
     TanhReservoirConfig,
-    export_state_matrix,
     generate_adjacency,
     generate_input_weights,
     generate_mask,
@@ -78,6 +77,8 @@ class TestMask:
     def test_input_weights_same_contract(self):
         w = generate_input_weights(50, 0.1, rng_seed=2)
         assert np.count_nonzero(w) == 5
+        with pytest.raises(ValueError, match="no input"):
+            generate_input_weights(2, 0.25, rng_seed=0)
 
 
 class TestTanhReservoir:
@@ -136,7 +137,7 @@ class TestOEOReservoir:
         # Heun's one-step multiplier for v' = -v/tau_L
         tau_l = float(cfg.tau_l)
         a = 1.0 - 1.0 / tau_l + 1.0 / (2.0 * tau_l**2)
-        steps = (np.arange(40)[:, None] * cfg.tau_in
+        steps = (np.arange(40)[:, None] * cfg.tau_d
                  + (np.arange(4)[None, :] + 1) * cfg.theta).ravel()
         np.testing.assert_allclose(flat, a**steps, rtol=1e-12)
         # and the multiplier tracks the exact exponential to O(1/tau_L^3)
@@ -196,7 +197,6 @@ class TestConfigs:
         cfg = make_oeo_config(m=10, theta=40, mask_seed=0)
         assert cfg.tau_l == 160
         assert cfg.tau_d == 400
-        assert cfg.tau_in == 400
 
     def test_oeo_mask_count_validated(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -213,18 +213,3 @@ class TestConfigs:
     def test_state_matrix_node_ids_validated(self):
         with pytest.raises(ValueError, match="node_ids"):
             StateMatrix(values=np.zeros((3, 2)), node_ids=[0, 2], washout=0)
-
-
-def test_export_state_matrix(tmp_path):
-    cfg = make_oeo_config(m=3, theta=4, mask_seed=2)
-    sm = run_oeo_reservoir(cfg, np.linspace(-1, 1, 30), washout=5)
-    csv_path = tmp_path / "states.csv"
-    export_state_matrix(csv_path, sm, cfg.as_dict())
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "n,node_0,node_1,node_2"
-    assert len(lines) == 26
-    import json
-
-    echo = json.loads((tmp_path / "states.config.json").read_text())
-    assert echo["kind"] == "oeo"
-    assert echo["m"] == 3

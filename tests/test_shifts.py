@@ -1,9 +1,11 @@
 """Time-shift matrix construction and column selection."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from shiftrc.linalg import covariance_rank
+from shiftrc.linalg import covariance_rank, qr_column_pivot
 from shiftrc.reservoir import StateMatrix, make_oeo_config, run_oeo_reservoir
 from shiftrc.shifts import (
     SelectionMethod,
@@ -89,6 +91,21 @@ class TestRRQRSelect:
         sel = rrqr_select(oeo_shifted, 30)
         reduced = reduce_columns(oeo_shifted, sel)
         assert covariance_rank(reduced.values, 1e-10) == min(30, full_rank)
+
+    def test_row_dominance_warned_by_ranking_only(self, caplog):
+        # two equal columns tie in exact arithmetic; rounding leaves |R_01|
+        # one ulp above |R_00|
+        v = np.array([1.0, 1.0, 2.0]) / 7.0
+        values = np.column_stack([v, v])
+        shifted = build_shifted_matrix(
+            StateMatrix(values=values, node_ids=[0, 1], washout=0), 0
+        )
+        with caplog.at_level(logging.WARNING, logger="shiftrc.linalg"):
+            qr_column_pivot(values)
+            assert not caplog.records
+            rrqr_select(shifted, 1)
+        assert len(caplog.records) == 1
+        assert "row-dominance" in caplog.records[0].getMessage()
 
     def test_m_red_bounds(self, oeo_shifted):
         with pytest.raises(ValueError):
