@@ -218,10 +218,15 @@ def _cmd_replay(args) -> int:
         raise ConfigError(
             f"manifest is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from None
-    for key in ("command", "config_echo"):
+    for key in ("command", "config_echo", "config_hash"):
         if key not in manifest:
             raise ConfigError(f"manifest is missing required field '{key}'")
     resolved = resolve_config(manifest["config_echo"])
+    if config_hash(resolved) != manifest["config_hash"]:
+        raise ConfigError(
+            "manifest config_echo does not match its config_hash "
+            f"{manifest['config_hash']!r}; the echo or the hash was edited"
+        )
     _dispatch(manifest["command"], resolved, Path(args.out),
               _thread_count(args), manifest.get("subset_mode", "both"))
     return EXIT_OK

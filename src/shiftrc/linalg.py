@@ -5,6 +5,13 @@ its permutation orders columns from most to least linearly independent, the
 magnitudes of the R diagonal expose near rank deficiency, and the ridge
 solver reuses the same factorization on a stacked system so that normal
 equations are never formed.
+
+A sweep fits many readouts to column subsets of one training matrix. The
+pipeline therefore compresses each mask once: an unpivoted QR of
+``[X | 1 | g] = Q R`` gives, for every column subset S,
+``||X_S w - g||^2 = ||R[:, S] w - Q^T g||^2 + rho^2`` with a constant
+``rho``. Each fit is then :func:`ridge_fit` on the small triangular system
+instead of the tall one, with the same solution and conditioning.
 """
 
 from __future__ import annotations
@@ -254,6 +261,12 @@ def ridge_fit(
     ``[X; sqrt(lambda) I]`` against ``[g; 0]``; no normal equations are
     formed. With ``ridge_lambda == 0`` the design must have full column rank.
 
+    ``X`` may be a tall design or its compressed form: for columns of
+    ``R`` from ``[X_full | g] = Q R`` against ``c = Q^T g``, the minimizer
+    is that of the tall problem, since the two objectives differ by a
+    constant. The sweep fits every cell this way (see
+    ``pipeline.score_selection``).
+
     Raises:
         SingularMatrixError: lambda is zero and the design is rank deficient
             (the message names the estimated rank).
@@ -287,16 +300,21 @@ def ridge_fit(
 
 
 def predict(x: np.ndarray, readout: Readout) -> np.ndarray:
-    """Apply a trained readout: ``X @ w`` (bias column appended if flagged)."""
+    """Apply a trained readout: ``X @ w``, plus the bias weight if flagged.
+
+    The bias is added to the product, so no ones column is copied in.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D design matrix, got ndim={x.ndim}")
-    design = np.column_stack([x, np.ones(x.shape[0])]) if readout.bias_included else x
-    if design.shape[1] != readout.w.shape[0]:
+    n_bias = int(readout.bias_included)
+    if x.shape[1] + n_bias != readout.w.shape[0]:
         raise ValueError(
-            f"design has {design.shape[1]} columns, readout expects {readout.w.shape[0]}"
+            f"design has {x.shape[1] + n_bias} columns, readout expects {readout.w.shape[0]}"
         )
-    return design @ readout.w
+    if readout.bias_included:
+        return x @ readout.w[:-1] + readout.w[-1]
+    return x @ readout.w
 
 
 def nrmse(g: np.ndarray, h: np.ndarray, mode: NrmseMode = NrmseMode.GLOBAL) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,6 +158,27 @@ def run_split_states(res_cfg, dataset: dynamics.TaskDataset, washout: int,
     )
 
 
+@dataclass(frozen=True)
+class CompressedTrain:
+    """One Householder QR of a mask's training system, shared by every cell.
+
+    ``[X | 1 | g] = Q R`` for the shifted training matrix ``X`` (C columns),
+    a ones column and the training target. ``r`` is the leading
+    ``(C + 1) x (C + 1)`` triangle and ``c = Q^T g`` its right-hand side,
+    so for any column set S
+
+        ||X_S w - g||^2 = ||r[:, S] w - c||^2 + rho^2,
+
+    with ``rho`` the residual of ``g`` outside the span of ``[X | 1]``. The
+    ones column comes after the state columns, so the top C rows alone
+    serve fits without a bias (row C is zero in every state column).
+    """
+
+    index: dict[tuple[int, int], int]
+    r: np.ndarray
+    c: np.ndarray
+
+
 @dataclass
 class MaskContext:
     """Everything one (mask, task) pair needs to score any selection."""
@@ -166,6 +187,22 @@ class MaskContext:
     shifted_test: shifts.ShiftedMatrix
     target_train: np.ndarray
     target_test: np.ndarray
+
+    @cached_property
+    def compressed(self) -> CompressedTrain:
+        """The training system compressed once, on first use (unpivoted
+        LAPACK QR; no normal equations are formed)."""
+        x = self.shifted_train.values
+        system = np.column_stack([x, np.ones(x.shape[0]), self.target_train])
+        if not np.all(np.isfinite(system)):
+            raise ValueError("training matrix or target contains non-finite entries")
+        n = x.shape[1]
+        r = np.linalg.qr(system, mode="r")
+        return CompressedTrain(
+            index={pair: j for j, pair in enumerate(self.shifted_train.columns)},
+            r=r[: n + 1, : n + 1],
+            c=r[: n + 1, n + 1],
+        )
 
 
 def prepare_mask_context(
@@ -196,21 +233,40 @@ def score_selection(
     include_bias: bool = False,
     nrmse_mode: NrmseMode = NrmseMode.GLOBAL,
 ) -> tuple[float, float]:
-    """Fit on the reduced training matrix, score both splits.
+    """Fit on the selected training columns, score both splits.
 
-    The selection and the readout depend only on training data; the test
-    matrix is reduced with the identical column list.
+    The fit runs on the mask's compressed training system: by the residual
+    identity of :class:`CompressedTrain`, the ridge problem on ``X_S`` has
+    the same solution as the one on ``r[:, S]`` against ``c``, which has at
+    most C + 1 rows. The weights are scattered into a full-width vector and
+    both splits are predicted from their full shifted matrices, so the
+    selection and the readout depend only on training data and no column
+    is copied.
+
+    Raises:
+        KeyError: a pair does not name a shifted column.
+        SingularMatrixError: lambda is zero and the selected columns (with
+            the bias, if included) are rank deficient.
     """
-    reduced_train = shifts.reduce_columns(ctx.shifted_train, pairs)
-    reduced_test = shifts.reduce_columns(ctx.shifted_test, pairs)
-    readout = linalg.ridge_fit(
-        reduced_train.values, ctx.target_train, ridge_lambda, include_bias
+    comp = ctx.compressed
+    try:
+        cols = [comp.index[tuple(p)] for p in pairs]
+    except KeyError as exc:
+        raise KeyError(f"unknown (node, shift) pair {exc.args[0]}") from None
+    n = ctx.shifted_train.n_columns
+    bias = [n] if include_bias else []
+    rows = n + len(bias)
+    fit = linalg.ridge_fit(comp.r[:rows, cols + bias], comp.c[:rows], ridge_lambda)
+    w = np.zeros(n)
+    np.add.at(w, cols, fit.w[: len(cols)])  # a pair listed twice sums its weights
+    readout = linalg.Readout(
+        np.concatenate([w, fit.w[len(cols):]]), fit.ridge_lambda, include_bias
     )
     train_err = linalg.nrmse(
-        ctx.target_train, linalg.predict(reduced_train.values, readout), nrmse_mode
+        ctx.target_train, linalg.predict(ctx.shifted_train.values, readout), nrmse_mode
     )
     test_err = linalg.nrmse(
-        ctx.target_test, linalg.predict(reduced_test.values, readout), nrmse_mode
+        ctx.target_test, linalg.predict(ctx.shifted_test.values, readout), nrmse_mode
     )
     return train_err, test_err
 

@@ -106,6 +106,24 @@ class TestSweep:
         assert code == 0
         assert file_hashes(out) == file_hashes(replay_out)
 
+    def test_replay_rejects_edited_config_echo(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_SWEEP)
+        out = tmp_path / "out"
+        main(["sweep", "--config", cfg, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config_echo"]["readout"]["ridge_lambda"] = 1e-3
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        replay_out = tmp_path / "replayed"
+        code = main(["replay", "--manifest", str(edited), "--out", str(replay_out)])
+        assert code == 2
+        assert "config_hash" in capsys.readouterr().err
+        assert not replay_out.exists()
+        del manifest["config_hash"]
+        edited.write_text(json.dumps(manifest))
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert not replay_out.exists()
+
     def test_subset_rrqr_leaves_random_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
         out = tmp_path / "out"

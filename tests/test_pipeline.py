@@ -4,9 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftrc import dynamics, pipeline
 from shiftrc.config import DataConfig, ExperimentConfig, derive_seed
+from shiftrc.errors import SingularMatrixError
+from shiftrc.linalg import NrmseMode, nrmse, predict, ridge_fit
 from shiftrc.pipeline import (
     MaskContext,
     build_dataset,
@@ -16,7 +20,13 @@ from shiftrc.pipeline import (
     sweep,
 )
 from shiftrc.reservoir import StateMatrix
-from shiftrc.shifts import build_shifted_matrix, random_select, rrqr_select
+from shiftrc.shifts import (
+    ShiftedMatrix,
+    build_shifted_matrix,
+    random_select,
+    reduce_columns,
+    rrqr_select,
+)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -60,13 +70,15 @@ class TestPercentImprovement:
             assert percent_improvement(a, a) == 0.0
 
 
-def _synthetic_context(rng, target_in_span=True):
+def _synthetic_context(rng, target_in_span=True, duplicate=False):
     t = 120
     tau = 2
     g_full = rng.normal(size=t)
     cols = rng.normal(size=(t, 3))
     if target_in_span:
         cols[:, 1] = g_full
+    if duplicate:
+        cols[:, 2] = cols[:, 0]
     train = StateMatrix(values=cols[:80], node_ids=[0, 1, 2], washout=0)
     test = StateMatrix(values=cols[80:], node_ids=[0, 1, 2], washout=0)
     return MaskContext(
@@ -92,10 +104,106 @@ class TestScoreSelection:
         values = rng.normal(size=(60, 4))
         sm = StateMatrix(values=values, node_ids=list(range(4)), washout=0)
         shifted = build_shifted_matrix(sm, 3)
-        from shiftrc.shifts import reduce_columns
-
         reduced = reduce_columns(shifted, [(n, 0) for n in range(4)])
         np.testing.assert_array_equal(reduced.values, values[3:])
+
+
+def direct_score(ctx, pairs, ridge_lambda, include_bias=False,
+                 mode=NrmseMode.GLOBAL):
+    """Reference: copy the selected columns and fit the tall system."""
+    train = reduce_columns(ctx.shifted_train, pairs).values
+    test = reduce_columns(ctx.shifted_test, pairs).values
+    readout = ridge_fit(train, ctx.target_train, ridge_lambda, include_bias)
+    return (nrmse(ctx.target_train, predict(train, readout), mode),
+            nrmse(ctx.target_test, predict(test, readout), mode))
+
+
+def _context_from(x_train, x_test, g_train, g_test):
+    labels = [(j, 0) for j in range(x_train.shape[1])]
+    return MaskContext(
+        shifted_train=ShiftedMatrix(x_train, labels, 0),
+        shifted_test=ShiftedMatrix(x_test, labels, 0),
+        target_train=g_train,
+        target_test=g_test,
+    )
+
+
+@st.composite
+def readout_problems(draw):
+    n_cols = draw(st.integers(1, 12))
+    bias = draw(st.booleans())
+    n_rows = draw(st.integers(n_cols + 3, n_cols + 40))
+    subset = draw(st.lists(st.integers(0, n_cols - 1), min_size=1,
+                           max_size=n_cols, unique=True))
+    return dict(
+        n_rows=n_rows, n_cols=n_cols, subset=subset, bias=bias,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ridge_lambda=draw(st.sampled_from([0.0, 1e-8, 1e-2])),
+        mode=draw(st.sampled_from(list(NrmseMode))),
+    )
+
+
+class TestCompressedReadout:
+    """Cells fitted on the per-mask compression against the tall fits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(readout_problems())
+    def test_matches_direct_fit(self, problem):
+        rng = np.random.default_rng(problem["seed"])
+        t, c = problem["n_rows"], problem["n_cols"]
+        ctx = _context_from(rng.normal(size=(t, c)), rng.normal(size=(t // 2 + 1, c)),
+                            rng.normal(size=t), rng.normal(size=t // 2 + 1))
+        pairs = [(j, 0) for j in problem["subset"]]
+        args = (problem["ridge_lambda"], problem["bias"], problem["mode"])
+        got = score_selection(ctx, pairs, *args)
+        want = direct_score(ctx, pairs, *args)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_bias_cell_of_sweep_matches_direct_fit(self):
+        cfg = tiny_config(n_masks=1, include_bias=True)
+        result = sweep(cfg)
+        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        ranked = result.pivots[0].retained
+        checked = 0
+        for cell in result.cells:
+            if cell.method == "rrqr":
+                pairs = ranked[: cell.m_red]
+            elif cell.method == "random":
+                pairs = random_select(ctx.shifted_train, cell.m_red,
+                                      cell.subset_seed).retained
+            else:
+                pairs = [(n, 0) for n in range(cfg.n_nodes)]
+            want = direct_score(ctx, pairs, cfg.ridge_lambda, include_bias=True)
+            np.testing.assert_allclose((cell.nrmse_train, cell.nrmse_test), want,
+                                       rtol=1e-12, atol=0.0)
+            checked += 1
+        assert checked == len(cfg.m_red_grid) * (1 + cfg.n_random_subsets) + 1
+
+    def test_duplicated_column_at_zero_lambda_raises(self, rng):
+        ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
+        with pytest.raises(SingularMatrixError):
+            score_selection(ctx, [(0, 0), (2, 0)], ridge_lambda=0.0)
+        with pytest.raises(SingularMatrixError):
+            score_selection(ctx, [(0, 1), (2, 1), (1, 0)], ridge_lambda=0.0,
+                            include_bias=True)
+
+    def test_full_rank_subset_at_zero_lambda_fits(self, rng):
+        ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
+        pairs = [(0, 0), (1, 0), (2, 1)]
+        got = score_selection(ctx, pairs, ridge_lambda=0.0)
+        np.testing.assert_allclose(got, direct_score(ctx, pairs, 0.0),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_non_finite_training_data_rejected(self, rng):
+        ctx = _synthetic_context(rng)
+        ctx.shifted_train.values[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            score_selection(ctx, [(0, 0)], ridge_lambda=1e-6)
+
+    def test_unknown_pair_rejected(self, rng):
+        ctx = _synthetic_context(rng)
+        with pytest.raises(KeyError, match="unknown"):
+            score_selection(ctx, [(0, 0), (0, 9)], ridge_lambda=1e-6)
 
 
 class TestRunSingle:
@@ -137,9 +245,6 @@ class TestRunSingle:
         sel_a = rrqr_select(ctx_a.shifted_train, full)
         sel_b = rrqr_select(ctx_b.shifted_train, full)
         assert sel_a.retained == sel_b.retained
-
-        from shiftrc.linalg import ridge_fit
-        from shiftrc.shifts import reduce_columns
 
         w_a = ridge_fit(reduce_columns(ctx_a.shifted_train, sel_a.retained[:8]).values,
                         ctx_a.target_train, cfg.ridge_lambda).w
