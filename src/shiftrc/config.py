@@ -177,7 +177,7 @@ CONFIG_SCHEMA = {
                     "minItems": 1,
                 },
                 "n_trials": {"type": "integer", "minimum": 1},
-                "window": {"type": "integer", "minimum": 2},
+                "window": {"type": "integer", "minimum": 2, "maximum": 20},
             },
         },
     },

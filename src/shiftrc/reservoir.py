@@ -8,6 +8,7 @@ feedback loop.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,35 +166,76 @@ def make_tanh_config(
 
 
 def run_tanh_reservoir(
-    cfg: TanhReservoirConfig,
+    cfg: TanhReservoirConfig | Sequence[TanhReservoirConfig],
     drive,
     washout: int,
     initial_state=None,
-) -> StateMatrix:
+) -> StateMatrix | list[StateMatrix]:
     """Iterate the leaky-tanh map over a drive sequence.
 
     chi <- (1 - alpha) chi + alpha tanh(A chi + w_in s + 1), starting from
     zero (or ``initial_state``); the first ``washout`` rows are discarded.
     The +1 bias inside the tanh is part of the node model.
+
+    ``cfg`` may also be a sequence of configs with equal ``m``, all driven
+    by the same ``drive``. They advance together, one stacked product
+    ``np.matmul(A_stack, chi)`` per step, so the per-step interpreter cost
+    is paid once per batch. ``initial_state`` then has one row per config,
+    and one state matrix per config is returned, each bitwise equal to the
+    config's own run. A single config is the batch of one. A run split
+    into pieces, each started from the previous piece's last row with no
+    washout, gives the same states bitwise as one run.
+
+    Raises:
+        DivergenceError: a state became non-finite; ``step`` is the first
+            drive index at which any batch member did.
     """
+    single = isinstance(cfg, TanhReservoirConfig)
+    cfgs = [cfg] if single else list(cfg)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    m = cfgs[0].m
+    if any(c.m != m for c in cfgs):
+        raise ValueError("configs of a batch must have equal m")
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1:
         raise ValueError("drive must be 1-D")
     n = drive.shape[0]
     if n <= washout:
         raise ValueError(f"drive length {n} must exceed washout {washout}")
-    chi = np.zeros(cfg.m) if initial_state is None else np.array(initial_state, dtype=float)
-    alpha = cfg.alpha
+    b = len(cfgs)
+    if initial_state is None:
+        chi = np.zeros((b, m))
+    else:
+        chi = np.array(initial_state, dtype=float)
+        expected = (m,) if single else (b, m)
+        if chi.shape != expected:
+            raise ValueError(f"initial_state shape {chi.shape} != {expected}")
+        chi = chi.reshape(b, m)
+    a = np.stack([c.a for c in cfgs])
+    w_in = np.stack([c.w_in for c in cfgs])
+    alpha = np.array([[c.alpha] for c in cfgs])
     keep = 1.0 - alpha
-    out = np.empty((n - washout, cfg.m))
+    out = np.empty((b, n - washout, m))
     for i, s in enumerate(drive):
-        chi = keep * chi + alpha * np.tanh(cfg.a @ chi + cfg.w_in * s + 1.0)
+        # The update formula, evaluated in place in the same order.
+        net = np.matmul(a, chi[:, :, None])[:, :, 0]
+        net += w_in * s
+        net += 1.0
+        np.tanh(net, out=net)
+        net *= alpha
+        chi = keep * chi
+        chi += net
         if i >= washout:
-            out[i - washout] = chi
-    if not np.all(np.isfinite(out)):
-        bad = int(np.nonzero(~np.isfinite(out).all(axis=1))[0][0]) + washout
-        raise DivergenceError(bad, "tanh reservoir state")
-    return StateMatrix(values=out, node_ids=list(range(cfg.m)), washout=washout)
+            out[:, i - washout] = chi
+    bad = ~np.isfinite(out).all(axis=2)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        member = int(np.argmax(bad[:, row]))
+        what = "tanh reservoir state" if single else f"tanh reservoir state of config {member}"
+        raise DivergenceError(row + washout, what)
+    states = [StateMatrix(values=v, node_ids=list(range(m)), washout=washout) for v in out]
+    return states[0] if single else states
 
 
 @dataclass

@@ -239,7 +239,7 @@ def test_criterion_08_entropy_and_correlation_trends():
         info["detail"] = f"spearman H {rho_h:.2f} (p={p_h:.1e}), C {rho_c:.2f} (p={p_c:.1e})"
         assert rho_h < 0.0 and p_h < 0.05
         assert rho_c > 0.0 and p_c < 0.05
-        assert time.perf_counter() - start < 1200.0
+        assert time.perf_counter() - start < 300.0
 
 
 def test_criterion_09_entropy_oracle():

@@ -221,6 +221,26 @@ class TestAnalyze:
         main(["replay", "--manifest", str(out / "manifest.json"), "--out", str(replay_out)])
         assert file_hashes(out) == file_hashes(replay_out)
 
+    def test_threads_flag_keeps_outputs_identical(self, tmp_path):
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["analysis"]["f_w_values"] = [0.5, 1.0]
+        cfg = write_config(tmp_path, payload)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["analyze", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["analyze", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        assert file_hashes(out1) == file_hashes(out2)
+
+    def test_window_above_limit_rejected(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["analysis"]["window"] = 21
+        code = main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "window" in capsys.readouterr().err
+        payload["analysis"]["window"] = 20  # the largest window, 8-byte keys
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "p")]) == 0
+
     def test_oeo_reservoir_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TINY_ANALYZE))
         payload["reservoir"] = {"kind": "oeo", "nodes": 4, "theta": 4, "f_w": 0.5}

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftrc import dynamics, pipeline
-from shiftrc.config import DataConfig, ExperimentConfig, derive_seed
+from shiftrc import analysis, dynamics, pipeline, reservoir
+from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
 from shiftrc.errors import SingularMatrixError
 from shiftrc.linalg import NrmseMode, nrmse, predict, ridge_fit
 from shiftrc.pipeline import (
@@ -299,6 +299,87 @@ class TestSweep:
         cfg = tiny_config(continuation=False, m_red_grid=(8,), n_masks=1)
         res = sweep(cfg)
         assert np.isfinite(res.rows[0].nrmse_rrqr_mean)
+
+
+def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
+    """The per-trial analysis cell the batched, streamed one replaced: each
+    trial's full state matrices, whole-matrix diagnostics and tall fits."""
+    cfg = acfg.base
+    obs, pred = datasets
+    entropies, correlations, err_obs, err_pred = [], [], [], []
+    mode = NrmseMode(cfg.nrmse_mode)
+    for trial in range(acfg.n_trials):
+        res_cfg = reservoir.make_tanh_config(
+            m=cfg.reservoir["nodes"],
+            alpha=cfg.reservoir["alpha"],
+            f_a=f_a,
+            f_w=f_w,
+            spectral_radius=cfg.reservoir["spectral_radius"],
+            adjacency_seed=derive_seed(cfg.master_seed, "adjacency", i_fw, i_fa, trial),
+            input_seed=derive_seed(cfg.master_seed, "input-weights", i_fw, i_fa, trial),
+        )
+        train, test, g_obs_train, g_obs_test = pipeline.run_split_states(
+            res_cfg, obs, cfg.washout, cfg.continuation
+        )
+        entropies.append(analysis.reservoir_entropy(train, acfg.window))
+        xc = train.values - train.values.mean(axis=0)
+        gc = g_obs_train - g_obs_train.mean()
+        correlations.append(np.mean(np.abs(xc.T @ gc) / np.sqrt(
+            (xc**2).sum(axis=0) * (gc**2).sum())))
+        readout = ridge_fit(train.values, g_obs_train, cfg.ridge_lambda)
+        err_obs.append(nrmse(g_obs_test, predict(test.values, readout), mode))
+        g_pred_train = pred.target_train[cfg.washout :]
+        g_pred_test = pred.target_test if cfg.continuation \
+            else pred.target_test[cfg.washout :]
+        readout = ridge_fit(train.values, g_pred_train, cfg.ridge_lambda)
+        err_pred.append(nrmse(g_pred_test, predict(test.values, readout), mode))
+    return pipeline.AnalysisRow(
+        f_w=f_w,
+        f_a=f_a,
+        entropy_bits=float(np.mean(entropies)),
+        mean_correlation=float(np.mean(correlations)),
+        nrmse_observer=float(np.mean(err_obs)),
+        nrmse_prediction=float(np.mean(err_pred)),
+    )
+
+
+def tiny_analysis(**overrides) -> AnalysisConfig:
+    data = dataclasses.replace(tiny_config().data, task="observer",
+                               train_steps=900, test_steps=700)
+    base = tiny_config(
+        data=data, washout=40,
+        reservoir={"kind": "tanh", "nodes": 12, "alpha": 0.35,
+                   "spectral_radius": 0.5, "f_a": 0.5, "f_w": 1.0},
+        **overrides,
+    )
+    return AnalysisConfig(base=base, f_w_values=(0.3, 1.0), f_a_values=(0.5,),
+                          n_trials=3, window=4)
+
+
+class TestAnalysisCell:
+    @pytest.mark.parametrize("continuation", [True, False])
+    @pytest.mark.parametrize("batch,segment", [(20, 250), (2, 64)])
+    def test_matches_per_trial_reference(self, monkeypatch, continuation, batch, segment):
+        # (2, 64): several batches, and entropy windows spanning many piece
+        # boundaries; the test split then starts inside a piece's span
+        monkeypatch.setattr(pipeline, "ANALYSIS_BATCH", batch)
+        monkeypatch.setattr(pipeline, "ANALYSIS_SEGMENT", segment)
+        acfg = tiny_analysis(continuation=continuation)
+        datasets = (build_dataset(acfg.base.data, "observer"),
+                    build_dataset(acfg.base.data, "prediction"))
+        for i_fw, f_w in enumerate(acfg.f_w_values):
+            got = pipeline._analysis_cell(acfg, i_fw, f_w, 0, 0.5, datasets)
+            want = reference_analysis_cell(acfg, i_fw, f_w, 0, 0.5, datasets)
+            assert got.entropy_bits == want.entropy_bits
+            for name in ("mean_correlation", "nrmse_observer", "nrmse_prediction"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+    def test_training_rows_shorter_than_window_rejected(self):
+        acfg = dataclasses.replace(tiny_analysis(), window=20)
+        data = dataclasses.replace(acfg.base.data, train_steps=50)
+        acfg = dataclasses.replace(acfg, base=dataclasses.replace(acfg.base, data=data))
+        with pytest.raises(ValueError, match="rows"):
+            pipeline.analysis_sweep(acfg)
 
 
 class TestSeedDerivation:

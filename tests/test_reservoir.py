@@ -120,6 +120,80 @@ class TestTanhReservoir:
             run_tanh_reservoir(cfg, np.zeros(5), washout=5)
 
 
+def reference_tanh_run(cfg, drive, washout, initial_state=None):
+    """The single-config loop the batched map replaced, kept as the oracle."""
+    chi = np.zeros(cfg.m) if initial_state is None else np.array(initial_state, dtype=float)
+    out = np.empty((len(drive) - washout, cfg.m))
+    for i, s in enumerate(drive):
+        chi = (1.0 - cfg.alpha) * chi + cfg.alpha * np.tanh(cfg.a @ chi + cfg.w_in * s + 1.0)
+        if i >= washout:
+            out[i - washout] = chi
+    return out
+
+
+def batch_configs():
+    return [
+        make_tanh_config(m=20, alpha=alpha, f_a=f_a, f_w=f_w,
+                         adjacency_seed=10 + k, input_seed=20 + k)
+        for k, (alpha, f_a, f_w) in enumerate(
+            [(0.35, 0.5, 1.0), (0.2, 0.1, 0.3), (0.9, 0.9, 0.6)]
+        )
+    ]
+
+
+class TestTanhBatch:
+    def test_batch_equals_per_config_runs(self, lorenz_drive_short):
+        cfgs = batch_configs()
+        batch = run_tanh_reservoir(cfgs, lorenz_drive_short, washout=50)
+        assert len(batch) == len(cfgs)
+        for cfg, sm in zip(cfgs, batch):
+            single = run_tanh_reservoir(cfg, lorenz_drive_short, washout=50)
+            np.testing.assert_array_equal(sm.values, single.values)
+            assert sm.washout == 50 and sm.node_ids == list(range(20))
+
+    def test_pieces_restarted_from_last_state_equal_one_run(self, lorenz_drive_short):
+        cfgs = batch_configs()
+        whole = np.stack([sm.values for sm in run_tanh_reservoir(cfgs, lorenz_drive_short, 50)])
+        pieces = [np.stack([sm.values for sm in run_tanh_reservoir(
+            cfgs, lorenz_drive_short[:300], 50)])]
+        for start in range(300, len(lorenz_drive_short), 137):
+            states = run_tanh_reservoir(cfgs, lorenz_drive_short[start:start + 137], 0,
+                                        initial_state=pieces[-1][:, -1])
+            pieces.append(np.stack([sm.values for sm in states]))
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
+
+    def test_batch_of_one_equals_reference_loop(self, lorenz_drive_short, rng):
+        cfg = batch_configs()[1]
+        x0 = rng.uniform(-1, 1, size=cfg.m)
+        expected = reference_tanh_run(cfg, lorenz_drive_short, 30, x0)
+        single = run_tanh_reservoir(cfg, lorenz_drive_short, 30, initial_state=x0)
+        (listed,) = run_tanh_reservoir([cfg], lorenz_drive_short, 30, initial_state=[x0])
+        np.testing.assert_array_equal(single.values, expected)
+        np.testing.assert_array_equal(listed.values, expected)
+
+    def test_diverging_member_raises_with_its_step(self):
+        # An infinite drive sample turns 0 * inf into NaN only in the member
+        # with zero input weights; the fully driven member saturates instead.
+        full = make_tanh_config(m=10, f_w=1.0, adjacency_seed=1, input_seed=2)
+        sparse = make_tanh_config(m=10, f_w=0.5, adjacency_seed=3, input_seed=4)
+        drive = np.zeros(40)
+        drive[17] = np.inf
+        assert np.all(np.isfinite(run_tanh_reservoir(full, drive, 5).values))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DivergenceError, match="config 1") as exc:
+            run_tanh_reservoir([full, sparse], drive, washout=5)
+        assert exc.value.step == 17
+
+    def test_batch_validation(self):
+        small, large = (make_tanh_config(m=m, adjacency_seed=1, input_seed=2) for m in (4, 5))
+        with pytest.raises(ValueError, match="equal m"):
+            run_tanh_reservoir([small, large], np.zeros(5), washout=0)
+        with pytest.raises(ValueError, match="at least one"):
+            run_tanh_reservoir([], np.zeros(5), washout=0)
+        with pytest.raises(ValueError, match="initial_state"):
+            run_tanh_reservoir([small, small], np.zeros(5), 0, initial_state=np.zeros(4))
+
+
 class TestOEOReservoir:
     def test_bounded_states(self, lorenz_drive_short):
         cfg = make_oeo_config(m=10, mask_seed=42)
