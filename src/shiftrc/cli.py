@@ -59,20 +59,23 @@ def _apply_overrides(resolved: dict, args) -> dict:
     return resolved
 
 
-def _thread_count(args) -> int:
-    """Worker threads from ``--threads``, else ``SHIFTRC_THREADS``, else 1."""
+def _validate_threads(args) -> None:
+    """Reject a thread count below 1 from ``--threads``, else ``SHIFTRC_THREADS``.
+
+    The count is still accepted, but bounds nothing: shiftrc starts no
+    threads of its own (see the README on ``--threads``).
+    """
     threads, source = getattr(args, "threads", None), "--threads"
     if threads is None:
         env = os.environ.get("SHIFTRC_THREADS")
         if not env:
-            return 1
+            return
         try:
             threads, source = int(env), "SHIFTRC_THREADS"
         except ValueError:
             raise ConfigError(f"SHIFTRC_THREADS is not an integer: {env!r}") from None
     if threads < 1:
         raise ConfigError(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict,
@@ -140,9 +143,9 @@ def _sweep_csv_lines(rows) -> list[str]:
     return lines
 
 
-def _run_sweep(resolved: dict, out_dir: Path, threads: int, subset_mode: str) -> list[str]:
+def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
     cfg = experiment_from_dict(resolved)
-    result = pipeline.sweep(cfg, threads=threads, subset_mode=subset_mode)
+    result = pipeline.sweep(cfg, subset_mode=subset_mode)
     (out_dir / "sweep.csv").write_text(
         "\n".join(_sweep_csv_lines(result.rows)) + "\n", encoding="ascii"
     )
@@ -163,9 +166,9 @@ def _run_sweep(resolved: dict, out_dir: Path, threads: int, subset_mode: str) ->
     return paths
 
 
-def _run_analyze(resolved: dict, out_dir: Path, threads: int) -> list[str]:
+def _run_analyze(resolved: dict, out_dir: Path) -> list[str]:
     acfg = analysis_from_dict(resolved)
-    rows = pipeline.analysis_sweep(acfg, threads=threads)
+    rows = pipeline.analysis_sweep(acfg)
     lines = ["f_w,f_a,entropy_bits,mean_correlation,nrmse_observer,nrmse_prediction"]
     for row in rows:
         lines.append(
@@ -185,16 +188,15 @@ def _run_analyze(resolved: dict, out_dir: Path, threads: int) -> list[str]:
     return ["analysis.csv"]
 
 
-def _dispatch(command: str, resolved: dict, out_dir: Path, threads: int,
-              subset_mode: str) -> None:
+def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     if command == "generate":
         paths = _run_generate(resolved, out_dir)
     elif command == "sweep":
-        paths = _run_sweep(resolved, out_dir, threads, subset_mode)
+        paths = _run_sweep(resolved, out_dir, subset_mode)
     elif command == "analyze":
-        paths = _run_analyze(resolved, out_dir, threads)
+        paths = _run_analyze(resolved, out_dir)
     else:
         raise ConfigError(f"manifest names unknown command {command!r}")
     _write_manifest(out_dir, command, resolved, paths,
@@ -203,8 +205,8 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, threads: int,
 
 def _cmd_run(args, command: str) -> int:
     resolved = _apply_overrides(_load_config(args.config), args)
-    _dispatch(command, resolved, Path(args.out), _thread_count(args),
-              getattr(args, "subset", "both"))
+    _validate_threads(args)
+    _dispatch(command, resolved, Path(args.out), getattr(args, "subset", "both"))
     return EXIT_OK
 
 
@@ -218,17 +220,23 @@ def _cmd_replay(args) -> int:
         raise ConfigError(
             f"manifest is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from None
-    for key in ("command", "config_echo", "config_hash"):
+    for key in ("command", "config_echo", "config_hash", "tool_version"):
         if key not in manifest:
             raise ConfigError(f"manifest is missing required field '{key}'")
+    if manifest["tool_version"] != __version__:
+        raise ConfigError(
+            f"manifest tool_version {manifest['tool_version']!r} differs from "
+            f"this shiftrc {__version__!r}; its outputs need not replay bitwise"
+        )
     resolved = resolve_config(manifest["config_echo"])
     if config_hash(resolved) != manifest["config_hash"]:
         raise ConfigError(
             "manifest config_echo does not match its config_hash "
             f"{manifest['config_hash']!r}; the echo or the hash was edited"
         )
+    _validate_threads(args)
     _dispatch(manifest["command"], resolved, Path(args.out),
-              _thread_count(args), manifest.get("subset_mode", "both"))
+              manifest.get("subset_mode", "both"))
     return EXIT_OK
 
 
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: SHIFTRC_THREADS, then 1)")
+                       help="thread count, validated but unused (fallback: SHIFTRC_THREADS)")
         p.add_argument("--nrmse-mode", choices=["global", "paper-literal"],
                        dest="nrmse_mode", default=None,
                        help="error normalization convention")

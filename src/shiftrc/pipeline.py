@@ -9,7 +9,6 @@ improvement between the two arms.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -117,12 +116,6 @@ def build_trial_reservoir(cfg: ExperimentConfig, trial_seed: int):
     )
 
 
-def _run_reservoir(res_cfg, drive, washout):
-    if isinstance(res_cfg, reservoir.OEOConfig):
-        return reservoir.run_oeo_reservoir(res_cfg, drive, washout)
-    return reservoir.run_tanh_reservoir(res_cfg, drive, washout)
-
-
 def run_split_states(res_cfg, dataset: dynamics.TaskDataset, washout: int,
                      continuation: bool = True):
     """Run a reservoir over both splits and return aligned states and targets.
@@ -130,32 +123,30 @@ def run_split_states(res_cfg, dataset: dynamics.TaskDataset, washout: int,
     With ``continuation`` the test split continues from the post-training
     reservoir state (one run over the concatenated drive, then a row split);
     otherwise the test split starts fresh and pays its own washout.
+
+    ``res_cfg`` may also be a list of configs of one kind. They run as one
+    batch (one call per drive), and one ``(train, test, g_train, g_test)``
+    tuple per config is returned.
     """
-    t_train = dataset.drive_train.shape[0]
+    single = not isinstance(res_cfg, list)
+    cfgs = [res_cfg] if single else res_cfg
+    run = (reservoir.run_oeo_reservoir if isinstance(cfgs[0], reservoir.OEOConfig)
+           else reservoir.run_tanh_reservoir)
     if continuation:
         full = np.concatenate([dataset.drive_train, dataset.drive_test])
-        sm = _run_reservoir(res_cfg, full, washout)
-        n_train_rows = t_train - washout
-        train = reservoir.StateMatrix(
-            sm.values[:n_train_rows], list(sm.node_ids), washout
-        )
-        test = reservoir.StateMatrix(
-            sm.values[n_train_rows:], list(sm.node_ids), 0
-        )
-        return (
-            train,
-            test,
-            dataset.target_train[washout:],
-            dataset.target_test,
-        )
-    train = _run_reservoir(res_cfg, dataset.drive_train, washout)
-    test = _run_reservoir(res_cfg, dataset.drive_test, washout)
-    return (
-        train,
-        test,
-        dataset.target_train[washout:],
-        dataset.target_test[washout:],
-    )
+        n_train_rows = dataset.drive_train.shape[0] - washout
+        splits = [
+            (reservoir.StateMatrix(sm.values[:n_train_rows], list(sm.node_ids), washout),
+             reservoir.StateMatrix(sm.values[n_train_rows:], list(sm.node_ids), 0))
+            for sm in run(cfgs, full, washout)
+        ]
+        targets = (dataset.target_train[washout:], dataset.target_test)
+    else:
+        splits = list(zip(run(cfgs, dataset.drive_train, washout),
+                          run(cfgs, dataset.drive_test, washout)))
+        targets = (dataset.target_train[washout:], dataset.target_test[washout:])
+    out = [(train, test, *targets) for train, test in splits]
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -205,6 +196,15 @@ class MaskContext:
         )
 
 
+def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
+    return MaskContext(
+        shifted_train=shifts.build_shifted_matrix(train, tau_max),
+        shifted_test=shifts.build_shifted_matrix(test, tau_max),
+        target_train=g_train[tau_max:],
+        target_test=g_test[tau_max:],
+    )
+
+
 def prepare_mask_context(
     cfg: ExperimentConfig,
     trial_seed: int,
@@ -214,15 +214,8 @@ def prepare_mask_context(
     if dataset is None:
         dataset = build_dataset(cfg.data)
     res_cfg = build_trial_reservoir(cfg, trial_seed)
-    train, test, g_train, g_test = run_split_states(
-        res_cfg, dataset, cfg.washout, cfg.continuation
-    )
-    tau = cfg.tau_max
-    return MaskContext(
-        shifted_train=shifts.build_shifted_matrix(train, tau),
-        shifted_test=shifts.build_shifted_matrix(test, tau),
-        target_train=g_train[tau:],
-        target_test=g_test[tau:],
+    return _mask_context(
+        cfg.tau_max, *run_split_states(res_cfg, dataset, cfg.washout, cfg.continuation)
     )
 
 
@@ -271,15 +264,13 @@ def score_selection(
     return train_err, test_err
 
 
-def _sweep_one_mask(cfg, mask_id, dataset, subset_mode):
+def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     """Score every cell of one mask: ranked prefixes, random subsets, baseline.
 
-    The ranked arm takes prefixes of one full-width pivot. The baseline is
-    the unshifted reservoir evaluated on the same trimmed row window.
+    The ranked arm takes prefixes of one full-width pivot, run on the
+    training triangle the compression already holds. The baseline is the
+    unshifted reservoir evaluated on the same trimmed row window.
     """
-    ctx = prepare_mask_context(
-        cfg, derive_seed(cfg.master_seed, "trial", mask_id), dataset
-    )
     mode = NrmseMode(cfg.nrmse_mode)
     cells: list[TaskResult] = []
 
@@ -292,7 +283,8 @@ def _sweep_one_mask(cfg, mask_id, dataset, subset_mode):
 
     pivot = None
     if subset_mode in ("both", "rrqr"):
-        pivot = shifts.rrqr_select(ctx.shifted_train, ctx.shifted_train.n_columns)
+        n = ctx.shifted_train.n_columns
+        pivot = shifts.rrqr_select(ctx.shifted_train, n, r=ctx.compressed.r[:n, :n])
     for m_red in cfg.m_red_grid:
         if pivot is not None:
             score("rrqr", pivot.retained[:m_red])
@@ -305,23 +297,26 @@ def _sweep_one_mask(cfg, mask_id, dataset, subset_mode):
     return cells, pivot
 
 
-def sweep(cfg: ExperimentConfig, threads: int = 1, subset_mode: str = "both") -> SweepResult:
+def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     """Evaluate every m_red on the grid, averaged over masks and subsets.
 
-    Masks are independent work items; the reduction is keyed by mask id so
-    any execution order produces identical output.
+    All masks share the drive, so they are simulated as one reservoir batch.
+    The shifted matrices of a mask are then built, scored and dropped
+    before the next mask's, so one mask's are held at a time.
     """
     if subset_mode not in ("both", "rrqr", "random"):
         raise ValueError(f"subset_mode must be both|rrqr|random, got {subset_mode}")
     dataset = build_dataset(cfg.data)
-    mask_ids = list(range(cfg.n_masks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_mask = list(
-                pool.map(lambda i: _sweep_one_mask(cfg, i, dataset, subset_mode), mask_ids)
-            )
-    else:
-        per_mask = [_sweep_one_mask(cfg, i, dataset, subset_mode) for i in mask_ids]
+    res_cfgs = [
+        build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
+        for mask_id in range(cfg.n_masks)
+    ]
+    per_mask = [
+        _sweep_one_mask(cfg, mask_id, _mask_context(cfg.tau_max, *split), subset_mode)
+        for mask_id, split in enumerate(
+            run_split_states(res_cfgs, dataset, cfg.washout, cfg.continuation)
+        )
+    ]
 
     cells = [cell for mask_cells, _ in per_mask for cell in mask_cells]
     pivots = [pivot for _, pivot in per_mask if pivot is not None]
@@ -511,19 +506,13 @@ def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,
     )
 
 
-def analysis_sweep(acfg: AnalysisConfig, threads: int = 1) -> list[AnalysisRow]:
+def analysis_sweep(acfg: AnalysisConfig) -> list[AnalysisRow]:
     """Entropy, node-target correlation, and unshifted-readout errors over
     the (f_w, f_a) sparseness grid, averaged over seeded trials."""
     base = acfg.base
-    obs = build_dataset(base.data, "observer")
-    pred = build_dataset(base.data, "prediction")
-    cells = [
-        (i_fw, f_w, i_fa, f_a)
+    datasets = (build_dataset(base.data, "observer"), build_dataset(base.data, "prediction"))
+    return [
+        _analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets)
         for i_fw, f_w in enumerate(acfg.f_w_values)
         for i_fa, f_a in enumerate(acfg.f_a_values)
     ]
-    worker = lambda args: _analysis_cell(acfg, *args, datasets=(obs, pred))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(args) for args in cells]

@@ -311,11 +311,11 @@ def make_oeo_config(
 
 
 def run_oeo_reservoir(
-    cfg: OEOConfig,
+    cfg: OEOConfig | Sequence[OEOConfig],
     drive,
     washout: int,
     v0: float = 0.0,
-) -> StateMatrix:
+) -> StateMatrix | list[StateMatrix]:
     """Integrate the delay oscillator and sample its virtual nodes.
 
     The delay equation tau_L v' = -v + beta sin^2(v(t - tau_d) + phi +
@@ -328,7 +328,28 @@ def run_oeo_reservoir(
 
     Node j of input step n is v at step n*tau_d + j*theta + sample_offset;
     the first ``washout`` input steps are discarded.
+
+    ``cfg`` may also be a sequence of configs with equal ``m``, ``theta``
+    and ``sample_offset`` (masks, gains and phases may differ), all driven
+    by the same ``drive``. They advance together, one ``(n_configs,
+    tau_d + 1)`` forcing block and one ``lfilter`` call per input step, and
+    one state matrix per config is returned, each bitwise equal to the
+    config's own run. A single config is the batch of one. Only the last
+    delay period is held; the nodes are sampled as each period completes.
+
+    Raises:
+        DivergenceError: a state became non-finite; ``step`` is the first
+            integration step (``n * tau_d + k``) at which any batch member
+            did.
     """
+    single = isinstance(cfg, OEOConfig)
+    cfgs = [cfg] if single else list(cfg)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    first = cfgs[0]
+    shape = (first.m, first.theta, first.sample_offset)
+    if any((c.m, c.theta, c.sample_offset) != shape for c in cfgs):
+        raise ValueError("configs of a batch must have equal m, theta and sample_offset")
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1:
         raise ValueError("drive must be 1-D")
@@ -336,9 +357,8 @@ def run_oeo_reservoir(
     if n_in <= washout:
         raise ValueError(f"drive length {n_in} must exceed washout {washout}")
 
-    theta = cfg.theta
-    tau_d = cfg.tau_d
-    tau_l = float(cfg.tau_l)
+    m, theta, tau_d = first.m, first.theta, first.tau_d
+    tau_l = float(first.tau_l)
 
     # Heun coefficients for v' = (-v + F(t)) / tau_L at unit step.
     a = 1.0 - 1.0 / tau_l + 1.0 / (2.0 * tau_l * tau_l)
@@ -347,36 +367,55 @@ def run_oeo_reservoir(
     denom = np.array([1.0, -a])
     numer = np.array([1.0])
 
-    total = n_in * tau_d
-    # v_full[tau_d + t] = v(t); the leading tau_d zeros are the delay history.
-    v_full = np.zeros(tau_d + total + 1)
-    v_full[tau_d] = float(v0)
+    b = len(cfgs)
+    # Per-config constants as full rows: same-shape operands are faster
+    # than broadcast columns in the step loop.
+    beta = np.repeat([[float(c.beta)] for c in cfgs], tau_d + 1, axis=1)
+    phi = np.repeat([[float(c.phi)] for c in cfgs], tau_d + 1, axis=1)
+    rho = np.array([[float(c.rho)] for c in cfgs])
+    mask = np.stack([c.mask for c in cfgs])
+    mask_period = np.repeat(mask, theta, axis=1)
+    rho_drive = rho * drive
+    # The last forcing entry of a period reads the next input sample (the
+    # last sample again at the end of the drive) at the first mask entry.
+    edge = np.concatenate([rho_drive[:, 1:], rho_drive[:, -1:]], axis=1) * mask[:, :1]
+    offset = first.sample_offset if first.sample_offset is not None else theta
 
-    mask_period = np.repeat(cfg.mask, theta)
-    forcing_arg = np.empty(tau_d + 1)
+    # hist[:, k] = v(n*tau_d - tau_d + k): the delay period before input
+    # step n and, last, the state the period starts from.
+    hist = np.zeros((b, tau_d + 1))
+    hist[:, -1] = float(v0)
+    # The update formula, evaluated in place in the same order.
+    forcing = np.empty((b, tau_d + 1))
+    rhs = np.empty((b, tau_d))
+    late = np.empty((b, tau_d))
+    out = np.empty((b, n_in - washout, m))
     for n in range(n_in):
-        base = n * tau_d
-        forcing_arg[:tau_d] = (cfg.rho * drive[n]) * mask_period
-        nxt = drive[n + 1] if n + 1 < n_in else drive[n_in - 1]
-        forcing_arg[tau_d] = cfg.rho * nxt * cfg.mask[0]
-        forcing_arg += cfg.phi
-        forcing_arg += v_full[base : base + tau_d + 1]
-        forcing = cfg.beta * np.sin(forcing_arg) ** 2
-        b = c1 * forcing[:-1] + c2 * forcing[1:]
-        seg, _ = lfilter(numer, denom, b, zi=np.array([a * v_full[tau_d + base]]))
-        v_full[base + tau_d + 1 : base + 2 * tau_d + 1] = seg
+        np.multiply(rho_drive[:, n : n + 1], mask_period, out=forcing[:, :tau_d])
+        forcing[:, tau_d] = edge[:, n]
+        forcing += phi
+        forcing += hist
+        np.sin(forcing, out=forcing)
+        np.square(forcing, out=forcing)
+        forcing *= beta
+        np.multiply(forcing[:, :-1], c1, out=rhs)
+        np.multiply(forcing[:, 1:], c2, out=late)
+        rhs += late
+        seg, _ = lfilter(numer, denom, rhs, axis=-1, zi=a * hist[:, -1:])
+        # A non-finite state stays non-finite, so the first one lies in the
+        # first period that ends non-finite.
+        if not np.isfinite(seg[:, -1]).all():
+            bad = ~np.isfinite(np.concatenate([hist[:, -1:], seg], axis=1))
+            k = int(np.argmax(bad.any(axis=0)))
+            member = int(np.argmax(bad[:, k]))
+            what = ("delay oscillator state" if single
+                    else f"delay oscillator state of config {member}")
+            raise DivergenceError(n * tau_d + k, what)
+        hist[:, 0] = hist[:, -1]
+        hist[:, 1:] = seg
+        if n >= washout:
+            # node j of this step is v at j*theta + offset in the period
+            out[:, n - washout] = seg.reshape(b, m, theta)[:, :, offset - 1]
 
-    if not np.all(np.isfinite(v_full)):
-        bad = int(np.nonzero(~np.isfinite(v_full))[0][0]) - tau_d
-        raise DivergenceError(bad, "delay oscillator state")
-
-    offset = cfg.sample_offset if cfg.sample_offset is not None else theta
-    sample_t = (
-        np.arange(n_in)[:, None] * tau_d
-        + np.arange(cfg.m)[None, :] * theta
-        + offset
-    )
-    states = v_full[tau_d + sample_t]
-    return StateMatrix(
-        values=states[washout:], node_ids=list(range(cfg.m)), washout=washout
-    )
+    states = [StateMatrix(values=v, node_ids=list(range(m)), washout=washout) for v in out]
+    return states[0] if single else states

@@ -92,17 +92,32 @@ class SelectionResult:
             fh.write("\n")
 
 
-def rrqr_select(shifted: ShiftedMatrix, m_red: int) -> SelectionResult:
+def rrqr_select(
+    shifted: ShiftedMatrix, m_red: int, r: np.ndarray | None = None
+) -> SelectionResult:
     """Keep the ``m_red`` most linearly independent columns.
 
-    Runs the pivoted QR on the shifted matrix; the pivot order ranks columns
-    from most to least independent and the first ``m_red`` are retained.
-    A row-dominance violation of the factorization is logged as a warning.
+    Runs the greedy pivoted QR (``qr_column_pivot``); the pivot order ranks
+    columns from most to least independent and the first ``m_red`` are
+    retained. Every greedy choice depends only on the column norms of the
+    residuals, which an orthogonal ``Q^T`` leaves unchanged, so the pivot
+    runs on the C x C triangle ``R`` of ``shifted.values = Q R`` instead of
+    the tall matrix; the order is the same and ``r_diag`` agrees to rounding
+    (about eps * |R_00|). ``r`` is that triangle when the caller already has
+    it (a sweep reads it off its compressed training system); otherwise one
+    LAPACK QR of ``shifted.values`` computes it. A row-dominance violation
+    of the factorization is logged as a warning.
+
+    Raises:
+        ValueError: ``m_red`` is outside 1..C, or the shifted matrix has
+            fewer rows than columns or non-finite entries.
     """
     c = shifted.n_columns
     if not 1 <= m_red <= c:
         raise ValueError(f"m_red must be in 1..{c}, got {m_red}")
-    qr = qr_column_pivot(shifted.values)
+    if r is None:
+        r = np.linalg.qr(shifted.values, mode="r")
+    qr = qr_column_pivot(r)
     log_row_dominance(qr)
     return SelectionResult(
         method=SelectionMethod.RRQR,

@@ -9,9 +9,16 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shiftrc.reservoir import make_oeo_config, make_tanh_config
+from shiftrc.reservoir import (
+    StateMatrix,
+    make_oeo_config,
+    make_tanh_config,
+    run_oeo_reservoir,
+    run_tanh_reservoir,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +48,12 @@ def test_reservoir_configs_expose_checked_fields():
     tanh = make_tanh_config(m=4, adjacency_seed=1, input_seed=2)
     for name in ("a", "w_in", "alpha"):
         assert hasattr(tanh, name), name
+
+
+def test_single_config_runs_return_a_state_matrix():
+    # the output checks run one config and read ``.values``
+    drive = np.linspace(-1.0, 1.0, 12)
+    oeo = run_oeo_reservoir(make_oeo_config(m=4, theta=4, f_w=0.5, mask_seed=1), drive, 2)
+    tanh = run_tanh_reservoir(make_tanh_config(m=4, adjacency_seed=1, input_seed=2), drive, 0)
+    assert isinstance(oeo, StateMatrix) and oeo.values.shape == (10, 4)
+    assert isinstance(tanh, StateMatrix) and tanh.values.shape == (12, 4)

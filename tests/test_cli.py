@@ -124,6 +124,24 @@ class TestSweep:
         assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
         assert not replay_out.exists()
 
+    def test_replay_rejects_other_tool_version(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_SWEEP)
+        out = tmp_path / "out"
+        main(["sweep", "--config", cfg, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        edited = tmp_path / "edited.json"
+        replay_out = tmp_path / "replayed"
+        manifest["tool_version"] = "0.0.0"
+        edited.write_text(json.dumps(manifest))
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "tool_version" in capsys.readouterr().err
+        assert not replay_out.exists()
+        del manifest["tool_version"]
+        edited.write_text(json.dumps(manifest))
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "tool_version" in capsys.readouterr().err
+        assert not replay_out.exists()
+
     def test_subset_rrqr_leaves_random_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
         out = tmp_path / "out"

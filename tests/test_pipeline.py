@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from shiftrc import analysis, dynamics, pipeline, reservoir
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
 from shiftrc.errors import SingularMatrixError
-from shiftrc.linalg import NrmseMode, nrmse, predict, ridge_fit
+from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import (
     MaskContext,
     build_dataset,
@@ -265,13 +265,20 @@ class TestSweep:
             dataclasses.asdict(c) for c in b.cells
         ]
 
-    def test_threaded_matches_serial(self):
-        cfg = tiny_config()
-        serial = sweep(cfg, threads=1)
-        threaded = sweep(cfg, threads=3)
-        assert [dataclasses.asdict(r) for r in serial.rows] == [
-            dataclasses.asdict(r) for r in threaded.rows
-        ]
+    @pytest.mark.parametrize("continuation", [True, False])
+    def test_ranking_on_the_triangle_matches_the_tall_pivot(self, continuation):
+        # the sweep pivots the triangle of its compression; the greedy order
+        # of the tall training matrix must come out, with |R_kk| to rounding
+        cfg = tiny_config(n_masks=3, continuation=continuation)
+        pivots = sweep(cfg, subset_mode="rrqr").pivots
+        assert len(pivots) == 3
+        for mask_id, pivot in enumerate(pivots):
+            ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
+            tall = qr_column_pivot(ctx.shifted_train.values)
+            assert pivot.retained == [ctx.shifted_train.columns[j] for j in tall.perm]
+            assert rrqr_select(ctx.shifted_train, 16).retained == pivot.retained
+            np.testing.assert_allclose(pivot.r_diag, tall.r_diag,
+                                       rtol=0.0, atol=1e-14 * tall.r_diag[0])
 
     def test_full_width_grid_has_no_improvement(self):
         cfg = tiny_config(m_red_grid=(16,))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from shiftrc.errors import DivergenceError
 from shiftrc.reservoir import (
@@ -264,6 +265,99 @@ class TestOEOReservoir:
         end = run_oeo_reservoir(cfg_end, lorenz_drive_short[:100], washout=10)
         mid = run_oeo_reservoir(cfg_mid, lorenz_drive_short[:100], washout=10)
         assert not np.array_equal(end.values, mid.values)
+
+
+def reference_oeo_run(cfg, drive, washout, v0=0.0):
+    """The per-config loop the batched oscillator replaced, kept as the
+    oracle: it holds the whole trajectory, v_full[tau_d + t] = v(t), and
+    checks it for non-finite values once at the end."""
+    drive = np.asarray(drive, dtype=float)
+    n_in, theta, tau_d = len(drive), cfg.theta, cfg.tau_d
+    tau_l = float(cfg.tau_l)
+    a = 1.0 - 1.0 / tau_l + 1.0 / (2.0 * tau_l * tau_l)
+    c1 = (1.0 / (2.0 * tau_l)) * (1.0 - 1.0 / tau_l)
+    c2 = 1.0 / (2.0 * tau_l)
+    v_full = np.zeros(tau_d + n_in * tau_d + 1)
+    v_full[tau_d] = float(v0)
+    mask_period = np.repeat(cfg.mask, theta)
+    forcing_arg = np.empty(tau_d + 1)
+    for n in range(n_in):
+        base = n * tau_d
+        forcing_arg[:tau_d] = (cfg.rho * drive[n]) * mask_period
+        nxt = drive[n + 1] if n + 1 < n_in else drive[n_in - 1]
+        forcing_arg[tau_d] = cfg.rho * nxt * cfg.mask[0]
+        forcing_arg += cfg.phi
+        forcing_arg += v_full[base : base + tau_d + 1]
+        forcing = cfg.beta * np.sin(forcing_arg) ** 2
+        b = c1 * forcing[:-1] + c2 * forcing[1:]
+        seg, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * v_full[tau_d + base]]))
+        v_full[base + tau_d + 1 : base + 2 * tau_d + 1] = seg
+    if not np.all(np.isfinite(v_full)):
+        bad = int(np.nonzero(~np.isfinite(v_full))[0][0]) - tau_d
+        raise DivergenceError(bad, "delay oscillator state")
+    offset = cfg.sample_offset if cfg.sample_offset is not None else theta
+    sample_t = np.arange(n_in)[:, None] * tau_d + np.arange(cfg.m)[None, :] * theta + offset
+    return v_full[tau_d + sample_t][washout:]
+
+
+def oeo_batch_configs(sample_offset=None):
+    return [
+        make_oeo_config(m=6, theta=8, beta=beta, phi=phi, rho=rho, f_w=f_w,
+                        sample_offset=sample_offset, mask_seed=40 + k)
+        for k, (beta, phi, rho, f_w) in enumerate(
+            [(0.8, 0.2, 0.4, 0.5), (1.1, -0.3, 0.9, 1.0), (0.5, 0.7, 0.2, 0.34)]
+        )
+    ]
+
+
+def divergence_step(run):
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        run()
+    return exc.value
+
+
+class TestOEOBatch:
+    @pytest.mark.parametrize("sample_offset", [None, 3])
+    def test_batch_equals_per_config_runs_and_reference(self, lorenz_drive_short,
+                                                        sample_offset):
+        cfgs = oeo_batch_configs(sample_offset)
+        drive = lorenz_drive_short[:300]
+        batch = run_oeo_reservoir(cfgs, drive, washout=30, v0=0.3)
+        assert len(batch) == len(cfgs)
+        for cfg, sm in zip(cfgs, batch):
+            single = run_oeo_reservoir(cfg, drive, washout=30, v0=0.3)
+            assert isinstance(single, StateMatrix)
+            np.testing.assert_array_equal(sm.values, single.values)
+            np.testing.assert_array_equal(sm.values, reference_oeo_run(cfg, drive, 30, 0.3))
+            assert sm.washout == 30 and sm.node_ids == list(range(6))
+
+    @pytest.mark.parametrize("bad_index", [10, 11, 299])
+    def test_nan_drive_raises_at_the_reference_step(self, bad_index):
+        cfgs = oeo_batch_configs()
+        drive = np.linspace(-1.0, 1.0, 300)
+        drive[bad_index] = np.nan
+        want = divergence_step(lambda: reference_oeo_run(cfgs[1], drive, 0)).step
+        assert divergence_step(lambda: run_oeo_reservoir(cfgs[1], drive, 0)).step == want
+        err = divergence_step(lambda: run_oeo_reservoir(cfgs, drive, 0))
+        assert err.step == want and "config 0" in str(err)
+
+    def test_diverging_member_raises_with_its_step(self):
+        good, bad = oeo_batch_configs()[:2]
+        bad.phi = np.nan
+        drive = np.linspace(-1.0, 1.0, 50)
+        want = divergence_step(lambda: reference_oeo_run(bad, drive, 0)).step
+        err = divergence_step(lambda: run_oeo_reservoir([good, bad], drive, washout=5))
+        assert err.step == want and "config 1" in str(err)
+
+    def test_batch_validation(self):
+        base = make_oeo_config(m=4, theta=5, f_w=0.5, mask_seed=1)
+        for other in (make_oeo_config(m=6, theta=5, f_w=0.5, mask_seed=1),
+                      make_oeo_config(m=4, theta=6, f_w=0.5, mask_seed=1),
+                      make_oeo_config(m=4, theta=5, f_w=0.5, sample_offset=2, mask_seed=1)):
+            with pytest.raises(ValueError, match="equal m, theta and sample_offset"):
+                run_oeo_reservoir([base, other], np.zeros(5), washout=0)
+        with pytest.raises(ValueError, match="at least one"):
+            run_oeo_reservoir([], np.zeros(5), washout=0)
 
 
 class TestConfigs:

@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftrc.linalg import covariance_rank, qr_column_pivot
 from shiftrc.reservoir import StateMatrix, make_oeo_config, run_oeo_reservoir
@@ -63,6 +65,21 @@ class TestBuild:
                 random_states.values[4 - shift : 4 - shift + t_out, node],
             )
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(0, 12), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_column_definition_property(self, m, tau_max, extra_rows, seed):
+        source = np.random.default_rng(seed).normal(size=(tau_max + extra_rows, m))
+        # node labels in any order: node n's series is source column pos[n]
+        nodes = [int(n) for n in np.random.default_rng(seed).permutation(m)]
+        pos = {node: j for j, node in enumerate(nodes)}
+        shifted = build_shifted_matrix(StateMatrix(source, nodes, 0), tau_max)
+        assert shifted.values.shape == (extra_rows, m * (tau_max + 1))
+        assert sorted(shifted.columns) == [(n, s) for n in range(m) for s in range(tau_max + 1)]
+        for col, (node, shift) in enumerate(shifted.columns):
+            for t in range(extra_rows):
+                assert shifted.values[t, col] == source[t + tau_max - shift, pos[node]]
+
     def test_too_few_rows(self):
         sm = StateMatrix(values=np.zeros((3, 1)), node_ids=[0], washout=0)
         with pytest.raises(ValueError, match="rows"):
@@ -93,12 +110,13 @@ class TestRRQRSelect:
         assert covariance_rank(reduced.values, 1e-10) == min(30, full_rank)
 
     def test_row_dominance_warned_by_ranking_only(self, caplog):
-        # two equal columns tie in exact arithmetic; rounding leaves |R_01|
-        # one ulp above |R_00|
-        v = np.array([1.0, 1.0, 2.0]) / 7.0
-        values = np.column_stack([v, v])
+        # columns 1 and 2 are equal and tie in exact arithmetic; rounding
+        # leaves |R_02| one ulp above |R_00|. The matrix is upper triangular,
+        # so the LAPACK triangle that the ranking pivots is the matrix itself.
+        values = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0]]) / 7.0
+        assert np.array_equal(np.linalg.qr(values, mode="r"), values)
         shifted = build_shifted_matrix(
-            StateMatrix(values=values, node_ids=[0, 1], washout=0), 0
+            StateMatrix(values=values, node_ids=[0, 1, 2], washout=0), 0
         )
         with caplog.at_level(logging.WARNING, logger="shiftrc.linalg"):
             qr_column_pivot(values)
