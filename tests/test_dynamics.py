@@ -1,5 +1,7 @@
 """Chaotic source integration, task packaging and standardization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from shiftrc.dynamics import (
     save_series_csv,
     standardize,
 )
-from shiftrc.errors import DegenerateSignalError
+from shiftrc.errors import DegenerateSignalError, DivergenceError
 
 
 class TestParams:
@@ -91,6 +93,39 @@ class TestIntegration:
     def test_n_samples_positive(self):
         with pytest.raises(ValueError):
             integrate_chaotic(lorenz_params(), (1.0, 1.0, 1.0), 0)
+
+
+# SHA-256 of the raw float64 bytes of 300 samples after a 50-sample
+# transient. Any change to the order of the RK4 arithmetic changes them.
+SERIES_SHA256 = {
+    "lorenz": "27a071e0e60fff87b25d8db095eea81d154659d93339d77e0d1b9b6a48088a7a",
+    "rossler": "8dc222937f43e99b8ee43a44ca1e33ef30565e1e724e3cd45c803e742bdcc892",
+}
+
+
+class TestIntegrationBits:
+    @pytest.mark.parametrize("make, initial", [(lorenz_params, (1.0, 1.0, 1.0)),
+                                               (rossler_params, (1.0, 1.0, 0.0))])
+    def test_sampled_series_digest(self, make, initial):
+        series = integrate_chaotic(make(transient_samples=50), initial, 300)
+        assert series.dtype == np.float64 and series.shape == (300, 3)
+        name = make().system.value
+        assert hashlib.sha256(series.tobytes()).hexdigest() == SERIES_SHA256[name]
+
+    @pytest.mark.parametrize("make, step", [
+        # Lorenz blows up inside the transient: it is seen at the first
+        # sample, after all 2 x 2 transient steps.
+        (lorenz_params, 4),
+        # Rossler blows up after the transient: 4 transient steps, then
+        # 2 steps to each of samples 1, 2 and 3.
+        (rossler_params, 10),
+    ])
+    def test_divergence_reports_step(self, make, step):
+        params = make(time_scale=1.0, dt_internal=0.5, transient_samples=2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as info:
+            integrate_chaotic(params, (1.0, 1.0, 1.0), 200)
+        assert info.value.step == step
 
 
 class TestStandardize:
