@@ -113,48 +113,59 @@ def integrate_chaotic(
     dt = params.dt_internal
     steps = params.steps_per_sample
 
-    if params.system is ChaoticSystem.LORENZ:
-
-        def rhs(x, y, z):
-            return (
-                inv * (p1 * (y - x)),
-                inv * (x * (p2 - z) - y),
-                inv * (x * y - p3 * z),
-            )
-
-    else:
-
-        def rhs(x, y, z):
-            return (
-                inv * (-y - z),
-                inv * (x + p1 * y),
-                inv * (p2 + z * (x - p3)),
-            )
-
     half = 0.5 * dt
     sixth = dt / 6.0
     out = np.empty((n_samples, 3))
+    # One RK4 loop per system with the right-hand side written out: the
+    # stage arithmetic is that of rhs(x, y, z) = inv * f(x, y, z), in the
+    # same order, so the samples are unchanged bit for bit.
+    lorenz = params.system is ChaoticSystem.LORENZ
     step_count = 0
-
-    def advance(x, y, z):
-        k1x, k1y, k1z = rhs(x, y, z)
-        k2x, k2y, k2z = rhs(x + half * k1x, y + half * k1y, z + half * k1z)
-        k3x, k3y, k3z = rhs(x + half * k2x, y + half * k2y, z + half * k2z)
-        k4x, k4y, k4z = rhs(x + dt * k3x, y + dt * k3y, z + dt * k3z)
-        return (
-            x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x),
-            y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y),
-            z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z),
-        )
-
-    for _ in range(params.transient_samples * steps):
-        x, y, z = advance(x, y, z)
-        step_count += 1
     for i in range(n_samples):
-        if i > 0:
-            for _ in range(steps):
-                x, y, z = advance(x, y, z)
-                step_count += 1
+        # The first sample ends the transient; each later one is a sample
+        # interval further on.
+        n_steps = params.transient_samples * steps if i == 0 else steps
+        if lorenz:
+            for _ in range(n_steps):
+                k1x = inv * (p1 * (y - x))
+                k1y = inv * (x * (p2 - z) - y)
+                k1z = inv * (x * y - p3 * z)
+                ax, ay, az = x + half * k1x, y + half * k1y, z + half * k1z
+                k2x = inv * (p1 * (ay - ax))
+                k2y = inv * (ax * (p2 - az) - ay)
+                k2z = inv * (ax * ay - p3 * az)
+                ax, ay, az = x + half * k2x, y + half * k2y, z + half * k2z
+                k3x = inv * (p1 * (ay - ax))
+                k3y = inv * (ax * (p2 - az) - ay)
+                k3z = inv * (ax * ay - p3 * az)
+                ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+                k4x = inv * (p1 * (ay - ax))
+                k4y = inv * (ax * (p2 - az) - ay)
+                k4z = inv * (ax * ay - p3 * az)
+                x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+                y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+                z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+        else:
+            for _ in range(n_steps):
+                k1x = inv * (-y - z)
+                k1y = inv * (x + p1 * y)
+                k1z = inv * (p2 + z * (x - p3))
+                ax, ay, az = x + half * k1x, y + half * k1y, z + half * k1z
+                k2x = inv * (-ay - az)
+                k2y = inv * (ax + p1 * ay)
+                k2z = inv * (p2 + az * (ax - p3))
+                ax, ay, az = x + half * k2x, y + half * k2y, z + half * k2z
+                k3x = inv * (-ay - az)
+                k3y = inv * (ax + p1 * ay)
+                k3z = inv * (p2 + az * (ax - p3))
+                ax, ay, az = x + dt * k3x, y + dt * k3y, z + dt * k3z
+                k4x = inv * (-ay - az)
+                k4y = inv * (ax + p1 * ay)
+                k4z = inv * (p2 + az * (ax - p3))
+                x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+                y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+                z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+        step_count += n_steps
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise DivergenceError(step_count, "integrator state")
         out[i, 0] = x
