@@ -1,17 +1,22 @@
 """Dense linear-algebra kernel.
 
-Householder QR with greedy column pivoting is the workhorse of the toolkit:
-its permutation orders columns from most to least linearly independent, the
-magnitudes of the R diagonal expose near rank deficiency, and the ridge
-solver reuses the same factorization on a stacked system so that normal
-equations are never formed.
+Householder QR with greedy column pivoting ranks columns: its permutation
+orders them from most to least linearly independent, and the magnitudes of
+the R diagonal expose near rank deficiency. It is the selection kernel and,
+at lambda = 0, the rank check of every ridge fit.
+
+The fits themselves are LAPACK Householder QRs of stacked ridge systems,
+many at once: :func:`ridge_solve` factors a batch of equal-shape designs in
+one call, and since the QR of a column prefix is the prefix of the QR, one
+factorization also fits every prefix of a ranked column order. No normal
+equations are formed.
 
 A sweep fits many readouts to column subsets of one training matrix. The
 pipeline therefore compresses each mask once: an unpivoted QR of
 ``[X | 1 | g] = Q R`` gives, for every column subset S,
 ``||X_S w - g||^2 = ||R[:, S] w - Q^T g||^2 + rho^2`` with a constant
-``rho``. Each fit is then :func:`ridge_fit` on the small triangular system
-instead of the tall one, with the same solution and conditioning.
+``rho``. Each fit then runs on the small triangular system instead of the
+tall one, with the same solution and conditioning.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateTargetError, SingularMatrixError
 
@@ -70,23 +74,6 @@ class PivotedQR:
         """The upper-triangular factor, trimmed to its nonzero M x M block."""
         m = self.packed.shape[0]
         return np.triu(self.packed[:, :m].T)
-
-    def apply_qt(self, y: np.ndarray) -> np.ndarray:
-        """Return ``Q.T @ y`` for a length-T vector or ``(T, n)`` matrix."""
-        t, m = self.shape
-        out = np.array(y, dtype=float)
-        if out.shape[0] != t:
-            raise ValueError(f"expected leading dimension {t}, got {out.shape[0]}")
-        for k in range(m):
-            tau = self.taus[k]
-            if tau == 0.0:
-                continue
-            tail = self.packed[k, k + 1 :]
-            s = out[k] + tail @ out[k + 1 :]
-            out[k] -= tau * s
-            if tail.size:
-                out[k + 1 :] -= np.multiply.outer(tail, tau * s)
-        return out
 
 
 def _householder(x: np.ndarray) -> tuple[float, float]:
@@ -249,23 +236,73 @@ class Readout:
     bias_included: bool = False
 
 
+def ridge_solve(x, g, ridge_lambda: float, sizes=None) -> np.ndarray:
+    """Ridge weights for a batch of designs, from one stacked LAPACK QR.
+
+    ``x`` is ``(b, rows, k)`` and ``g`` is ``(b, rows, t)``: member i fits
+    each target ``g[i, :, j]`` on ``x[i]``, minimizing
+    ``||x[i] w - g[i, :, j]||^2 + lambda ||w||^2``. The Householder QR of
+    every stacked system ``[x[i]; sqrt(lambda) I | g[i]; 0]`` is one
+    ``np.linalg.qr`` call, and its last t columns hold ``Q^T g``. The QR of
+    a column prefix is the prefix of the QR, so the fit on the first p
+    columns solves ``R[:p, :p] z = R[:p, k:]``. The result is
+    ``(b, len(sizes), k, t)``: for each prefix size p in ``sizes`` (default
+    k alone), the weights of the first p columns, zero after them.
+
+    ``x`` may be a tall design or its compressed form: for columns of
+    ``R`` from ``[X_full | g] = Q R`` against ``c = Q^T g``, the minimizer
+    is that of the tall problem, since the two objectives differ by a
+    constant. The sweep fits every cell this way (see
+    ``pipeline.score_selection``).
+
+    Raises:
+        SingularMatrixError: lambda is zero and some member's prefix is rank
+            deficient; the rank is estimated from the pivoted QR of that
+            prefix's stacked system.
+        ValueError: the shapes do not match, lambda is negative or an entry
+            is not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if x.ndim != 3 or g.ndim != 3 or g.shape[:2] != x.shape[:2]:
+        raise ValueError(
+            f"need designs (b, rows, k) and targets (b, rows, t), got {x.shape} and {g.shape}"
+        )
+    if ridge_lambda < 0.0:
+        raise ValueError(f"ridge parameter must be >= 0, got {ridge_lambda}")
+    b, rows, k = x.shape
+    sizes = (k,) if sizes is None else tuple(sizes)
+    system = np.zeros((b, rows + k, k + g.shape[2]))
+    system[:, :rows, :k] = x
+    system[:, :rows, k:] = g
+    system[:, rows:, :k] = np.sqrt(ridge_lambda) * np.eye(k)
+    if not np.all(np.isfinite(system)):
+        raise ValueError("matrix contains non-finite entries")
+    if ridge_lambda == 0.0:
+        for member in system:
+            for p in sizes:
+                rank = estimate_rank(qr_column_pivot(member[:, :p]), RANK_TOL_DEFAULT)
+                if rank < p:
+                    raise SingularMatrixError(rank, p)
+    r = np.linalg.qr(system, mode="r")
+    w = np.zeros((b, len(sizes), k, g.shape[2]))
+    for j, p in enumerate(sizes):
+        w[:, j, :p] = np.linalg.solve(r[:, :p, :p], r[:, :p, k:])
+    return w
+
+
 def ridge_fit(
     x: np.ndarray,
     g: np.ndarray,
     ridge_lambda: float,
     include_bias: bool = False,
 ) -> Readout:
-    """Solve ``min ||X w - g||^2 + lambda ||w||^2`` through a pivoted QR.
+    """Solve ``min ||X w - g||^2 + lambda ||w||^2``: :func:`ridge_solve`
+    for a batch of one.
 
-    The solution comes from factoring the stacked system
-    ``[X; sqrt(lambda) I]`` against ``[g; 0]``; no normal equations are
-    formed. With ``ridge_lambda == 0`` the design must have full column rank.
-
-    ``X`` may be a tall design or its compressed form: for columns of
-    ``R`` from ``[X_full | g] = Q R`` against ``c = Q^T g``, the minimizer
-    is that of the tall problem, since the two objectives differ by a
-    constant. The sweep fits every cell this way (see
-    ``pipeline.score_selection``).
+    With ``include_bias`` a ones column is appended to ``X`` and its weight
+    is the last entry of ``w``. With ``ridge_lambda == 0`` the design must
+    have full column rank.
 
     Raises:
         SingularMatrixError: lambda is zero and the design is rank deficient
@@ -279,23 +316,8 @@ def ridge_fit(
         raise ValueError(
             f"target shape {g.shape} does not match design rows {x.shape[0]}"
         )
-    if ridge_lambda < 0.0:
-        raise ValueError(f"ridge parameter must be >= 0, got {ridge_lambda}")
-
     design = np.column_stack([x, np.ones(x.shape[0])]) if include_bias else x
-    k = design.shape[1]
-    stacked = np.vstack([design, np.sqrt(ridge_lambda) * np.eye(k)])
-    rhs = np.concatenate([g, np.zeros(k)])
-
-    qr = qr_column_pivot(stacked)
-    if ridge_lambda == 0.0:
-        rank = estimate_rank(qr, RANK_TOL_DEFAULT)
-        if rank < k:
-            raise SingularMatrixError(rank, k)
-    qtg = qr.apply_qt(rhs)[:k]
-    z = solve_triangular(qr.r, qtg)
-    w = np.empty(k)
-    w[qr.perm] = z
+    w = ridge_solve(design[None], g[None, :, None], ridge_lambda)[0, 0, :, 0]
     return Readout(w=w, ridge_lambda=float(ridge_lambda), bias_included=include_bias)
 
 

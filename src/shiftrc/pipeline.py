@@ -219,6 +219,44 @@ def prepare_mask_context(
     )
 
 
+def _fit_group(comp: CompressedTrain, cols, ridge_lambda, include_bias, sizes=None):
+    """Full-width weights of a group of equal-size column sets, one per
+    column of the returned ``(C + 1, cells)`` array (row C is the bias).
+
+    ``cols`` is ``(b, k)`` indices into the state columns. Every set is
+    fitted on the compressed triangle by one stacked
+    :func:`linalg.ridge_solve`; with ``sizes``, each set also yields the fits
+    of its prefixes of those sizes. The bias column, if included, comes
+    first, so every prefix holds it, and it is penalised like the others.
+    """
+    n = comp.r.shape[0] - 1
+    cols = np.asarray(cols, dtype=int)
+    if include_bias:
+        cols = np.column_stack([np.full(cols.shape[0], n), cols])  # ones column
+        sizes = None if sizes is None else [p + 1 for p in sizes]
+    rows = n + include_bias
+    x = comp.r[:rows, cols].transpose(1, 0, 2)
+    g = np.broadcast_to(comp.c[:rows, None], (cols.shape[0], rows, 1))
+    w = linalg.ridge_solve(x, g, ridge_lambda, sizes)[..., 0]
+    b, s, k = w.shape
+    out = np.zeros((n + 1, b * s))
+    cell = np.arange(b * s).reshape(b, s, 1)
+    np.add.at(out, (cols[:, None, :], cell), w)  # a column listed twice sums its weights
+    return out
+
+
+def _score_weights(ctx: MaskContext, w, mode: NrmseMode) -> list[tuple[float, float]]:
+    """``(train, test)`` NRMSE of each column of full-width weights ``w``:
+    one product per split predicts every cell of a group."""
+    n = ctx.shifted_train.n_columns
+    errs = [
+        [linalg.nrmse(g, h, mode) for h in (x.values @ w[:n] + w[n]).T]
+        for x, g in ((ctx.shifted_train, ctx.target_train),
+                     (ctx.shifted_test, ctx.target_test))
+    ]
+    return list(zip(*errs))
+
+
 def score_selection(
     ctx: MaskContext,
     pairs,
@@ -234,7 +272,7 @@ def score_selection(
     most C + 1 rows. The weights are scattered into a full-width vector and
     both splits are predicted from their full shifted matrices, so the
     selection and the readout depend only on training data and no column
-    is copied.
+    is copied. This is a sweep group of one cell.
 
     Raises:
         KeyError: a pair does not name a shifted column.
@@ -246,54 +284,53 @@ def score_selection(
         cols = [comp.index[tuple(p)] for p in pairs]
     except KeyError as exc:
         raise KeyError(f"unknown (node, shift) pair {exc.args[0]}") from None
-    n = ctx.shifted_train.n_columns
-    bias = [n] if include_bias else []
-    rows = n + len(bias)
-    fit = linalg.ridge_fit(comp.r[:rows, cols + bias], comp.c[:rows], ridge_lambda)
-    w = np.zeros(n)
-    np.add.at(w, cols, fit.w[: len(cols)])  # a pair listed twice sums its weights
-    readout = linalg.Readout(
-        np.concatenate([w, fit.w[len(cols):]]), fit.ridge_lambda, include_bias
-    )
-    train_err = linalg.nrmse(
-        ctx.target_train, linalg.predict(ctx.shifted_train.values, readout), nrmse_mode
-    )
-    test_err = linalg.nrmse(
-        ctx.target_test, linalg.predict(ctx.shifted_test.values, readout), nrmse_mode
-    )
-    return train_err, test_err
+    w = _fit_group(comp, [cols], ridge_lambda, include_bias)
+    return _score_weights(ctx, w, NrmseMode(nrmse_mode))[0]
 
 
 def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     """Score every cell of one mask: ranked prefixes, random subsets, baseline.
 
     The ranked arm takes prefixes of one full-width pivot, run on the
-    training triangle the compression already holds. The baseline is the
-    unshifted reservoir evaluated on the same trimmed row window.
+    training triangle the compression already holds, and fits them all from
+    one factorization. The cells of one m_red (its ranked prefix and random
+    subsets) are scored as one group. The baseline is the unshifted
+    reservoir evaluated on the same trimmed row window.
     """
     mode = NrmseMode(cfg.nrmse_mode)
+    comp = ctx.compressed
+    n = ctx.shifted_train.n_columns
     cells: list[TaskResult] = []
 
-    def score(method, pairs, subset_seed=None):
-        train_err, test_err = score_selection(
-            ctx, pairs, cfg.ridge_lambda, cfg.include_bias, mode
-        )
-        cells.append(TaskResult(train_err, test_err, method, len(pairs),
-                                mask_id, subset_seed))
+    def score(w, labels):
+        for (train_err, test_err), (method, m_red, seed) in zip(
+            _score_weights(ctx, w, mode), labels
+        ):
+            cells.append(TaskResult(train_err, test_err, method, m_red, mask_id, seed))
+
+    def fit(cols, sizes=None):
+        return _fit_group(comp, cols, cfg.ridge_lambda, cfg.include_bias, sizes)
 
     pivot = None
     if subset_mode in ("both", "rrqr"):
-        n = ctx.shifted_train.n_columns
-        pivot = shifts.rrqr_select(ctx.shifted_train, n, r=ctx.compressed.r[:n, :n])
-    for m_red in cfg.m_red_grid:
+        pivot = shifts.rrqr_select(ctx.shifted_train, n, r=comp.r[:n, :n])
+        sizes = [min(m_red, n) for m_red in cfg.m_red_grid]
+        ranked = fit([[comp.index[p] for p in pivot.retained]], sizes)
+    for j, m_red in enumerate(cfg.m_red_grid):
+        w, labels = [], []
         if pivot is not None:
-            score("rrqr", pivot.retained[:m_red])
+            w.append(ranked[:, j : j + 1])
+            labels.append(("rrqr", sizes[j], None))
         if subset_mode in ("both", "random"):
-            for subset_id in range(cfg.n_random_subsets):
-                seed = derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
-                selection = shifts.random_select(ctx.shifted_train, m_red, seed)
-                score("random", selection.retained, seed)
-    score("baseline", [(node, 0) for node in range(cfg.n_nodes)])
+            seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
+                     for subset_id in range(cfg.n_random_subsets)]
+            w.append(fit([[comp.index[p] for p in
+                           shifts.random_select(ctx.shifted_train, m_red, seed).retained]
+                          for seed in seeds]))
+            labels += [("random", m_red, seed) for seed in seeds]
+        score(np.hstack(w), labels)
+    score(fit([[comp.index[(node, 0)] for node in range(cfg.n_nodes)]]),
+          [("baseline", cfg.n_nodes, None)])
     return cells, pivot
 
 
@@ -444,12 +481,10 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     while factors:
         r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=1), mode="r")
 
-    w = np.empty((n_trials, m, 2))
-    for t in range(n_trials):
-        for j in range(2):
-            w[t, :, j] = linalg.ridge_fit(
-                r[t, : m + 1, 1 : m + 1], r[t, : m + 1, m + 1 + j], cfg.ridge_lambda
-            ).w
+    # Both readouts of every trial: one stacked solve, the two targets
+    # sharing each trial's design.
+    w = linalg.ridge_solve(r[:, : m + 1, 1 : m + 1], r[:, : m + 1, m + 1 :],
+                           cfg.ridge_lambda)[:, 0]
     if cfg.continuation:
         pieces = _tanh_pieces(res_cfgs, obs.drive_test, 0, x[:, -1])
     else:

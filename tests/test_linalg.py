@@ -42,9 +42,28 @@ def jacobi_gram_eigenvalues(b, sweeps=100, tol=1e-14):
     return np.sort(np.diag(g))[::-1]
 
 
+def apply_qt(qr, y):
+    """``Q.T @ y`` for a length-T vector or ``(T, n)`` matrix, applying the
+    packed Householder reflectors of ``qr`` one by one."""
+    t, m = qr.shape
+    out = np.array(y, dtype=float)
+    if out.shape[0] != t:
+        raise ValueError(f"expected leading dimension {t}, got {out.shape[0]}")
+    for k in range(m):
+        tau = qr.taus[k]
+        if tau == 0.0:
+            continue
+        tail = qr.packed[k, k + 1 :]
+        s = out[k] + tail @ out[k + 1 :]
+        out[k] -= tau * s
+        if tail.size:
+            out[k + 1 :] -= np.multiply.outer(tail, tau * s)
+    return out
+
+
 def full_q(qr):
     """The orthogonal factor Q, T x T, as the transpose of ``Q.T @ I``."""
-    return qr.apply_qt(np.eye(qr.shape[0])).T
+    return apply_qt(qr, np.eye(qr.shape[0])).T
 
 
 def thin_q(qr):
@@ -120,7 +139,7 @@ class TestPivotedQR:
         b = rng.normal(size=(30, 8))
         qr = qr_column_pivot(b)
         y = rng.normal(size=30)
-        np.testing.assert_allclose(qr.apply_qt(full_q(qr) @ y), y, atol=1e-12)
+        np.testing.assert_allclose(apply_qt(qr, full_q(qr) @ y), y, atol=1e-12)
 
 
 class TestEstimateRank:
