@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import __version__, dynamics, pipeline
@@ -103,52 +103,29 @@ def _write_column_csv(path: Path, values) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _write_rows_csv(path: Path, row_type, rows) -> None:
+    """One line per row, headed by the field names; None is an empty field."""
+    lines = [",".join(f.name for f in fields(row_type))]
+    lines += [",".join("" if v is None else _f17(v) for v in astuple(row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def _run_generate(resolved: dict, out_dir: Path) -> list[str]:
     cfg = experiment_from_dict(resolved)
     series = pipeline.build_series(cfg.data)
     dataset = pipeline.build_dataset(cfg.data)
     dynamics.save_series_csv(out_dir / "series.csv", series,
                              cfg.data.sample_interval)
-    _write_column_csv(out_dir / "drive_train.csv", dataset.drive_train)
-    _write_column_csv(out_dir / "target_train.csv", dataset.target_train)
-    _write_column_csv(out_dir / "drive_test.csv", dataset.drive_test)
-    _write_column_csv(out_dir / "target_test.csv", dataset.target_test)
-    return [
-        "series.csv",
-        "drive_train.csv",
-        "target_train.csv",
-        "drive_test.csv",
-        "target_test.csv",
-    ]
-
-
-def _sweep_csv_lines(rows) -> list[str]:
-    header = (
-        "m_red,nrmse_rrqr_mean,nrmse_rrqr_std,nrmse_rand_mean,nrmse_rand_std,"
-        "nrmse_baseline_mean,percent_improvement"
-    )
-    lines = [header]
-    for row in rows:
-        fields = [str(row.m_red)]
-        for value in (
-            row.nrmse_rrqr_mean,
-            row.nrmse_rrqr_std,
-            row.nrmse_rand_mean,
-            row.nrmse_rand_std,
-            row.nrmse_baseline_mean,
-            row.percent_improvement,
-        ):
-            fields.append("" if value is None else _f17(value))
-        lines.append(",".join(fields))
-    return lines
+    names = ("drive_train", "target_train", "drive_test", "target_test")
+    for name in names:
+        _write_column_csv(out_dir / f"{name}.csv", getattr(dataset, name))
+    return ["series.csv"] + [f"{name}.csv" for name in names]
 
 
 def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
     cfg = experiment_from_dict(resolved)
     result = pipeline.sweep(cfg, subset_mode=subset_mode)
-    (out_dir / "sweep.csv").write_text(
-        "\n".join(_sweep_csv_lines(result.rows)) + "\n", encoding="ascii"
-    )
+    _write_rows_csv(out_dir / "sweep.csv", pipeline.SweepRow, result.rows)
     with open(out_dir / "cells.json", "w", encoding="ascii") as fh:
         json.dump({"cells": [asdict(c) for c in result.cells]}, fh, indent=2)
         fh.write("\n")
@@ -167,24 +144,8 @@ def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
 
 
 def _run_analyze(resolved: dict, out_dir: Path) -> list[str]:
-    acfg = analysis_from_dict(resolved)
-    rows = pipeline.analysis_sweep(acfg)
-    lines = ["f_w,f_a,entropy_bits,mean_correlation,nrmse_observer,nrmse_prediction"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _f17(v)
-                for v in (
-                    row.f_w,
-                    row.f_a,
-                    row.entropy_bits,
-                    row.mean_correlation,
-                    row.nrmse_observer,
-                    row.nrmse_prediction,
-                )
-            )
-        )
-    (out_dir / "analysis.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = pipeline.analysis_sweep(analysis_from_dict(resolved))
+    _write_rows_csv(out_dir / "analysis.csv", pipeline.AnalysisRow, rows)
     return ["analysis.csv"]
 
 

@@ -252,8 +252,7 @@ def ridge_solve(x, g, ridge_lambda: float, sizes=None) -> np.ndarray:
     ``x`` may be a tall design or its compressed form: for columns of
     ``R`` from ``[X_full | g] = Q R`` against ``c = Q^T g``, the minimizer
     is that of the tall problem, since the two objectives differ by a
-    constant. The sweep fits every cell this way (see
-    ``pipeline.score_selection``).
+    constant. The sweep fits its cells this way.
 
     Raises:
         SingularMatrixError: lambda is zero and some member's prefix is rank
@@ -291,33 +290,21 @@ def ridge_solve(x, g, ridge_lambda: float, sizes=None) -> np.ndarray:
     return w
 
 
-def ridge_fit(
-    x: np.ndarray,
-    g: np.ndarray,
-    ridge_lambda: float,
-    include_bias: bool = False,
-) -> Readout:
+def ridge_fit(x, g, ridge_lambda: float, include_bias: bool = False) -> Readout:
     """Solve ``min ||X w - g||^2 + lambda ||w||^2``: :func:`ridge_solve`
-    for a batch of one.
-
-    With ``include_bias`` a ones column is appended to ``X`` and its weight
-    is the last entry of ``w``. With ``ridge_lambda == 0`` the design must
-    have full column rank.
+    for a batch of one. With ``include_bias`` a ones column is appended to
+    ``X``; its weight is the last entry of ``w``.
 
     Raises:
         SingularMatrixError: lambda is zero and the design is rank deficient
             (the message names the estimated rank).
     """
     x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D design matrix, got ndim={x.ndim}")
-    if g.ndim != 1 or g.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"target shape {g.shape} does not match design rows {x.shape[0]}"
-        )
     design = np.column_stack([x, np.ones(x.shape[0])]) if include_bias else x
-    w = ridge_solve(design[None], g[None, :, None], ridge_lambda)[0, 0, :, 0]
+    g = np.asarray(g, dtype=float)[None, :, None]
+    w = ridge_solve(design[None], g, ridge_lambda)[0, 0, :, 0]
     return Readout(w=w, ridge_lambda=float(ridge_lambda), bias_included=include_bias)
 
 

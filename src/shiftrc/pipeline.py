@@ -220,14 +220,13 @@ def prepare_mask_context(
 
 
 def _fit_group(comp: CompressedTrain, cols, ridge_lambda, include_bias, sizes=None):
-    """Full-width weights of a group of equal-size column sets, one per
-    column of the returned ``(C + 1, cells)`` array (row C is the bias).
+    """Weights ``(C + 1, cells)`` of a group of equal-size column sets
+    ``cols`` (``(b, k)`` state-column indices), row C holding the bias.
 
-    ``cols`` is ``(b, k)`` indices into the state columns. Every set is
-    fitted on the compressed triangle by one stacked
-    :func:`linalg.ridge_solve`; with ``sizes``, each set also yields the fits
-    of its prefixes of those sizes. The bias column, if included, comes
-    first, so every prefix holds it, and it is penalised like the others.
+    One :func:`linalg.ridge_solve` fits every set on the compressed
+    triangle, or with ``sizes`` each of its prefixes of those sizes. The
+    bias column, if included, comes first, so every prefix holds it; it is
+    penalised like the others.
     """
     n = comp.r.shape[0] - 1
     cols = np.asarray(cols, dtype=int)
@@ -358,32 +357,17 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     cells = [cell for mask_cells, _ in per_mask for cell in mask_cells]
     pivots = [pivot for _, pivot in per_mask if pivot is not None]
 
+    def stats(method, m_red):
+        vals = np.array([c.nrmse_test for c in cells if c.method == method and c.m_red == m_red])
+        return (float(vals.mean()), float(vals.std())) if vals.size else (None, None)
+
+    base = float(np.mean([c.nrmse_test for c in cells if c.method == "baseline"]))
     rows = []
     for m_red in cfg.m_red_grid:
-        rrqr_vals = np.array(
-            [c.nrmse_test for c in cells if c.method == "rrqr" and c.m_red == m_red]
-        )
-        rand_vals = np.array(
-            [c.nrmse_test for c in cells if c.method == "random" and c.m_red == m_red]
-        )
-        base_vals = np.array([c.nrmse_test for c in cells if c.method == "baseline"])
-        rrqr_mean = float(rrqr_vals.mean()) if rrqr_vals.size else None
-        rand_mean = float(rand_vals.mean()) if rand_vals.size else None
-        rows.append(
-            SweepRow(
-                m_red=m_red,
-                nrmse_rrqr_mean=rrqr_mean,
-                nrmse_rrqr_std=float(rrqr_vals.std()) if rrqr_vals.size else None,
-                nrmse_rand_mean=rand_mean,
-                nrmse_rand_std=float(rand_vals.std()) if rand_vals.size else None,
-                nrmse_baseline_mean=float(base_vals.mean()),
-                percent_improvement=(
-                    percent_improvement(rand_mean, rrqr_mean)
-                    if rrqr_mean is not None and rand_mean is not None
-                    else None
-                ),
-            )
-        )
+        (rrqr_mean, rrqr_std), (rand_mean, rand_std) = stats("rrqr", m_red), stats("random", m_red)
+        gain = (None if rrqr_mean is None or rand_mean is None
+                else percent_improvement(rand_mean, rrqr_mean))
+        rows.append(SweepRow(m_red, rrqr_mean, rrqr_std, rand_mean, rand_std, base, gain))
     return SweepResult(rows=rows, cells=cells, pivots=pivots)
 
 

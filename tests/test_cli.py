@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from shiftrc.cli import main
 
 TINY_SWEEP = {
@@ -24,6 +26,34 @@ TINY_ANALYZE = {
     "master_seed": 5,
     "analysis": {"f_w_values": [0.5], "f_a_values": [0.5], "n_trials": 2},
 }
+
+
+PINNED_ANALYSIS = """\
+f_w,f_a,entropy_bits,mean_correlation,nrmse_observer,nrmse_prediction
+0.5,0.29999999999999999,7.26712095461491,0.10948742161328777,0.058391973159845234,0.44468262302358252
+0.5,0.90000000000000002,7.4522538464477259,0.11925631619769887,0.027859488745114642,0.33506251112949514
+1,0.29999999999999999,5.823766838453369,0.17697480213251948,0.056932671848353898,0.30103119385025207
+1,0.90000000000000002,6.1442558788831105,0.16355352889388064,0.047679112805736189,0.23611771323980157
+"""
+
+PINNED_RANKED_SWEEP = """\
+m_red,nrmse_rrqr_mean,nrmse_rrqr_std,nrmse_rand_mean,nrmse_rand_std,nrmse_baseline_mean,percent_improvement
+4,0.52422583948676094,0.054436426490293344,,,0.42843377208496525,
+16,0.19612574204396982,0.11597686458438934,,,0.42843377208496525,
+"""
+
+
+def assert_rows_match(text, pinned, exact_fields=()):
+    """Same header, row count and empty fields as ``pinned``; the fields at
+    ``exact_fields`` equal as written, every other one to 1e-12 relative."""
+    got, want = text.splitlines(), pinned.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for line, ref in zip(got[1:], want[1:]):
+        for i, (a, b) in enumerate(zip(line.split(","), ref.split(","), strict=True)):
+            if i in exact_fields or not b:
+                assert a == b
+            else:
+                assert float(a) == pytest.approx(float(b), rel=1e-12, abs=0.0)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -80,6 +110,14 @@ class TestGenerate:
 
 
 class TestSweep:
+    def test_ranked_rows_match_pinned_values(self, tmp_path):
+        # sweep.csv as written when every cell was fitted on its own; the
+        # m_red column and the empty fields of the missing random arm exact
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP),
+                     "--out", str(out), "--subset", "rrqr"]) == 0
+        assert_rows_match((out / "sweep.csv").read_text(), PINNED_RANKED_SWEEP, (0,))
+
     def test_csv_header_and_rows(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
         out = tmp_path / "out"
@@ -230,6 +268,17 @@ class TestAnalyze:
         values = [float(v) for v in lines[1].split(",")]
         assert values[0] == 0.5 and values[1] == 0.5
         assert all(v >= 0.0 for v in values)
+
+    def test_rows_match_pinned_values(self, tmp_path):
+        # analysis.csv as written when each trial's two readouts were fitted
+        # one by one: entropies bit for bit, the rest to 1e-12 relative
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["analysis"] = {"f_w_values": [0.5, 1.0], "f_a_values": [0.3, 0.9],
+                               "n_trials": 3}
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        assert_rows_match((out / "analysis.csv").read_text(), PINNED_ANALYSIS, (2,))
 
     def test_replay_matches(self, tmp_path):
         cfg = write_config(tmp_path, TINY_ANALYZE)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lstsq
 
 from shiftrc.errors import DegenerateTargetError, SingularMatrixError
 from shiftrc.linalg import (
@@ -13,6 +14,7 @@ from shiftrc.linalg import (
     qr_column_pivot,
     r22_bound_check,
     ridge_fit,
+    ridge_solve,
     save_r_diag_csv,
 )
 
@@ -265,6 +267,61 @@ class TestRidge:
         ro = ridge_fit(x, g, 0.0, include_bias=True)
         np.testing.assert_allclose(ro.w, [3.0, -1.0, 7.0], atol=1e-10)
         np.testing.assert_allclose(predict(x, ro), g, atol=1e-10)
+
+
+def stacked_lstsq(x, g, ridge_lambda):
+    """Ridge weights by SVD least squares (LAPACK gelsd) on the stacked
+    system ``[x; sqrt(lambda) I]`` against ``[g; 0]``."""
+    k = x.shape[1]
+    a = np.vstack([x, np.sqrt(ridge_lambda) * np.eye(k)])
+    b = np.concatenate([g, np.zeros((k,) + g.shape[1:])])
+    return lstsq(a, b, lapack_driver="gelsd")[0]
+
+
+class TestRidgeSolve:
+    @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-6, 1.0])
+    def test_batch_of_prefixes_and_targets_matches_gelsd(self, rng, ridge_lambda):
+        x = rng.normal(size=(3, 12, 7))
+        g = rng.normal(size=(3, 12, 2))
+        sizes = (2, 5, 7)
+        w = ridge_solve(x, g, ridge_lambda, sizes)
+        assert w.shape == (3, 3, 7, 2)
+        for i in range(3):
+            for j, p in enumerate(sizes):
+                want = stacked_lstsq(x[i, :, :p], g[i], ridge_lambda)
+                np.testing.assert_allclose(w[i, j, :p], want, rtol=1e-12, atol=1e-14)
+                assert not np.any(w[i, j, p:])
+
+    def test_prefixes_equal_direct_fits(self, rng):
+        # one factorization of the whole design against one per prefix
+        x = rng.normal(size=(1, 40, 25))
+        g = rng.normal(size=(1, 40, 1))
+        sizes = range(1, 26)
+        w = ridge_solve(x, g, 1e-6, sizes)
+        for j, p in enumerate(sizes):
+            direct = ridge_solve(x[:, :, :p], g, 1e-6)[0, 0]
+            np.testing.assert_allclose(w[0, j, :p], direct, rtol=1e-12, atol=0.0)
+
+    def test_rank_deficient_prefix_names_its_rank(self, rng):
+        x = rng.normal(size=(2, 20, 4))
+        x[1, :, 3] = x[1, :, 0] + x[1, :, 1]  # only the last prefix of member 1
+        g = rng.normal(size=(2, 20, 1))
+        ridge_solve(x, g, 0.0, (1, 2, 3))
+        with pytest.raises(SingularMatrixError) as info:
+            ridge_solve(x, g, 0.0, (1, 2, 3, 4))
+        assert (info.value.estimated_rank, info.value.n_cols) == (3, 4)
+
+    def test_shape_and_input_checks(self, rng):
+        with pytest.raises(ValueError, match="designs"):
+            ridge_solve(rng.normal(size=(5, 2)), rng.normal(size=(5, 1)), 1.0)
+        with pytest.raises(ValueError, match="designs"):
+            ridge_solve(rng.normal(size=(1, 5, 2)), rng.normal(size=(1, 4, 1)), 1.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            ridge_solve(rng.normal(size=(1, 5, 2)), rng.normal(size=(1, 5, 1)), -1.0)
+        x = rng.normal(size=(1, 5, 2))
+        x[0, 3, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            ridge_solve(x, rng.normal(size=(1, 5, 1)), 1.0)
 
 
 class TestPredict:

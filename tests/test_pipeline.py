@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lstsq
 
 from shiftrc import analysis, dynamics, pipeline, reservoir
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
@@ -204,6 +205,79 @@ class TestCompressedReadout:
         ctx = _synthetic_context(rng)
         with pytest.raises(KeyError, match="unknown"):
             score_selection(ctx, [(0, 0), (0, 9)], ridge_lambda=1e-6)
+
+
+@st.composite
+def group_problems(draw):
+    n_cols = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n_cols))
+    ridge_lambda = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    sets = draw(st.lists(st.lists(st.integers(0, n_cols - 1), min_size=k, max_size=k,
+                                  unique=ridge_lambda == 0.0),
+                         min_size=1, max_size=5))
+    sizes = draw(st.one_of(st.none(), st.lists(st.integers(1, k), min_size=1,
+                                               max_size=3, unique=True)))
+    return dict(n_cols=n_cols, sets=sets, sizes=sizes, ridge_lambda=ridge_lambda,
+                bias=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestFitGroup:
+    """Stacked group fits on the compressed triangle against gelsd."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(group_problems())
+    def test_matches_gelsd_on_the_stacked_system(self, problem):
+        rng = np.random.default_rng(problem["seed"])
+        c = problem["n_cols"]
+        ctx = _context_from(rng.normal(size=(c + 30, c)), rng.normal(size=(9, c)),
+                            rng.normal(size=c + 30), rng.normal(size=9))
+        comp, lam, bias = ctx.compressed, problem["ridge_lambda"], problem["bias"]
+        sets, sizes = problem["sets"], problem["sizes"]
+        got = pipeline._fit_group(comp, sets, lam, bias, sizes)
+        prefixes = sizes or [len(sets[0])]
+        assert got.shape == (c + 1, len(sets) * len(prefixes))
+        rows = c + bias
+        for i, cols in enumerate(sets):
+            for j, p in enumerate(prefixes):
+                fitted = [c] * bias + cols[:p]  # column c of the triangle is the ones column
+                a = np.vstack([comp.r[:rows, fitted], np.sqrt(lam) * np.eye(len(fitted))])
+                b = np.concatenate([comp.c[:rows], np.zeros(len(fitted))])
+                want = np.zeros(c + 1)
+                np.add.at(want, fitted, lstsq(a, b, lapack_driver="gelsd")[0])
+                np.testing.assert_allclose(got[:, i * len(prefixes) + j], want,
+                                           rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+    def test_pair_listed_twice_sums_its_weights(self, rng):
+        ctx = _synthetic_context(rng, target_in_span=False)
+        twice = score_selection(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
+        want = direct_score(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
+        np.testing.assert_allclose(twice, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_zero_lambda_group_raises_the_member_rank(self, rng, bias):
+        ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
+        comp = ctx.compressed
+        sets = [[(0, 0), (1, 0), (2, 1)], [(0, 1), (1, 1), (2, 1)], [(0, 2), (1, 0), (2, 2)]]
+        cols = [[comp.index[p] for p in pairs] for pairs in sets]
+        with pytest.raises(SingularMatrixError) as alone:
+            direct_score(ctx, sets[1], 0.0, bias)
+        with pytest.raises(SingularMatrixError) as grouped:
+            pipeline._fit_group(comp, cols, 0.0, bias)
+        assert grouped.value.estimated_rank == alone.value.estimated_rank == 2 + bias
+        assert grouped.value.n_cols == alone.value.n_cols == 3 + bias
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_ranked_prefixes_equal_per_prefix_fits(self, bias):
+        cfg = tiny_config(n_masks=1, include_bias=bias)
+        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        order = rrqr_select(ctx.shifted_train, cfg.n_shift_columns).retained
+        comp, sizes = ctx.compressed, list(range(1, cfg.n_shift_columns + 1))
+        w = pipeline._fit_group(comp, [[comp.index[p] for p in order]], cfg.ridge_lambda,
+                                bias, sizes)
+        got = pipeline._score_weights(ctx, w, NrmseMode.GLOBAL)
+        for j, p in enumerate(sizes):
+            want = direct_score(ctx, order[:p], cfg.ridge_lambda, bias)
+            np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0.0)
 
 
 class TestRunSingle:
