@@ -116,9 +116,9 @@ def integrate_chaotic(
     half = 0.5 * dt
     sixth = dt / 6.0
     out = np.empty((n_samples, 3))
-    # One RK4 loop per system with the right-hand side written out: the
-    # stage arithmetic is that of rhs(x, y, z) = inv * f(x, y, z), in the
-    # same order, so the samples are unchanged bit for bit.
+    # One step loop per system, right-hand side written out (no call per
+    # stage). Each stage computes inv * f(x, y, z) in this order; another
+    # order changes the series bits that tests/test_dynamics.py pins.
     lorenz = params.system is ChaoticSystem.LORENZ
     step_count = 0
     for i in range(n_samples):

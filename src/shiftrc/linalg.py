@@ -249,10 +249,8 @@ def ridge_solve(x, g, ridge_lambda: float, sizes=None) -> np.ndarray:
     ``(b, len(sizes), k, t)``: for each prefix size p in ``sizes`` (default
     k alone), the weights of the first p columns, zero after them.
 
-    ``x`` may be a tall design or its compressed form: for columns of
-    ``R`` from ``[X_full | g] = Q R`` against ``c = Q^T g``, the minimizer
-    is that of the tall problem, since the two objectives differ by a
-    constant. The sweep fits its cells this way.
+    ``x`` may be a tall design or its compressed form, with the same
+    minimizer (see the module docstring); the sweep fits its cells so.
 
     Raises:
         SingularMatrixError: lambda is zero and some member's prefix is rank

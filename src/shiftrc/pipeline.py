@@ -358,13 +358,15 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     pivots = [pivot for _, pivot in per_mask if pivot is not None]
 
     def stats(method, m_red):
-        vals = np.array([c.nrmse_test for c in cells if c.method == method and c.m_red == m_red])
+        vals = np.array([c.nrmse_test for c in cells
+                         if c.method == method and c.m_red == m_red])
         return (float(vals.mean()), float(vals.std())) if vals.size else (None, None)
 
     base = float(np.mean([c.nrmse_test for c in cells if c.method == "baseline"]))
     rows = []
     for m_red in cfg.m_red_grid:
-        (rrqr_mean, rrqr_std), (rand_mean, rand_std) = stats("rrqr", m_red), stats("random", m_red)
+        rrqr_mean, rrqr_std = stats("rrqr", m_red)
+        rand_mean, rand_std = stats("random", m_red)
         gain = (None if rrqr_mean is None or rand_mean is None
                 else percent_improvement(rand_mean, rrqr_mean))
         rows.append(SweepRow(m_red, rrqr_mean, rrqr_std, rand_mean, rand_std, base, gain))
