@@ -1,10 +1,11 @@
 """Time-shift augmentation for small reservoir computers.
 
 A reservoir's output matrix is augmented with lagged copies of every node
-signal; a Householder QR with column pivoting ranks the (node, shift)
-columns by linear independence so that a reduced readout keeps the most
-informative ones. The package bundles the chaotic drive generators, both
-reservoir back-ends, the selection pipeline and diagnostics.
+signal; LAPACK's greedy column-pivoted Householder QR (``dgeqp3``) ranks
+the (node, shift) columns by linear independence so that a reduced readout
+keeps the most informative ones. The package bundles the chaotic drive
+generators, both reservoir back-ends, the selection pipeline and
+diagnostics.
 """
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernel.
 
-Householder QR with greedy column pivoting ranks columns: its permutation
-orders them from most to least linearly independent, and the magnitudes of
-the R diagonal expose near rank deficiency. It is the selection kernel and,
-at lambda = 0, the rank check of every ridge fit.
+LAPACK's Householder QR with greedy column pivoting (``dgeqp3``) ranks
+columns: its permutation orders them from most to least linearly
+independent, and the magnitudes of the R diagonal expose near rank
+deficiency. It is the selection kernel and, at lambda = 0, the rank check
+of every ridge fit.
 
 The fits themselves are LAPACK Householder QRs of stacked ridge systems,
 many at once: :func:`ridge_solve` factors a batch of equal-shape designs in
@@ -31,11 +32,6 @@ from .errors import DegenerateTargetError, SingularMatrixError
 
 logger = logging.getLogger(__name__)
 
-# Residual column norms are maintained by downdating; once a downdated value
-# falls below this fraction of the last freshly computed norm, cancellation
-# makes it untrustworthy and the norm is recomputed from the active block.
-NORM_RECOMPUTE_GUARD = 1e-6
-
 # Default relative tolerance for numerical-rank decisions.
 RANK_TOL_DEFAULT = 1e-10
 
@@ -51,11 +47,11 @@ class NrmseMode(Enum):
 class PivotedQR:
     """QR factorization with column pivoting: ``B[:, perm] == Q @ R``.
 
-    Q is held implicitly as a sequence of Householder reflectors. ``packed``
-    stores the working array in transposed orientation (shape ``(M, T)``):
-    entry ``packed[j, i]`` with ``i <= j < M`` is ``R[i, j]`` and
-    ``packed[k, k+1:]`` holds the tail of the k-th reflector (its leading
-    component is an implicit 1).
+    Q is held implicitly as LAPACK ``dgeqp3`` leaves it, a sequence of
+    Householder reflectors ``H_k = I - taus[k] v v^T``. ``packed`` is
+    LAPACK's factor transposed (shape ``(M, T)``): entry ``packed[j, i]``
+    with ``i <= j < M`` is ``R[i, j]`` and ``packed[k, k+1:]`` holds the tail
+    of the k-th reflector ``v`` (its leading component is an implicit 1).
     """
 
     packed: np.ndarray
@@ -76,34 +72,20 @@ class PivotedQR:
         return np.triu(self.packed[:, :m].T)
 
 
-def _householder(x: np.ndarray) -> tuple[float, float]:
-    """Overwrite ``x`` with the reflector tail and return ``(tau, beta)``.
-
-    On return ``x[0]`` is conceptually 1 (callers store beta there instead)
-    and ``(I - tau v v^T) x_old = beta e_1`` with ``|beta| = ||x_old||``.
-    """
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0.0:
-        return 0.0, 0.0
-    alpha = x[0]
-    beta = -np.copysign(norm_x, alpha)
-    x /= alpha - beta
-    x[0] = 1.0
-    return (beta - alpha) / beta, beta
-
-
 def qr_column_pivot(b: np.ndarray) -> PivotedQR:
     """Factor a tall matrix as ``B[:, perm] = Q R`` with greedy pivoting.
 
-    At each step the remaining column with the largest residual 2-norm is
+    One call of LAPACK ``dgeqp3``, the Businger-Golub column-pivoted QR: at
+    each step the remaining column with the largest residual 2-norm is
     chosen, so ``|R_kk|`` is non-increasing and the permutation ranks columns
-    by linear independence. Residual norms are downdated after each
-    reflector and recomputed when cancellation would corrupt them.
+    by linear independence.
 
     Raises:
         ValueError: if the matrix is wider than tall or contains non-finite
             entries. A zero matrix is valid and yields all-zero ``r_diag``.
     """
+    from scipy.linalg import lapack
+
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={b.ndim}")
@@ -112,48 +94,13 @@ def qr_column_pivot(b: np.ndarray) -> PivotedQR:
         raise ValueError(f"need at least as many rows as columns, got {t}x{m}")
     if not np.all(np.isfinite(b)):
         raise ValueError("matrix contains non-finite entries")
-
-    # Transposed working copy: columns of B are contiguous rows here, which
-    # keeps every hot operation on C-contiguous memory.
-    work = np.array(b.T, dtype=float, order="C")
-    perm = np.arange(m)
-    taus = np.zeros(m)
-    r_diag = np.zeros(m)
-    norms = np.linalg.norm(work, axis=1)
-    norms_ref = norms.copy()
-
-    for k in range(m):
-        j = k + int(np.argmax(norms[k:]))
-        if j != k:
-            work[[k, j]] = work[[j, k]]
-            perm[[k, j]] = perm[[j, k]]
-            norms[[k, j]] = norms[[j, k]]
-            norms_ref[[k, j]] = norms_ref[[j, k]]
-
-        col = work[k, k:]
-        tau, beta = _householder(col)
-        taus[k] = tau
-        r_diag[k] = abs(beta)
-        if tau != 0.0 and k + 1 < m:
-            block = work[k + 1 :, k:]
-            coeff = block @ col
-            block -= np.multiply.outer(tau * coeff, col)
-        work[k, k] = beta
-
-        if k + 1 < m:
-            new_row = work[k + 1 :, k]
-            sq = norms[k + 1 :] ** 2 - new_row**2
-            np.maximum(sq, 0.0, out=sq)
-            updated = np.sqrt(sq)
-            stale = updated < NORM_RECOMPUTE_GUARD * norms_ref[k + 1 :]
-            if np.any(stale):
-                rows = np.nonzero(stale)[0] + k + 1
-                fresh = np.linalg.norm(work[rows, k + 1 :], axis=1)
-                updated[stale] = fresh
-                norms_ref[rows] = fresh
-            norms[k + 1 :] = updated
-
-    return PivotedQR(packed=work, taus=taus, perm=perm, r_diag=r_diag)
+    factor, jpvt, taus, _, _ = lapack.dgeqp3(b)
+    return PivotedQR(
+        packed=factor.T,
+        taus=taus,
+        perm=jpvt - 1,
+        r_diag=np.abs(np.diag(factor)),
+    )
 
 
 def log_row_dominance(qr: PivotedQR) -> None:

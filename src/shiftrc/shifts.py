@@ -97,16 +97,17 @@ def rrqr_select(
 ) -> SelectionResult:
     """Keep the ``m_red`` most linearly independent columns.
 
-    Runs the greedy pivoted QR (``qr_column_pivot``); the pivot order ranks
-    columns from most to least independent and the first ``m_red`` are
-    retained. Every greedy choice depends only on the column norms of the
-    residuals, which an orthogonal ``Q^T`` leaves unchanged, so the pivot
-    runs on the C x C triangle ``R`` of ``shifted.values = Q R`` instead of
-    the tall matrix; the order is the same and ``r_diag`` agrees to rounding
-    (about eps * |R_00|). ``r`` is that triangle when the caller already has
-    it (a sweep reads it off its compressed training system); otherwise one
-    LAPACK QR of ``shifted.values`` computes it. A row-dominance violation
-    of the factorization is logged as a warning.
+    Runs the greedy pivoted QR (``qr_column_pivot``, LAPACK ``dgeqp3``);
+    the pivot order ranks columns from most to least independent and the
+    first ``m_red`` are retained. Every greedy choice depends only on the
+    column norms of the residuals, which an orthogonal ``Q^T`` leaves
+    unchanged, so the pivot runs on the C x C triangle ``R`` of
+    ``shifted.values = Q R`` instead of the tall matrix; the order is the
+    same and ``r_diag`` agrees to rounding (about eps * |R_00|). ``r`` is
+    that triangle when the caller already has it (a sweep reads it off its
+    compressed training system); otherwise one LAPACK QR of
+    ``shifted.values`` computes it. A row-dominance violation of the
+    factorization is logged as a warning.
 
     Raises:
         ValueError: ``m_red`` is outside 1..C, or the shifted matrix has

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from shiftrc import integrate_chaotic, lorenz_params, standardize
+from shiftrc.reservoir import make_oeo_config, run_oeo_reservoir
+from shiftrc.shifts import build_shifted_matrix
 
 ACCEPTANCE_RESULTS = []
 
@@ -33,6 +35,18 @@ def lorenz_drive_short():
     drive, _ = standardize(series[:, 0])
     drive.setflags(write=False)
     return drive
+
+
+@pytest.fixture(scope="session")
+def oeo_shifted():
+    """Shifted states of a 10-node delay reservoir, tau_max = 10: 640 x 110."""
+    # a cheap synthetic chaotic-ish drive
+    rng = np.random.default_rng(5)
+    drive = np.cumsum(rng.normal(size=700))
+    drive = (drive - drive.mean()) / drive.std()
+    cfg = make_oeo_config(m=10, theta=8, mask_seed=3)
+    states = run_oeo_reservoir(cfg, drive, washout=50)
+    return build_shifted_matrix(states, 10)
 
 
 @pytest.fixture(scope="session")

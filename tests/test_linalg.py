@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
 from shiftrc.errors import DegenerateTargetError, SingularMatrixError
@@ -78,6 +80,18 @@ def reconstruct(qr):
     return thin_q(qr) @ qr.r
 
 
+def assert_greedy(b, qr, steps=None):
+    """Check the rule the pivot order is defined by, independently of the
+    kernel: at every step k, no column outside ``perm[:k]`` has a residual
+    norm above ``|R_kk| (1 + 1e-12)`` once ``b[:, perm[:k]]`` is projected
+    out. Those residual norms are ``||R'[k:, j]||`` for j >= k, with R' the
+    unpivoted ``np.linalg.qr`` triangle of ``b[:, perm]``."""
+    r = np.linalg.qr(b[:, qr.perm], mode="r")
+    for k in range(b.shape[1] if steps is None else steps):
+        residual = np.max(np.linalg.norm(r[k:, k:], axis=0))
+        assert residual <= qr.r_diag[k] * (1.0 + 1e-12), f"step {k}"
+
+
 def gram_schmidt_lstsq(x, g):
     """Least squares by modified Gram-Schmidt, independent of the QR kernel."""
     x = np.asarray(x, dtype=float)
@@ -121,6 +135,29 @@ class TestPivotedQR:
         assert rel <= 1e-12
         assert np.max(np.abs(q.T @ q - np.eye(50))) <= 1e-12
         assert np.all(np.diff(qr.r_diag) <= 1e-14)
+
+    def test_greedy_on_random_full_rank(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            b = rng.normal(size=(60, 25)) * rng.uniform(0.01, 10.0, size=25)
+            assert_greedy(b, qr_column_pivot(b))
+
+    def test_greedy_on_constructed_rank(self):
+        # past the rank every residual is rounding noise, so only the steps
+        # up to the rank carry a greedy choice
+        rng = np.random.default_rng(42)
+        for rank in (1, 5, 12):
+            b = rng.normal(size=(60, rank)) @ rng.normal(size=(rank, 20))
+            qr = qr_column_pivot(b)
+            assert estimate_rank(qr) == rank
+            assert_greedy(b, qr, steps=rank)
+
+    def test_greedy_on_oeo_training_triangle(self, oeo_shifted):
+        # the 110-column triangle that the ranking pivots
+        tri = np.linalg.qr(oeo_shifted.values, mode="r")
+        qr = qr_column_pivot(tri)
+        assert tri.shape == (110, 110) and estimate_rank(qr) == 110
+        assert_greedy(tri, qr)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -376,6 +413,54 @@ class TestNrmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nrmse([1.0, 2.0], [1.0])
+
+
+sample_values = st.floats(-1e3, 1e3)
+kept_targets = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(-8.9, 3.0),
+)
+skipped_targets = st.floats(-1e-9, 1e-9, exclude_min=True, exclude_max=True)
+derandomized = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestNrmseProperties:
+    @derandomized
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), sample_values), min_size=1, max_size=20),
+           st.integers(-12, 1))
+    def test_global_degenerate_exactly_below_energy_floor(self, pairs, exponent):
+        g = np.array([p[0] for p in pairs]) * 10.0**exponent
+        h = np.array([p[1] for p in pairs])
+        if float(np.sum(g * g)) < 1e-18:
+            with pytest.raises(DegenerateTargetError):
+                nrmse(g, h)
+        else:
+            assert nrmse(g, g) == 0.0
+            assert np.isfinite(nrmse(g, h))
+
+    @derandomized
+    @given(st.lists(st.tuples(sample_values, sample_values), min_size=1, max_size=20),
+           st.floats(1e-6, 1e6), st.sampled_from([-1.0, 1.0]))
+    def test_global_invariant_to_common_scale(self, pairs, magnitude, sign):
+        g = np.array([p[0] for p in pairs])
+        h = np.array([p[1] for p in pairs])
+        assume(float(np.sum(g * g)) >= 1e-6)
+        c = sign * magnitude
+        assert nrmse(c * g, c * h) == pytest.approx(nrmse(g, h), rel=1e-12, abs=1e-12)
+
+    @derandomized
+    @given(st.lists(st.tuples(st.booleans(), kept_targets, skipped_targets, sample_values),
+                    min_size=1, max_size=30))
+    def test_literal_skips_small_targets_from_sum_and_count(self, samples):
+        g = np.array([kept if keep else skipped for keep, kept, skipped, _ in samples])
+        h = np.array([p[3] for p in samples])
+        keep = np.array([p[0] for p in samples])
+        if not keep.any():
+            with pytest.raises(DegenerateTargetError):
+                nrmse(g, h, NrmseMode.PAPER_LITERAL)
+        else:
+            assert nrmse(g, h, NrmseMode.PAPER_LITERAL) == nrmse(
+                g[keep], h[keep], NrmseMode.PAPER_LITERAL)
 
 
 def test_r_diag_csv(tmp_path, rng):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftrc.linalg import covariance_rank, qr_column_pivot
-from shiftrc.reservoir import StateMatrix, make_oeo_config, run_oeo_reservoir
+from shiftrc.reservoir import StateMatrix
 from shiftrc.shifts import (
     SelectionMethod,
     SelectionResult,
@@ -23,17 +23,6 @@ from shiftrc.shifts import (
 def random_states(rng=np.random.default_rng(77)):
     return StateMatrix(values=rng.normal(size=(300, 10)), node_ids=list(range(10)),
                        washout=0)
-
-
-@pytest.fixture(scope="module")
-def oeo_shifted(lorenz_drive_short=None):
-    # small delay reservoir driven by a cheap synthetic chaotic-ish signal
-    rng = np.random.default_rng(5)
-    drive = np.cumsum(rng.normal(size=700))
-    drive = (drive - drive.mean()) / drive.std()
-    cfg = make_oeo_config(m=10, theta=8, mask_seed=3)
-    states = run_oeo_reservoir(cfg, drive, washout=50)
-    return build_shifted_matrix(states, 10)
 
 
 class TestBuild:
@@ -110,10 +99,11 @@ class TestRRQRSelect:
         assert covariance_rank(reduced.values, 1e-10) == min(30, full_rank)
 
     def test_row_dominance_warned_by_ranking_only(self, caplog):
-        # columns 1 and 2 are equal and tie in exact arithmetic; rounding
-        # leaves |R_02| one ulp above |R_00|. The matrix is upper triangular,
-        # so the LAPACK triangle that the ranking pivots is the matrix itself.
-        values = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0]]) / 7.0
+        # columns 1 and 2 are equal and tie in exact arithmetic; LAPACK's
+        # rounding leaves |R_02| one ulp above |R_00|. The matrix is upper
+        # triangular, so the LAPACK triangle that the ranking pivots is the
+        # matrix itself.
+        values = np.array([[2.0, 4.0, 4.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]) / 4.0
         assert np.array_equal(np.linalg.qr(values, mode="r"), values)
         shifted = build_shifted_matrix(
             StateMatrix(values=values, node_ids=[0, 1, 2], washout=0), 0
