@@ -73,7 +73,6 @@ from .reservoir import (
     run_tanh_reservoir,
 )
 from .shifts import (
-    SelectionMethod,
     SelectionResult,
     ShiftedMatrix,
     build_shifted_matrix,

@@ -3,7 +3,8 @@
 Subcommands: ``generate`` (task data CSVs), ``sweep`` (selection-method
 comparison over an m_red grid), ``analyze`` (sparseness grid diagnostics)
 and ``replay`` (re-run a manifest bitwise). Every run writes a manifest that
-fully determines its outputs.
+fully determines its outputs. Every output file is written here, through
+one CSV writer and one JSON writer.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -18,7 +19,7 @@ import time
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
-from . import __version__, dynamics, pipeline
+from . import __version__, pipeline
 from .config import (
     analysis_from_dict,
     config_hash,
@@ -26,37 +27,29 @@ from .config import (
     resolve_config,
 )
 from .errors import ConfigError, ShiftRcError
-from .linalg import save_r_diag_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """Read ``--config``, apply ``--seed`` and ``--nrmse-mode``, then
+    validate, so that a bad override fails before anything runs."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config is not valid JSON ({path}, line {exc.lineno}, "
+            f"config is not valid JSON ({args.config}, line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}"
         ) from None
-    return resolve_config(raw)
-
-
-def _apply_overrides(resolved: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        resolved["master_seed"] = args.seed
-    if getattr(args, "nrmse_mode", None) is not None:
-        resolved["nrmse_mode"] = args.nrmse_mode
-    return resolved
+    overrides = {key: value for key, value in
+                 (("master_seed", args.seed), ("nrmse_mode", args.nrmse_mode))
+                 if value is not None}
+    return resolve_config({**raw, **overrides} if isinstance(raw, dict) else raw)
 
 
 def _validate_threads(args) -> None:
@@ -78,10 +71,24 @@ def _validate_threads(args) -> None:
         raise ConfigError(f"{source} must be >= 1, got {threads}")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """One line per row under the column names ``header``: numbers with 17
+    significant digits, so doubles round-trip exactly; None is an empty
+    field."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else f"{float(v):.17g}" for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n",
+                    encoding="ascii")
+
+
 def _write_manifest(out_dir: Path, command: str, resolved: dict,
                     output_paths: list[str], wall_time: float,
                     subset_mode: str) -> None:
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "tool": "shiftrc",
         "tool_version": __version__,
         "command": command,
@@ -91,61 +98,48 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict,
         "config_echo": resolved,
         "output_paths": output_paths,
         "wall_time_seconds": wall_time,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_column_csv(path: Path, values) -> None:
-    lines = ["n,value"]
-    lines += [f"{n},{_f17(v)}" for n, v in enumerate(values)]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _write_rows_csv(path: Path, row_type, rows) -> None:
-    """One line per row, headed by the field names; None is an empty field."""
-    lines = [",".join(f.name for f in fields(row_type))]
-    lines += [",".join("" if v is None else _f17(v) for v in astuple(row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    }, sort_keys=True)
 
 
 def _run_generate(resolved: dict, out_dir: Path) -> list[str]:
     cfg = experiment_from_dict(resolved)
-    series = pipeline.build_series(cfg.data)
+    dt = cfg.data.sample_interval
+    _write_csv(out_dir / "series.csv", ("t", "x", "y", "z"),
+               ((k * dt, *row) for k, row in enumerate(pipeline.build_series(cfg.data))))
     dataset = pipeline.build_dataset(cfg.data)
-    dynamics.save_series_csv(out_dir / "series.csv", series,
-                             cfg.data.sample_interval)
     names = ("drive_train", "target_train", "drive_test", "target_test")
     for name in names:
-        _write_column_csv(out_dir / f"{name}.csv", getattr(dataset, name))
+        _write_csv(out_dir / f"{name}.csv", ("n", "value"), enumerate(getattr(dataset, name)))
     return ["series.csv"] + [f"{name}.csv" for name in names]
 
 
 def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
     cfg = experiment_from_dict(resolved)
     result = pipeline.sweep(cfg, subset_mode=subset_mode)
-    _write_rows_csv(out_dir / "sweep.csv", pipeline.SweepRow, result.rows)
-    with open(out_dir / "cells.json", "w", encoding="ascii") as fh:
-        json.dump({"cells": [asdict(c) for c in result.cells]}, fh, indent=2)
-        fh.write("\n")
+    _write_csv(out_dir / "sweep.csv", [f.name for f in fields(pipeline.SweepRow)],
+               map(astuple, result.rows))
+    _write_json(out_dir / "cells.json", {"cells": [asdict(c) for c in result.cells]})
     paths = ["sweep.csv", "cells.json"]
     if result.pivots:
-        diag = out_dir / "diagnostics"
-        diag.mkdir(exist_ok=True)
-        for mask_id, pivot in enumerate(result.pivots):
-            sel_path = diag / f"mask_{mask_id:04d}_selection.json"
-            pivot.save_json(sel_path)
-            rdiag_path = diag / f"mask_{mask_id:04d}_rdiag.csv"
-            save_r_diag_csv(rdiag_path, pivot.r_diag)
-            paths += [str(sel_path.relative_to(out_dir)),
-                      str(rdiag_path.relative_to(out_dir))]
+        (out_dir / "diagnostics").mkdir(exist_ok=True)
+    for mask_id, pivot in enumerate(result.pivots):
+        sel_path = f"diagnostics/mask_{mask_id:04d}_selection.json"
+        _write_json(out_dir / sel_path, {
+            "method": "rrqr",  # the sweep records only its ranked selections
+            "m_red": len(pivot.retained),
+            "retained": [[n, s] for n, s in pivot.retained],
+            "r_diag": [float(v) for v in pivot.r_diag],
+        })
+        rdiag_path = f"diagnostics/mask_{mask_id:04d}_rdiag.csv"
+        _write_csv(out_dir / rdiag_path, ("k", "r_kk_abs"), enumerate(pivot.r_diag))
+        paths += [sel_path, rdiag_path]
     return paths
 
 
 def _run_analyze(resolved: dict, out_dir: Path) -> list[str]:
     rows = pipeline.analysis_sweep(analysis_from_dict(resolved))
-    _write_rows_csv(out_dir / "analysis.csv", pipeline.AnalysisRow, rows)
+    _write_csv(out_dir / "analysis.csv", [f.name for f in fields(pipeline.AnalysisRow)],
+               map(astuple, rows))
     return ["analysis.csv"]
 
 
@@ -156,16 +150,14 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
         paths = _run_generate(resolved, out_dir)
     elif command == "sweep":
         paths = _run_sweep(resolved, out_dir, subset_mode)
-    elif command == "analyze":
-        paths = _run_analyze(resolved, out_dir)
     else:
-        raise ConfigError(f"manifest names unknown command {command!r}")
+        paths = _run_analyze(resolved, out_dir)
     _write_manifest(out_dir, command, resolved, paths,
                     time.monotonic() - start, subset_mode)
 
 
 def _cmd_run(args, command: str) -> int:
-    resolved = _apply_overrides(_load_config(args.config), args)
+    resolved = _load_config(args)
     _validate_threads(args)
     _dispatch(command, resolved, Path(args.out), getattr(args, "subset", "both"))
     return EXIT_OK
@@ -181,6 +173,8 @@ def _cmd_replay(args) -> int:
         raise ConfigError(
             f"manifest is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest root must be an object, got {type(manifest).__name__}")
     for key in ("command", "config_echo", "config_hash", "tool_version"):
         if key not in manifest:
             raise ConfigError(f"manifest is missing required field '{key}'")
@@ -195,9 +189,15 @@ def _cmd_replay(args) -> int:
             "manifest config_echo does not match its config_hash "
             f"{manifest['config_hash']!r}; the echo or the hash was edited"
         )
+    if manifest["command"] not in ("generate", "sweep", "analyze"):
+        raise ConfigError(f"manifest names unknown command {manifest['command']!r}")
+    subset_mode = manifest.get("subset_mode", "both")
+    if subset_mode not in ("both", "rrqr", "random"):
+        raise ConfigError(
+            f"manifest field 'subset_mode' must be both|rrqr|random, got {subset_mode!r}"
+        )
     _validate_threads(args)
-    _dispatch(manifest["command"], resolved, Path(args.out),
-              manifest.get("subset_mode", "both"))
+    _dispatch(manifest["command"], resolved, Path(args.out), subset_mode)
     return EXIT_OK
 
 

@@ -260,13 +260,3 @@ def make_task(
         standardization=stats,
     )
 
-
-def save_series_csv(path, series: np.ndarray, sample_interval: float = 1.0) -> None:
-    """Write a sampled series as ``t,x,y,z`` at full double precision."""
-    series = np.asarray(series, dtype=float)
-    lines = ["t,x,y,z"]
-    for k, row in enumerate(series):
-        t = k * sample_interval
-        lines.append(f"{t:.17g},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

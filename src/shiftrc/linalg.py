@@ -299,10 +299,3 @@ def nrmse(g: np.ndarray, h: np.ndarray, mode: NrmseMode = NrmseMode.GLOBAL) -> f
     ratios = (g[keep] - h[keep]) / g[keep]
     return float(np.sqrt(np.sum(ratios**2) / n_keep))
 
-
-def save_r_diag_csv(path, r_diag) -> None:
-    """Write a pivot spectrum ``|R_kk|`` as a two-column CSV."""
-    lines = ["k,r_kk_abs"]
-    lines += [f"{k},{float(v):.17g}" for k, v in enumerate(r_diag)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -468,8 +468,10 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
         r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=1), mode="r")
 
     # Both readouts of every trial: one stacked solve, the two targets
-    # sharing each trial's design.
-    w = linalg.ridge_solve(r[:, : m + 1, 1 : m + 1], r[:, : m + 1, m + 1 :],
+    # sharing each trial's design. A bias fit takes the ones column too,
+    # and its weight comes first.
+    bias = int(cfg.include_bias)
+    w = linalg.ridge_solve(r[:, : m + 1, 1 - bias : m + 1], r[:, : m + 1, m + 1 :],
                            cfg.ridge_lambda)[:, 0]
     if cfg.continuation:
         pieces = _tanh_pieces(res_cfgs, obs.drive_test, 0, x[:, -1])
@@ -478,7 +480,9 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     h = np.empty((n_trials, g_test.shape[0], 2))
     row = 0
     for x in pieces:
-        h[:, row : row + x.shape[1]] = np.matmul(x, w)
+        h[:, row : row + x.shape[1]] = np.matmul(x, w[:, bias:])
+        if bias:
+            h[:, row : row + x.shape[1]] += w[:, :1]
         row += x.shape[1]
 
     mode = NrmseMode(cfg.nrmse_mode)

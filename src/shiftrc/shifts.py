@@ -7,19 +7,12 @@ at random.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .linalg import log_row_dominance, qr_column_pivot
 from .reservoir import StateMatrix
-
-
-class SelectionMethod(Enum):
-    RRQR = "rrqr"
-    RANDOM = "random"
 
 
 @dataclass
@@ -63,33 +56,15 @@ def build_shifted_matrix(source: StateMatrix, tau_max: int) -> ShiftedMatrix:
 
 @dataclass
 class SelectionResult:
-    """Ordered set of retained (node, shift) columns plus diagnostics."""
+    """Ordered set of retained (node, shift) columns; a ranked selection
+    also carries its pivot spectrum ``|R_kk|``."""
 
-    method: SelectionMethod
     retained: list[tuple[int, int]]
     r_diag: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if len(set(self.retained)) != len(self.retained):
             raise ValueError("retained pairs must be distinct")
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "method": self.method.value,
-            "m_red": len(self.retained),
-            "retained": [[n, s] for n, s in self.retained],
-        }
-        if self.r_diag is not None:
-            out["r_diag"] = [float(v) for v in self.r_diag]
-        if self.seed is not None:
-            out["seed"] = int(self.seed)
-        return out
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def rrqr_select(
@@ -121,7 +96,6 @@ def rrqr_select(
     qr = qr_column_pivot(r)
     log_row_dominance(qr)
     return SelectionResult(
-        method=SelectionMethod.RRQR,
         retained=[shifted.columns[j] for j in qr.perm[:m_red]],
         r_diag=qr.r_diag.copy(),
     )
@@ -133,11 +107,7 @@ def random_select(shifted: ShiftedMatrix, m_red: int, seed: int) -> SelectionRes
     if not 1 <= m_red <= c:
         raise ValueError(f"m_red must be in 1..{c}, got {m_red}")
     idx = np.random.default_rng(seed).choice(c, size=m_red, replace=False)
-    return SelectionResult(
-        method=SelectionMethod.RANDOM,
-        retained=[shifted.columns[j] for j in idx],
-        seed=int(seed),
-    )
+    return SelectionResult(retained=[shifted.columns[j] for j in idx])
 
 
 @dataclass

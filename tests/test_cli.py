@@ -1,11 +1,18 @@
 """Command-line interface: files, manifests, replay, exit codes."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import shiftrc
 from shiftrc.cli import main
+from shiftrc.config import derive_seed, experiment_from_dict, resolve_config
+from shiftrc.linalg import qr_column_pivot
+from shiftrc.pipeline import build_series, prepare_mask_context
 
 TINY_SWEEP = {
     "task": {"system": "lorenz", "kind": "prediction"},
@@ -88,6 +95,29 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config_echo"]["task"]["system"] == "lorenz"
 
+    def test_series_csv_round_trips_the_source(self, tmp_path):
+        # t is k * sample_interval, and 17 significant digits give every
+        # double back exactly
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["data"]["sample_interval"] = 0.1
+        out = tmp_path / "out"
+        assert main(["generate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[0] == "t,x,y,z"
+        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        series = build_series(experiment_from_dict(resolve_config(payload)).data)
+        np.testing.assert_array_equal(parsed[:, 0], np.arange(len(series)) * 0.1)
+        np.testing.assert_array_equal(parsed[:, 1:], series)
+
+    def test_negative_seed_rejected_before_compute(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["generate", "--config", write_config(tmp_path, TINY_SWEEP),
+                     "--out", str(out), "--seed", "-3"])
+        assert code == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -134,6 +164,27 @@ class TestSweep:
         assert (out / "diagnostics" / "mask_0000_selection.json").exists()
         assert (out / "diagnostics" / "mask_0001_rdiag.csv").exists()
 
+    def test_selection_diagnostics_record_the_pivot(self, tmp_path):
+        # per mask: the full pivot order of the training matrix, its |R_kk|,
+        # and the same |R_kk| again as a CSV
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP),
+                     "--out", str(out), "--subset", "rrqr"]) == 0
+        cfg = experiment_from_dict(resolve_config(TINY_SWEEP))
+        n_columns, diag = cfg.n_shift_columns, out / "diagnostics"
+        for mask_id in range(cfg.n_masks):
+            sel = json.loads((diag / f"mask_{mask_id:04d}_selection.json").read_text())
+            ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
+            tall = qr_column_pivot(ctx.shifted_train.values)
+            assert sel["retained"] == [list(ctx.shifted_train.columns[j]) for j in tall.perm]
+            assert sel["m_red"] == len(sel["retained"]) == n_columns
+            assert len(sel["r_diag"]) == n_columns
+            rdiag = (diag / f"mask_{mask_id:04d}_rdiag.csv").read_text().splitlines()
+            assert rdiag[0] == "k,r_kk_abs"
+            assert [line.split(",")[0] for line in rdiag[1:]] == [
+                str(k) for k in range(n_columns)]
+            assert [float(line.split(",")[1]) for line in rdiag[1:]] == sel["r_diag"]
+
     def test_replay_reproduces_bitwise(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
         out = tmp_path / "out"
@@ -179,6 +230,20 @@ class TestSweep:
         assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
         assert "tool_version" in capsys.readouterr().err
         assert not replay_out.exists()
+
+    def test_replay_rejects_unknown_subset_mode_or_command(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out),
+              "--subset", "rrqr"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        edited = tmp_path / "edited.json"
+        replay_out = tmp_path / "replayed"
+        for field, value in (("subset_mode", "ranked"), ("command", "bogus")):
+            edited.write_text(json.dumps({**manifest, field: value}))
+            assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+            err = capsys.readouterr().err
+            assert field in err and value in err
+            assert not replay_out.exists()
 
     def test_subset_rrqr_leaves_random_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
@@ -329,6 +394,15 @@ class TestErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_manifest_root_not_an_object(self, tmp_path, capsys):
+        # a string holding every required key passes an ``in`` check
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps("command config_echo config_hash tool_version"))
+        out = tmp_path / "o"
+        assert main(["replay", "--manifest", str(path), "--out", str(out)]) == 2
+        assert "object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TINY_SWEEP))
         payload["typo_key"] = 1
@@ -342,3 +416,30 @@ class TestErrors:
         blocker.write_text("a file, not a directory")
         code = main(["generate", "--config", cfg, "--out", str(blocker / "sub")])
         assert code == 3
+
+
+WRITE_CALLS = {"write_text", "write_bytes", "dump", "save", "savez", "savetxt", "tofile"}
+
+
+def _opens_for_writing(call):
+    """An ``open`` call given a mode that writes, appends or creates."""
+    args = call.args + [k.value for k in call.keywords]
+    return any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+               and set(a.value) <= set("rwaxbt+") and set(a.value) & set("wax+")
+               for a in args)
+
+
+def test_only_the_cli_writes_files():
+    # the output format lives behind one module: no other module of the
+    # package opens a file for writing or writes one through a helper
+    found = []
+    for path in sorted(Path(shiftrc.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in WRITE_CALLS or (name == "open" and _opens_for_writing(node)):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found

@@ -13,7 +13,6 @@ from shiftrc.dynamics import (
     lorenz_params,
     make_task,
     rossler_params,
-    save_series_csv,
     standardize,
 )
 from shiftrc.errors import DegenerateSignalError, DivergenceError
@@ -188,16 +187,3 @@ class TestMakeTask:
         make_task(series[:501], TaskKind.ONE_STEP_PREDICTION, split=(300, 200))
         with pytest.raises(ValueError, match="need 501"):
             make_task(series[:500], TaskKind.ONE_STEP_PREDICTION, split=(300, 200))
-
-
-def test_series_csv_roundtrip(tmp_path):
-    series = integrate_chaotic(lorenz_params(transient_samples=0), (1.0, 1.0, 1.0), 4)
-    path = tmp_path / "series.csv"
-    save_series_csv(path, series, sample_interval=1.0)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x,y,z"
-    assert len(lines) == 5
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    np.testing.assert_array_equal(parsed[:, 0], [0.0, 1.0, 2.0, 3.0])
-    # 17 significant digits round-trip doubles exactly
-    np.testing.assert_array_equal(parsed[:, 1:], series)

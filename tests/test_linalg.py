@@ -17,7 +17,6 @@ from shiftrc.linalg import (
     r22_bound_check,
     ridge_fit,
     ridge_solve,
-    save_r_diag_csv,
 )
 
 
@@ -461,13 +460,3 @@ class TestNrmseProperties:
         else:
             assert nrmse(g, h, NrmseMode.PAPER_LITERAL) == nrmse(
                 g[keep], h[keep], NrmseMode.PAPER_LITERAL)
-
-
-def test_r_diag_csv(tmp_path, rng):
-    qr = qr_column_pivot(rng.normal(size=(10, 4)))
-    path = tmp_path / "rdiag.csv"
-    save_r_diag_csv(path, qr.r_diag)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "k,r_kk_abs"
-    assert len(lines) == 5
-    assert float(lines[1].split(",")[1]) == pytest.approx(qr.r_diag[0])

@@ -407,12 +407,14 @@ def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
         gc = g_obs_train - g_obs_train.mean()
         correlations.append(np.mean(np.abs(xc.T @ gc) / np.sqrt(
             (xc**2).sum(axis=0) * (gc**2).sum())))
-        readout = ridge_fit(train.values, g_obs_train, cfg.ridge_lambda)
+        readout = ridge_fit(train.values, g_obs_train, cfg.ridge_lambda,
+                           include_bias=cfg.include_bias)
         err_obs.append(nrmse(g_obs_test, predict(test.values, readout), mode))
         g_pred_train = pred.target_train[cfg.washout :]
         g_pred_test = pred.target_test if cfg.continuation \
             else pred.target_test[cfg.washout :]
-        readout = ridge_fit(train.values, g_pred_train, cfg.ridge_lambda)
+        readout = ridge_fit(train.values, g_pred_train, cfg.ridge_lambda,
+                           include_bias=cfg.include_bias)
         err_pred.append(nrmse(g_pred_test, predict(test.values, readout), mode))
     return pipeline.AnalysisRow(
         f_w=f_w,
@@ -454,6 +456,19 @@ class TestAnalysisCell:
             assert got.entropy_bits == want.entropy_bits
             for name in ("mean_correlation", "nrmse_observer", "nrmse_prediction"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+    @pytest.mark.parametrize("continuation", [True, False])
+    def test_bias_readouts_match_per_trial_reference(self, continuation):
+        acfg = tiny_analysis(continuation=continuation, include_bias=True)
+        datasets = (build_dataset(acfg.base.data, "observer"),
+                    build_dataset(acfg.base.data, "prediction"))
+        got = pipeline._analysis_cell(acfg, 0, 0.3, 0, 0.5, datasets)
+        want = reference_analysis_cell(acfg, 0, 0.3, 0, 0.5, datasets)
+        unbiased = pipeline._analysis_cell(tiny_analysis(continuation=continuation),
+                                           0, 0.3, 0, 0.5, datasets)
+        for name in ("nrmse_observer", "nrmse_prediction"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+            assert getattr(got, name) != getattr(unbiased, name)
 
     def test_training_rows_shorter_than_window_rejected(self):
         acfg = dataclasses.replace(tiny_analysis(), window=20)

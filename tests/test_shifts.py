@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from shiftrc.linalg import covariance_rank, qr_column_pivot
 from shiftrc.reservoir import StateMatrix
 from shiftrc.shifts import (
-    SelectionMethod,
     SelectionResult,
     build_shifted_matrix,
     random_select,
@@ -79,7 +78,8 @@ class TestRRQRSelect:
     def test_full_width_keeps_everything(self, oeo_shifted):
         sel = rrqr_select(oeo_shifted, oeo_shifted.n_columns)
         assert set(sel.retained) == set(oeo_shifted.columns)
-        assert sel.method is SelectionMethod.RRQR
+        tall = qr_column_pivot(oeo_shifted.values)
+        assert sel.retained == [oeo_shifted.columns[j] for j in tall.perm]
         assert len(sel.r_diag) == oeo_shifted.n_columns
 
     def test_duplicate_column_pivots_last(self):
@@ -126,6 +126,7 @@ class TestRandomSelect:
     def test_full_width_any_seed(self, oeo_shifted):
         sel = random_select(oeo_shifted, oeo_shifted.n_columns, seed=123)
         assert set(sel.retained) == set(oeo_shifted.columns)
+        assert sel.r_diag is None  # only a ranking has a pivot spectrum
 
     def test_deterministic(self, oeo_shifted):
         a = random_select(oeo_shifted, 7, seed=55)
@@ -200,25 +201,5 @@ class TestProperties:
 
     def test_selection_result_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
-            SelectionResult(method=SelectionMethod.RANDOM,
-                            retained=[(0, 0), (0, 0)], seed=1)
+            SelectionResult(retained=[(0, 0), (0, 0)])
 
-
-def test_selection_json_roundtrip(tmp_path, random_states):
-    import json
-
-    shifted = build_shifted_matrix(random_states, 3)
-    sel = rrqr_select(shifted, 5)
-    path = tmp_path / "selection.json"
-    sel.save_json(path)
-    loaded = json.loads(path.read_text())
-    assert loaded["method"] == "rrqr"
-    assert loaded["m_red"] == 5
-    assert [tuple(p) for p in loaded["retained"]] == sel.retained
-    assert len(loaded["r_diag"]) == shifted.n_columns
-
-    rnd = random_select(shifted, 5, seed=99)
-    rnd.save_json(path)
-    loaded = json.loads(path.read_text())
-    assert loaded["seed"] == 99
-    assert "r_diag" not in loaded
