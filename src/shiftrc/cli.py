@@ -85,6 +85,20 @@ def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
                     encoding="ascii")
 
 
+def _write_selection(path: Path, sel) -> None:
+    """A ranked selection: its pivot order, width and |R_kk|."""
+    _write_json(path, {
+        "method": "rrqr",  # the sweep records only its ranked selections
+        "m_red": len(sel.retained),
+        "retained": [[n, s] for n, s in sel.retained],
+        "r_diag": [float(v) for v in sel.r_diag],
+    })
+
+
+def _write_r_diag(path: Path, r_diag) -> None:
+    _write_csv(path, ("k", "r_kk_abs"), enumerate(r_diag))
+
+
 def _write_manifest(out_dir: Path, command: str, resolved: dict,
                     output_paths: list[str], wall_time: float,
                     subset_mode: str) -> None:
@@ -124,14 +138,9 @@ def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
         (out_dir / "diagnostics").mkdir(exist_ok=True)
     for mask_id, pivot in enumerate(result.pivots):
         sel_path = f"diagnostics/mask_{mask_id:04d}_selection.json"
-        _write_json(out_dir / sel_path, {
-            "method": "rrqr",  # the sweep records only its ranked selections
-            "m_red": len(pivot.retained),
-            "retained": [[n, s] for n, s in pivot.retained],
-            "r_diag": [float(v) for v in pivot.r_diag],
-        })
+        _write_selection(out_dir / sel_path, pivot)
         rdiag_path = f"diagnostics/mask_{mask_id:04d}_rdiag.csv"
-        _write_csv(out_dir / rdiag_path, ("k", "r_kk_abs"), enumerate(pivot.r_diag))
+        _write_r_diag(out_dir / rdiag_path, pivot.r_diag)
         paths += [sel_path, rdiag_path]
     return paths
 

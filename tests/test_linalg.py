@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
+from shiftrc.cli import _write_r_diag
 from shiftrc.errors import DegenerateTargetError, SingularMatrixError
 from shiftrc.linalg import (
     NrmseMode,
@@ -460,3 +461,13 @@ class TestNrmseProperties:
         else:
             assert nrmse(g, h, NrmseMode.PAPER_LITERAL) == nrmse(
                 g[keep], h[keep], NrmseMode.PAPER_LITERAL)
+
+
+def test_r_diag_csv(tmp_path, rng):
+    qr = qr_column_pivot(rng.normal(size=(10, 4)))
+    path = tmp_path / "rdiag.csv"
+    _write_r_diag(path, qr.r_diag)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "k,r_kk_abs"
+    assert len(lines) == 5
+    assert [float(line.split(",")[1]) for line in lines[1:]] == list(qr.r_diag)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftrc.cli import _write_selection
 from shiftrc.linalg import covariance_rank, qr_column_pivot
 from shiftrc.reservoir import StateMatrix
 from shiftrc.shifts import (
@@ -203,3 +204,17 @@ class TestProperties:
         with pytest.raises(ValueError, match="distinct"):
             SelectionResult(retained=[(0, 0), (0, 0)])
 
+
+def test_selection_json_roundtrip(tmp_path, random_states):
+    import json
+
+    shifted = build_shifted_matrix(random_states, 3)
+    sel = rrqr_select(shifted, 5)
+    path = tmp_path / "selection.json"
+    _write_selection(path, sel)
+    loaded = json.loads(path.read_text())
+    assert loaded["method"] == "rrqr"
+    assert loaded["m_red"] == 5
+    assert [tuple(p) for p in loaded["retained"]] == sel.retained
+    assert loaded["r_diag"] == list(sel.r_diag)
+    assert len(loaded["r_diag"]) == shifted.n_columns
