@@ -214,7 +214,8 @@ def resolve_config(raw: dict) -> dict:
 
     Raises:
         ConfigError: schema violation (message names the offending field) or
-            cross-field inconsistency such as an oversized m_red entry.
+            cross-field inconsistency such as an oversized m_red entry or an
+            input fraction that rounds to no input node.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -237,6 +238,16 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(
                 f"invalid config field 'selection.m_red_grid': {m_red} exceeds "
                 f"nodes*(tau_max+1) = {max_cols}"
+            )
+    # Only a tanh reservoir runs the analysis grid, so only its f_w_values count.
+    fractions = [("reservoir.f_w", resolved["reservoir"]["f_w"])]
+    if resolved["reservoir"]["kind"] == "tanh":
+        fractions += [("analysis.f_w_values", f) for f in resolved["analysis"]["f_w_values"]]
+    for name, f_w in fractions:
+        if round(f_w * nodes) == 0:
+            raise ConfigError(
+                f"invalid config field '{name}': round({f_w} * nodes) = 0, so the "
+                "reservoir would receive no input"
             )
     if resolved["data"]["train_steps"] <= resolved["washout"] + tau_max:
         raise ConfigError(

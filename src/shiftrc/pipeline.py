@@ -10,7 +10,7 @@ improvement between the two arms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,21 +116,17 @@ def build_trial_reservoir(cfg: ExperimentConfig, trial_seed: int):
     )
 
 
-def run_split_states(res_cfg, dataset: dynamics.TaskDataset, washout: int,
+def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,
                      continuation: bool = True):
-    """Run a reservoir over both splits and return aligned states and targets.
+    """Run reservoirs over both splits; one ``(train, test, g_train, g_test)``
+    tuple of aligned states and targets per config.
 
+    The configs, all of one kind, run as one batch (one call per drive).
     With ``continuation`` the test split continues from the post-training
     reservoir state (one run over the concatenated drive, then a row split);
     otherwise the test split starts fresh and pays its own washout.
-
-    ``res_cfg`` may also be a list of configs of one kind. They run as one
-    batch (one call per drive), and one ``(train, test, g_train, g_test)``
-    tuple per config is returned.
     """
-    single = not isinstance(res_cfg, list)
-    cfgs = [res_cfg] if single else res_cfg
-    run = (reservoir.run_oeo_reservoir if isinstance(cfgs[0], reservoir.OEOConfig)
+    run = (reservoir.run_oeo_reservoir if isinstance(res_cfgs[0], reservoir.OEOConfig)
            else reservoir.run_tanh_reservoir)
     if continuation:
         full = np.concatenate([dataset.drive_train, dataset.drive_test])
@@ -138,23 +134,23 @@ def run_split_states(res_cfg, dataset: dynamics.TaskDataset, washout: int,
         splits = [
             (reservoir.StateMatrix(sm.values[:n_train_rows], list(sm.node_ids), washout),
              reservoir.StateMatrix(sm.values[n_train_rows:], list(sm.node_ids), 0))
-            for sm in run(cfgs, full, washout)
+            for sm in run(res_cfgs, full, washout)
         ]
         targets = (dataset.target_train[washout:], dataset.target_test)
     else:
-        splits = list(zip(run(cfgs, dataset.drive_train, washout),
-                          run(cfgs, dataset.drive_test, washout)))
+        splits = list(zip(run(res_cfgs, dataset.drive_train, washout),
+                          run(res_cfgs, dataset.drive_test, washout)))
         targets = (dataset.target_train[washout:], dataset.target_test[washout:])
-    out = [(train, test, *targets) for train, test in splits]
-    return out[0] if single else out
+    return [(train, test, *targets) for train, test in splits]
 
 
-@dataclass(frozen=True)
-class CompressedTrain:
-    """One Householder QR of a mask's training system, shared by every cell.
+@dataclass
+class MaskContext:
+    """Everything one (mask, task) pair needs to score any selection.
 
+    ``r`` and ``c`` hold one Householder QR of the training system,
     ``[X | 1 | g] = Q R`` for the shifted training matrix ``X`` (C columns),
-    a ones column and the training target. ``r`` is the leading
+    a ones column and the training target: ``r`` is the leading
     ``(C + 1) x (C + 1)`` triangle and ``c = Q^T g`` its right-hand side,
     so for any column set S
 
@@ -165,77 +161,48 @@ class CompressedTrain:
     serve fits without a bias (row C is zero in every state column).
     """
 
-    index: dict[tuple[int, int], int]
-    r: np.ndarray
-    c: np.ndarray
-
-
-@dataclass
-class MaskContext:
-    """Everything one (mask, task) pair needs to score any selection."""
-
     shifted_train: shifts.ShiftedMatrix
     shifted_test: shifts.ShiftedMatrix
     target_train: np.ndarray
     target_test: np.ndarray
-
-    @cached_property
-    def compressed(self) -> CompressedTrain:
-        """The training system compressed once, on first use (unpivoted
-        LAPACK QR; no normal equations are formed)."""
-        x = self.shifted_train.values
-        system = np.column_stack([x, np.ones(x.shape[0]), self.target_train])
-        if not np.all(np.isfinite(system)):
-            raise ValueError("training matrix or target contains non-finite entries")
-        n = x.shape[1]
-        r = np.linalg.qr(system, mode="r")
-        return CompressedTrain(
-            index={pair: j for j, pair in enumerate(self.shifted_train.columns)},
-            r=r[: n + 1, : n + 1],
-            c=r[: n + 1, n + 1],
-        )
+    r: np.ndarray
+    c: np.ndarray
 
 
 def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
-    return MaskContext(
-        shifted_train=shifts.build_shifted_matrix(train, tau_max),
-        shifted_test=shifts.build_shifted_matrix(test, tau_max),
-        target_train=g_train[tau_max:],
-        target_test=g_test[tau_max:],
-    )
+    """Shift both splits and compress the training system (unpivoted
+    LAPACK QR; no normal equations are formed)."""
+    shifted_train = shifts.build_shifted_matrix(train, tau_max)
+    shifted_test = shifts.build_shifted_matrix(test, tau_max)
+    target_train = g_train[tau_max:]
+    x = shifted_train.values
+    system = np.column_stack([x, np.ones(x.shape[0]), target_train])
+    if not np.all(np.isfinite(system)):
+        raise ValueError("training matrix or target contains non-finite entries")
+    n = x.shape[1]
+    r = np.linalg.qr(system, mode="r")
+    return MaskContext(shifted_train, shifted_test, target_train, g_test[tau_max:],
+                       r=r[: n + 1, : n + 1], c=r[: n + 1, n + 1])
 
 
-def prepare_mask_context(
-    cfg: ExperimentConfig,
-    trial_seed: int,
-    dataset: dynamics.TaskDataset | None = None,
-) -> MaskContext:
-    """Simulate one reservoir realization and build its shifted matrices."""
-    if dataset is None:
-        dataset = build_dataset(cfg.data)
-    res_cfg = build_trial_reservoir(cfg, trial_seed)
-    return _mask_context(
-        cfg.tau_max, *run_split_states(res_cfg, dataset, cfg.washout, cfg.continuation)
-    )
-
-
-def _fit_group(comp: CompressedTrain, cols, ridge_lambda, include_bias, sizes=None):
+def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
     """Weights ``(C + 1, cells)`` of a group of equal-size column sets
     ``cols`` (``(b, k)`` state-column indices), row C holding the bias.
 
     One :func:`linalg.ridge_solve` fits every set on the compressed
-    triangle, or with ``sizes`` each of its prefixes of those sizes. The
-    bias column, if included, comes first, so every prefix holds it; it is
-    penalised like the others.
+    triangle, or with ``sizes`` each of its prefixes of those sizes; by the
+    residual identity of :class:`MaskContext` each fit has the tall
+    problem's solution. The bias column, if included, comes first, so every
+    prefix holds it; it is penalised like the others.
     """
-    n = comp.r.shape[0] - 1
+    n = ctx.r.shape[0] - 1
     cols = np.asarray(cols, dtype=int)
     if include_bias:
         cols = np.column_stack([np.full(cols.shape[0], n), cols])  # ones column
         sizes = None if sizes is None else [p + 1 for p in sizes]
     rows = n + include_bias
-    x = comp.r[:rows, cols].transpose(1, 0, 2)
-    g = np.broadcast_to(comp.c[:rows, None], (cols.shape[0], rows, 1))
+    x = ctx.r[:rows, cols].transpose(1, 0, 2)
+    g = np.broadcast_to(ctx.c[:rows, None], (cols.shape[0], rows, 1))
     w = linalg.ridge_solve(x, g, ridge_lambda, sizes)[..., 0]
     b, s, k = w.shape
     out = np.zeros((n + 1, b * s))
@@ -256,37 +223,6 @@ def _score_weights(ctx: MaskContext, w, mode: NrmseMode) -> list[tuple[float, fl
     return list(zip(*errs))
 
 
-def score_selection(
-    ctx: MaskContext,
-    pairs,
-    ridge_lambda: float,
-    include_bias: bool = False,
-    nrmse_mode: NrmseMode = NrmseMode.GLOBAL,
-) -> tuple[float, float]:
-    """Fit on the selected training columns, score both splits.
-
-    The fit runs on the mask's compressed training system: by the residual
-    identity of :class:`CompressedTrain`, the ridge problem on ``X_S`` has
-    the same solution as the one on ``r[:, S]`` against ``c``, which has at
-    most C + 1 rows. The weights are scattered into a full-width vector and
-    both splits are predicted from their full shifted matrices, so the
-    selection and the readout depend only on training data and no column
-    is copied. This is a sweep group of one cell.
-
-    Raises:
-        KeyError: a pair does not name a shifted column.
-        SingularMatrixError: lambda is zero and the selected columns (with
-            the bias, if included) are rank deficient.
-    """
-    comp = ctx.compressed
-    try:
-        cols = [comp.index[tuple(p)] for p in pairs]
-    except KeyError as exc:
-        raise KeyError(f"unknown (node, shift) pair {exc.args[0]}") from None
-    w = _fit_group(comp, [cols], ridge_lambda, include_bias)
-    return _score_weights(ctx, w, NrmseMode(nrmse_mode))[0]
-
-
 def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     """Score every cell of one mask: ranked prefixes, random subsets, baseline.
 
@@ -297,8 +233,8 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     reservoir evaluated on the same trimmed row window.
     """
     mode = NrmseMode(cfg.nrmse_mode)
-    comp = ctx.compressed
     n = ctx.shifted_train.n_columns
+    index = {pair: j for j, pair in enumerate(ctx.shifted_train.columns)}
     cells: list[TaskResult] = []
 
     def score(w, labels):
@@ -308,13 +244,13 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
             cells.append(TaskResult(train_err, test_err, method, m_red, mask_id, seed))
 
     def fit(cols, sizes=None):
-        return _fit_group(comp, cols, cfg.ridge_lambda, cfg.include_bias, sizes)
+        return _fit_group(ctx, cols, cfg.ridge_lambda, cfg.include_bias, sizes)
 
     pivot = None
     if subset_mode in ("both", "rrqr"):
-        pivot = shifts.rrqr_select(ctx.shifted_train, n, r=comp.r[:n, :n])
+        pivot = shifts.rrqr_select(ctx.shifted_train, n, r=ctx.r[:n, :n])
         sizes = [min(m_red, n) for m_red in cfg.m_red_grid]
-        ranked = fit([[comp.index[p] for p in pivot.retained]], sizes)
+        ranked = fit([[index[p] for p in pivot.retained]], sizes)
     for j, m_red in enumerate(cfg.m_red_grid):
         w, labels = [], []
         if pivot is not None:
@@ -323,12 +259,12 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
         if subset_mode in ("both", "random"):
             seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
                      for subset_id in range(cfg.n_random_subsets)]
-            w.append(fit([[comp.index[p] for p in
+            w.append(fit([[index[p] for p in
                            shifts.random_select(ctx.shifted_train, m_red, seed).retained]
                           for seed in seeds]))
             labels += [("random", m_red, seed) for seed in seeds]
         score(np.hstack(w), labels)
-    score(fit([[comp.index[(node, 0)] for node in range(cfg.n_nodes)]]),
+    score(fit([[index[(node, 0)] for node in range(cfg.n_nodes)]]),
           [("baseline", cfg.n_nodes, None)])
     return cells, pivot
 
@@ -417,10 +353,10 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     as in the binary tree of TSQR. That keeps the rounding of R close to a
     single QR of the whole matrix, where folding every piece into one
     running factor made readout NRMSEs drift by up to 7e-12 relative. By
-    the residual identity of :class:`CompressedTrain` both readouts fit on
-    the leading ``m + 1`` rows of R, and the ones column comes first, so
-    the Pearson correlation with ``g_obs`` is read from R as well. The test
-    split is predicted piece by piece.
+    the residual identity of :class:`MaskContext` both readouts fit on the
+    leading ``m + 1`` rows of R. Unlike the sweep's factor, the ones column
+    comes first, so the Pearson correlation with ``g_obs`` is read from R as
+    well. The test split is predicted piece by piece.
     """
     obs, pred = datasets
     washout = cfg.washout

@@ -75,12 +75,15 @@ def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
     return _sparse_uniform(m, f_w, rng_seed)
 
 
+# Sparse draws of zero spectral radius that generate_adjacency retries.
+ADJACENCY_ATTEMPTS = 100
+
+
 def generate_adjacency(
     m: int,
     f_a: float,
     spectral_radius: float,
     rng_seed: int,
-    max_attempts: int = 100,
 ) -> np.ndarray:
     """Random sparse adjacency with a prescribed spectral radius.
 
@@ -91,7 +94,7 @@ def generate_adjacency(
 
     Raises:
         ValueError: the raw draw had spectral radius zero in
-            ``max_attempts`` consecutive attempts.
+            ``ADJACENCY_ATTEMPTS`` consecutive attempts.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -102,7 +105,7 @@ def generate_adjacency(
     rng = np.random.default_rng(rng_seed)
     n_offdiag = m * (m - 1)
     n_nonzero = round(f_a * n_offdiag)
-    for _ in range(max_attempts):
+    for _ in range(ADJACENCY_ATTEMPTS):
         a = np.zeros((m, m))
         flat = rng.choice(n_offdiag, size=n_nonzero, replace=False)
         rows = flat // (m - 1)
@@ -117,7 +120,7 @@ def generate_adjacency(
         if rho > 0.0:
             return a * (spectral_radius / rho)
     raise ValueError(
-        f"spectral radius of the sparse draw was zero in {max_attempts} attempts"
+        f"spectral radius of the sparse draw was zero in {ADJACENCY_ATTEMPTS} attempts"
     )
 
 
@@ -129,9 +132,6 @@ class TanhReservoirConfig:
     alpha: float
     a: np.ndarray
     w_in: np.ndarray
-    f_a: float = 1.0
-    f_w: float = 1.0
-    spectral_radius: float = 0.5
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -159,10 +159,7 @@ def make_tanh_config(
     """Generate a random tanh reservoir with the default operating point."""
     a = generate_adjacency(m, f_a, spectral_radius, adjacency_seed)
     w_in = generate_input_weights(m, f_w, input_seed)
-    return TanhReservoirConfig(
-        m=m, alpha=alpha, a=a, w_in=w_in, f_a=f_a, f_w=f_w,
-        spectral_radius=spectral_radius,
-    )
+    return TanhReservoirConfig(m=m, alpha=alpha, a=a, w_in=w_in)
 
 
 def run_tanh_reservoir(

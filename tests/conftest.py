@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shiftrc import integrate_chaotic, lorenz_params, standardize
+from shiftrc import integrate_chaotic, lorenz_params, pipeline, standardize
+from shiftrc.linalg import NrmseMode
 from shiftrc.reservoir import make_oeo_config, run_oeo_reservoir
 from shiftrc.shifts import build_shifted_matrix
 
@@ -49,6 +50,24 @@ def oeo_shifted():
     return build_shifted_matrix(states, 10)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20230117)
+
+
+def mask_context(cfg, trial_seed: int) -> pipeline.MaskContext:
+    """One mask of a sweep config simulated alone, shifted and compressed
+    as the sweep prepares each of its masks."""
+    res_cfg = pipeline.build_trial_reservoir(cfg, trial_seed)
+    split = pipeline.run_split_states([res_cfg], pipeline.build_dataset(cfg.data),
+                                      cfg.washout, cfg.continuation)[0]
+    return pipeline._mask_context(cfg.tau_max, *split)
+
+
+def score_pairs(ctx, pairs, ridge_lambda: float, include_bias: bool = False,
+                mode: NrmseMode = NrmseMode.GLOBAL) -> tuple[float, float]:
+    """``(train, test)`` NRMSE of one readout on the (node, shift) ``pairs``,
+    fitted and scored as a sweep group of one cell."""
+    cols = [ctx.shifted_train.columns.index(p) for p in pairs]
+    w = pipeline._fit_group(ctx, [cols], ridge_lambda, include_bias)
+    return pipeline._score_weights(ctx, w, mode)[0]

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import shiftrc
 from shiftrc.cli import main
 from shiftrc.config import derive_seed, experiment_from_dict, resolve_config
 from shiftrc.linalg import qr_column_pivot
-from shiftrc.pipeline import build_series, prepare_mask_context
+from shiftrc.pipeline import build_series
+
+from conftest import mask_context
 
 TINY_SWEEP = {
     "task": {"system": "lorenz", "kind": "prediction"},
@@ -174,7 +177,7 @@ class TestSweep:
         n_columns, diag = cfg.n_shift_columns, out / "diagnostics"
         for mask_id in range(cfg.n_masks):
             sel = json.loads((diag / f"mask_{mask_id:04d}_selection.json").read_text())
-            ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
+            ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
             tall = qr_column_pivot(ctx.shifted_train.values)
             assert sel["retained"] == [list(ctx.shifted_train.columns[j]) for j in tall.perm]
             assert sel["m_red"] == len(sel["retained"]) == n_columns
@@ -309,6 +312,17 @@ class TestSweep:
         assert "SHIFTRC_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_input_fraction_reaching_no_node_rejected(self, tmp_path, capsys):
+        # round(0.2 * 2) = 0: the mask would drive no node
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["reservoir"].update(nodes=2, f_w=0.2)
+        payload["selection"]["m_red_grid"] = [4, 8]
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert "reservoir.f_w" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nrmse_mode_flag(self, tmp_path):
         payload = json.loads(json.dumps(TINY_SWEEP))
         payload["task"]["kind"] = "observer"  # strictly positive target
@@ -381,6 +395,17 @@ class TestAnalyze:
         assert code == 2
         assert "tanh" in capsys.readouterr().err
 
+    def test_grid_fraction_reaching_no_node_rejected(self, tmp_path, capsys):
+        # round(0.1 * 4) = 0: the first grid column would drive no node
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["reservoir"]["nodes"] = 4
+        payload["analysis"]["f_w_values"] = [0.1, 1.0]
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert "analysis.f_w_values" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -443,3 +468,26 @@ def test_only_the_cli_writes_files():
             if name in WRITE_CALLS or (name == "open" and _opens_for_writing(node)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_no_definition_exists_only_for_tests():
+    # every top-level function and class of the package is used by the
+    # package, exported from it or timed by the benchmark; code that only
+    # the tests call belongs in the tests
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    package = Path(shiftrc.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used = {(node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    used |= {alias.name for node in ast.walk(trees["__init__"])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used and (module, node.name) not in tracing.LAYERS]
+    assert not unused

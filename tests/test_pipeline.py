@@ -12,22 +12,11 @@ from shiftrc import analysis, dynamics, pipeline, reservoir
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
 from shiftrc.errors import SingularMatrixError
 from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
-from shiftrc.pipeline import (
-    MaskContext,
-    build_dataset,
-    percent_improvement,
-    prepare_mask_context,
-    score_selection,
-    sweep,
-)
+from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.reservoir import StateMatrix
-from shiftrc.shifts import (
-    ShiftedMatrix,
-    build_shifted_matrix,
-    random_select,
-    reduce_columns,
-    rrqr_select,
-)
+from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
+
+from conftest import mask_context, score_pairs
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -82,20 +71,13 @@ def _synthetic_context(rng, target_in_span=True, duplicate=False):
         cols[:, 2] = cols[:, 0]
     train = StateMatrix(values=cols[:80], node_ids=[0, 1, 2], washout=0)
     test = StateMatrix(values=cols[80:], node_ids=[0, 1, 2], washout=0)
-    return MaskContext(
-        shifted_train=build_shifted_matrix(train, tau),
-        shifted_test=build_shifted_matrix(test, tau),
-        target_train=g_full[:80][tau:],
-        target_test=g_full[80:][tau:],
-    )
+    return pipeline._mask_context(tau, train, test, g_full[:80], g_full[80:])
 
 
 class TestScoreSelection:
     def test_target_in_column_space_fits_exactly(self, rng):
         ctx = _synthetic_context(rng)
-        train_err, test_err = score_selection(
-            ctx, [(n, 0) for n in range(3)], ridge_lambda=0.0
-        )
+        train_err, test_err = score_pairs(ctx, [(n, 0) for n in range(3)], ridge_lambda=0.0)
         assert train_err <= 1e-8
         assert test_err <= 1e-8
 
@@ -120,13 +102,10 @@ def direct_score(ctx, pairs, ridge_lambda, include_bias=False,
 
 
 def _context_from(x_train, x_test, g_train, g_test):
-    labels = [(j, 0) for j in range(x_train.shape[1])]
-    return MaskContext(
-        shifted_train=ShiftedMatrix(x_train, labels, 0),
-        shifted_test=ShiftedMatrix(x_test, labels, 0),
-        target_train=g_train,
-        target_test=g_test,
-    )
+    # tau_max = 0: column j is labelled (j, 0)
+    nodes = list(range(x_train.shape[1]))
+    return pipeline._mask_context(0, StateMatrix(x_train, nodes, 0),
+                                  StateMatrix(x_test, nodes, 0), g_train, g_test)
 
 
 @st.composite
@@ -156,14 +135,14 @@ class TestCompressedReadout:
                             rng.normal(size=t), rng.normal(size=t // 2 + 1))
         pairs = [(j, 0) for j in problem["subset"]]
         args = (problem["ridge_lambda"], problem["bias"], problem["mode"])
-        got = score_selection(ctx, pairs, *args)
+        got = score_pairs(ctx, pairs, *args)
         want = direct_score(ctx, pairs, *args)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_bias_cell_of_sweep_matches_direct_fit(self):
         cfg = tiny_config(n_masks=1, include_bias=True)
         result = sweep(cfg)
-        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
         ranked = result.pivots[0].retained
         checked = 0
         for cell in result.cells:
@@ -183,28 +162,24 @@ class TestCompressedReadout:
     def test_duplicated_column_at_zero_lambda_raises(self, rng):
         ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
         with pytest.raises(SingularMatrixError):
-            score_selection(ctx, [(0, 0), (2, 0)], ridge_lambda=0.0)
+            score_pairs(ctx, [(0, 0), (2, 0)], ridge_lambda=0.0)
         with pytest.raises(SingularMatrixError):
-            score_selection(ctx, [(0, 1), (2, 1), (1, 0)], ridge_lambda=0.0,
-                            include_bias=True)
+            score_pairs(ctx, [(0, 1), (2, 1), (1, 0)], ridge_lambda=0.0, include_bias=True)
 
     def test_full_rank_subset_at_zero_lambda_fits(self, rng):
         ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
         pairs = [(0, 0), (1, 0), (2, 1)]
-        got = score_selection(ctx, pairs, ridge_lambda=0.0)
+        got = score_pairs(ctx, pairs, ridge_lambda=0.0)
         np.testing.assert_allclose(got, direct_score(ctx, pairs, 0.0),
                                    rtol=1e-12, atol=0.0)
 
     def test_non_finite_training_data_rejected(self, rng):
-        ctx = _synthetic_context(rng)
-        ctx.shifted_train.values[5, 1] = np.nan
+        values = rng.normal(size=(40, 3))
+        values[5, 1] = np.nan
+        states = StateMatrix(values=values, node_ids=[0, 1, 2], washout=0)
         with pytest.raises(ValueError, match="non-finite"):
-            score_selection(ctx, [(0, 0)], ridge_lambda=1e-6)
-
-    def test_unknown_pair_rejected(self, rng):
-        ctx = _synthetic_context(rng)
-        with pytest.raises(KeyError, match="unknown"):
-            score_selection(ctx, [(0, 0), (0, 9)], ridge_lambda=1e-6)
+            pipeline._mask_context(2, states, states, rng.normal(size=40),
+                                   rng.normal(size=40))
 
 
 @st.composite
@@ -231,17 +206,17 @@ class TestFitGroup:
         c = problem["n_cols"]
         ctx = _context_from(rng.normal(size=(c + 30, c)), rng.normal(size=(9, c)),
                             rng.normal(size=c + 30), rng.normal(size=9))
-        comp, lam, bias = ctx.compressed, problem["ridge_lambda"], problem["bias"]
+        lam, bias = problem["ridge_lambda"], problem["bias"]
         sets, sizes = problem["sets"], problem["sizes"]
-        got = pipeline._fit_group(comp, sets, lam, bias, sizes)
+        got = pipeline._fit_group(ctx, sets, lam, bias, sizes)
         prefixes = sizes or [len(sets[0])]
         assert got.shape == (c + 1, len(sets) * len(prefixes))
         rows = c + bias
         for i, cols in enumerate(sets):
             for j, p in enumerate(prefixes):
                 fitted = [c] * bias + cols[:p]  # column c of the triangle is the ones column
-                a = np.vstack([comp.r[:rows, fitted], np.sqrt(lam) * np.eye(len(fitted))])
-                b = np.concatenate([comp.c[:rows], np.zeros(len(fitted))])
+                a = np.vstack([ctx.r[:rows, fitted], np.sqrt(lam) * np.eye(len(fitted))])
+                b = np.concatenate([ctx.c[:rows], np.zeros(len(fitted))])
                 want = np.zeros(c + 1)
                 np.add.at(want, fitted, lstsq(a, b, lapack_driver="gelsd")[0])
                 np.testing.assert_allclose(got[:, i * len(prefixes) + j], want,
@@ -249,31 +224,30 @@ class TestFitGroup:
 
     def test_pair_listed_twice_sums_its_weights(self, rng):
         ctx = _synthetic_context(rng, target_in_span=False)
-        twice = score_selection(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
+        twice = score_pairs(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
         want = direct_score(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
         np.testing.assert_allclose(twice, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("bias", [False, True])
     def test_zero_lambda_group_raises_the_member_rank(self, rng, bias):
         ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
-        comp = ctx.compressed
         sets = [[(0, 0), (1, 0), (2, 1)], [(0, 1), (1, 1), (2, 1)], [(0, 2), (1, 0), (2, 2)]]
-        cols = [[comp.index[p] for p in pairs] for pairs in sets]
+        cols = [[ctx.shifted_train.columns.index(p) for p in pairs] for pairs in sets]
         with pytest.raises(SingularMatrixError) as alone:
             direct_score(ctx, sets[1], 0.0, bias)
         with pytest.raises(SingularMatrixError) as grouped:
-            pipeline._fit_group(comp, cols, 0.0, bias)
+            pipeline._fit_group(ctx, cols, 0.0, bias)
         assert grouped.value.estimated_rank == alone.value.estimated_rank == 2 + bias
         assert grouped.value.n_cols == alone.value.n_cols == 3 + bias
 
     @pytest.mark.parametrize("bias", [False, True])
     def test_ranked_prefixes_equal_per_prefix_fits(self, bias):
         cfg = tiny_config(n_masks=1, include_bias=bias)
-        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
         order = rrqr_select(ctx.shifted_train, cfg.n_shift_columns).retained
-        comp, sizes = ctx.compressed, list(range(1, cfg.n_shift_columns + 1))
-        w = pipeline._fit_group(comp, [[comp.index[p] for p in order]], cfg.ridge_lambda,
-                                bias, sizes)
+        sizes = list(range(1, cfg.n_shift_columns + 1))
+        cols = [ctx.shifted_train.columns.index(p) for p in order]
+        w = pipeline._fit_group(ctx, [cols], cfg.ridge_lambda, bias, sizes)
         got = pipeline._score_weights(ctx, w, NrmseMode.GLOBAL)
         for j, p in enumerate(sizes):
             want = direct_score(ctx, order[:p], cfg.ridge_lambda, bias)
@@ -289,28 +263,27 @@ class TestRunSingle:
         assert len(baseline) == 1
         assert baseline[0].m_red == 4
         assert baseline[0].mask_id == 0 and baseline[0].subset_seed is None
-        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        _, test_err = score_selection(ctx, [(n, 0) for n in range(4)],
-                                      cfg.ridge_lambda)
+        ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        _, test_err = score_pairs(ctx, [(n, 0) for n in range(4)], cfg.ridge_lambda)
         assert baseline[0].nrmse_test == test_err
         assert test_err >= 0.0 and np.isfinite(test_err)
 
     def test_rrqr_and_random_converge_at_full_width(self):
         cfg = tiny_config()
-        ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
+        ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
         full = cfg.n_shift_columns
         ranked = rrqr_select(ctx.shifted_train, full).retained
         drawn = random_select(ctx.shifted_train, full, seed=9).retained
-        _, e1 = score_selection(ctx, ranked, cfg.ridge_lambda)
-        _, e2 = score_selection(ctx, drawn, cfg.ridge_lambda)
+        _, e1 = score_pairs(ctx, ranked, cfg.ridge_lambda)
+        _, e2 = score_pairs(ctx, drawn, cfg.ridge_lambda)
         assert e1 == pytest.approx(e2, rel=1e-8)
 
     def test_no_test_leakage(self):
         # corrupting the test split must not change selection or weights
         cfg = tiny_config()
         seed = derive_seed(cfg.master_seed, "trial", 0)
-        ctx_a = prepare_mask_context(cfg, seed)
-        ctx_b = prepare_mask_context(cfg, seed)
+        ctx_a = mask_context(cfg, seed)
+        ctx_b = mask_context(cfg, seed)
         rng = np.random.default_rng(0)
         ctx_b.shifted_test.values[:] = rng.normal(size=ctx_b.shifted_test.values.shape)
         ctx_b.target_test = rng.normal(size=ctx_b.target_test.shape)
@@ -347,7 +320,7 @@ class TestSweep:
         pivots = sweep(cfg, subset_mode="rrqr").pivots
         assert len(pivots) == 3
         for mask_id, pivot in enumerate(pivots):
-            ctx = prepare_mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
+            ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
             tall = qr_column_pivot(ctx.shifted_train.values)
             assert pivot.retained == [ctx.shifted_train.columns[j] for j in tall.perm]
             assert rrqr_select(ctx.shifted_train, 16).retained == pivot.retained
@@ -400,8 +373,8 @@ def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
             input_seed=derive_seed(cfg.master_seed, "input-weights", i_fw, i_fa, trial),
         )
         train, test, g_obs_train, g_obs_test = pipeline.run_split_states(
-            res_cfg, obs, cfg.washout, cfg.continuation
-        )
+            [res_cfg], obs, cfg.washout, cfg.continuation
+        )[0]
         entropies.append(analysis.reservoir_entropy(train, acfg.window))
         xc = train.values - train.values.mean(axis=0)
         gc = g_obs_train - g_obs_train.mean()
