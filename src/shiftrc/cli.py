@@ -21,6 +21,8 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .config import (
+    AnalysisConfig,
+    ExperimentConfig,
     analysis_from_dict,
     config_hash,
     experiment_from_dict,
@@ -115,8 +117,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict,
     }, sort_keys=True)
 
 
-def _run_generate(resolved: dict, out_dir: Path) -> list[str]:
-    cfg = experiment_from_dict(resolved)
+def _run_generate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     dt = cfg.data.sample_interval
     _write_csv(out_dir / "series.csv", ("t", "x", "y", "z"),
                ((k * dt, *row) for k, row in enumerate(pipeline.build_series(cfg.data))))
@@ -127,8 +128,7 @@ def _run_generate(resolved: dict, out_dir: Path) -> list[str]:
     return ["series.csv"] + [f"{name}.csv" for name in names]
 
 
-def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
-    cfg = experiment_from_dict(resolved)
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path, subset_mode: str) -> list[str]:
     result = pipeline.sweep(cfg, subset_mode=subset_mode)
     _write_csv(out_dir / "sweep.csv", [f.name for f in fields(pipeline.SweepRow)],
                map(astuple, result.rows))
@@ -145,22 +145,25 @@ def _run_sweep(resolved: dict, out_dir: Path, subset_mode: str) -> list[str]:
     return paths
 
 
-def _run_analyze(resolved: dict, out_dir: Path) -> list[str]:
-    rows = pipeline.analysis_sweep(analysis_from_dict(resolved))
+def _run_analyze(cfg: AnalysisConfig, out_dir: Path) -> list[str]:
+    rows = pipeline.analysis_sweep(cfg)
     _write_csv(out_dir / "analysis.csv", [f.name for f in fields(pipeline.AnalysisRow)],
                map(astuple, rows))
     return ["analysis.csv"]
 
 
 def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
+    # The config objects are built first, so a config error leaves no
+    # output directory behind.
+    cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     if command == "generate":
-        paths = _run_generate(resolved, out_dir)
+        paths = _run_generate(cfg, out_dir)
     elif command == "sweep":
-        paths = _run_sweep(resolved, out_dir, subset_mode)
+        paths = _run_sweep(cfg, out_dir, subset_mode)
     else:
-        paths = _run_analyze(resolved, out_dir)
+        paths = _run_analyze(cfg, out_dir)
     _write_manifest(out_dir, command, resolved, paths,
                     time.monotonic() - start, subset_mode)
 

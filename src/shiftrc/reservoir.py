@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
 
 from .errors import DivergenceError
 
@@ -213,15 +213,17 @@ def run_tanh_reservoir(
     w_in = np.stack([c.w_in for c in cfgs])
     alpha = np.array([[c.alpha] for c in cfgs])
     keep = 1.0 - alpha
+    product = np.empty((b, m, 1))
+    net = product[:, :, 0]
     out = np.empty((b, n - washout, m))
     for i, s in enumerate(drive):
         # The update formula, evaluated in place in the same order.
-        net = np.matmul(a, chi[:, :, None])[:, :, 0]
+        np.matmul(a, chi[:, :, None], out=product)
         net += w_in * s
         net += 1.0
         np.tanh(net, out=net)
         net *= alpha
-        chi = keep * chi
+        chi *= keep
         chi += net
         if i >= washout:
             out[:, i - washout] = chi
@@ -307,6 +309,11 @@ def make_oeo_config(
     )
 
 
+# Input steps per chunk of the oscillator loop: its forcing, finiteness
+# check and node sampling run once per chunk.
+OEO_CHUNK = 64
+
+
 def run_oeo_reservoir(
     cfg: OEOConfig | Sequence[OEOConfig],
     drive,
@@ -329,10 +336,13 @@ def run_oeo_reservoir(
     ``cfg`` may also be a sequence of configs with equal ``m``, ``theta``
     and ``sample_offset`` (masks, gains and phases may differ), all driven
     by the same ``drive``. They advance together, one ``(n_configs,
-    tau_d + 1)`` forcing block and one ``lfilter`` call per input step, and
+    tau_d + 1)`` forcing block and one IIR filter call per input step, and
     one state matrix per config is returned, each bitwise equal to the
-    config's own run. A single config is the batch of one. Only the last
-    delay period is held; the nodes are sampled as each period completes.
+    config's own run. A single config is the batch of one. The loop runs in
+    chunks of ``OEO_CHUNK`` input steps: the drive part of the forcing is
+    computed for a whole chunk at once, the chunk's delay periods (and the
+    one before it) are held, and the chunk is checked for non-finite states
+    and sampled at its end.
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
@@ -365,54 +375,75 @@ def run_oeo_reservoir(
     numer = np.array([1.0])
 
     b = len(cfgs)
-    # Per-config constants as full rows: same-shape operands are faster
-    # than broadcast columns in the step loop.
+    # beta as full rows: same-shape operands are faster than broadcast
+    # columns in the step loop.
     beta = np.repeat([[float(c.beta)] for c in cfgs], tau_d + 1, axis=1)
-    phi = np.repeat([[float(c.phi)] for c in cfgs], tau_d + 1, axis=1)
+    phi = np.array([[[float(c.phi)]] for c in cfgs])
     rho = np.array([[float(c.rho)] for c in cfgs])
     mask = np.stack([c.mask for c in cfgs])
-    mask_period = np.repeat(mask, theta, axis=1)
+    mask_period = np.repeat(mask, theta, axis=1)[:, None, :]
     rho_drive = rho * drive
     # The last forcing entry of a period reads the next input sample (the
     # last sample again at the end of the drive) at the first mask entry.
     edge = np.concatenate([rho_drive[:, 1:], rho_drive[:, -1:]], axis=1) * mask[:, :1]
     offset = first.sample_offset if first.sample_offset is not None else theta
 
-    # hist[:, k] = v(n*tau_d - tau_d + k): the delay period before input
-    # step n and, last, the state the period starts from.
-    hist = np.zeros((b, tau_d + 1))
-    hist[:, -1] = float(v0)
+    # For the chunk that starts at input step n0, v[:, k] = v(n0*tau_d -
+    # tau_d + k): the delay period before the chunk, then its periods.
+    # Step n0 + j reads periods[j] as its history (its last entry is the
+    # state the step starts from) and writes the rest of periods[j + 1].
+    v = np.zeros((b, (OEO_CHUNK + 1) * tau_d + 1))
+    v[:, tau_d] = float(v0)
+    periods = [v[:, j * tau_d : (j + 1) * tau_d + 1] for j in range(OEO_CHUNK + 1)]
+    starts = [p[:, -1:] for p in periods]
+    segs = [p[:, 1:] for p in periods]
+    # The drive part of the forcing argument, rho*s*mask + phi, per chunk.
+    driven = np.empty((b, OEO_CHUNK, tau_d + 1))
     # The update formula, evaluated in place in the same order.
     forcing = np.empty((b, tau_d + 1))
+    f_now, f_next = forcing[:, :-1], forcing[:, 1:]
     rhs = np.empty((b, tau_d))
     late = np.empty((b, tau_d))
+    zi = np.empty((b, 1))
     out = np.empty((b, n_in - washout, m))
-    for n in range(n_in):
-        np.multiply(rho_drive[:, n : n + 1], mask_period, out=forcing[:, :tau_d])
-        forcing[:, tau_d] = edge[:, n]
-        forcing += phi
-        forcing += hist
-        np.sin(forcing, out=forcing)
-        np.square(forcing, out=forcing)
-        forcing *= beta
-        np.multiply(forcing[:, :-1], c1, out=rhs)
-        np.multiply(forcing[:, 1:], c2, out=late)
-        rhs += late
-        seg, _ = lfilter(numer, denom, rhs, axis=-1, zi=a * hist[:, -1:])
+    for n0 in range(0, n_in, OEO_CHUNK):
+        size = min(OEO_CHUNK, n_in - n0)
+        part = driven[:, :size]
+        np.multiply(rho_drive[:, n0 : n0 + size, None], mask_period, out=part[:, :, :tau_d])
+        part[:, :, tau_d] = edge[:, n0 : n0 + size]
+        part += phi
+        for j in range(size):
+            np.add(part[:, j], periods[j], out=forcing)
+            np.sin(forcing, out=forcing)
+            np.square(forcing, out=forcing)
+            forcing *= beta
+            np.multiply(f_now, c1, out=rhs)
+            np.multiply(f_next, c2, out=late)
+            rhs += late
+            np.multiply(starts[j], a, out=zi)
+            # lfilter's compiled kernel, called without lfilter's per-call
+            # argument handling; tests pin it bitwise to lfilter.
+            seg, _ = _linear_filter(numer, denom, rhs, -1, zi)
+            segs[j + 1][...] = seg
         # A non-finite state stays non-finite, so the first one lies in the
         # first period that ends non-finite.
-        if not np.isfinite(seg[:, -1]).all():
-            bad = ~np.isfinite(np.concatenate([hist[:, -1:], seg], axis=1))
+        finite = np.isfinite(v[:, 2 * tau_d : (size + 1) * tau_d + 1 : tau_d])
+        if not finite.all():
+            j = int(np.argmax(~finite.all(axis=0)))
+            bad = ~np.isfinite(periods[j + 1])
             k = int(np.argmax(bad.any(axis=0)))
             member = int(np.argmax(bad[:, k]))
             what = ("delay oscillator state" if single
                     else f"delay oscillator state of config {member}")
-            raise DivergenceError(n * tau_d + k, what)
-        hist[:, 0] = hist[:, -1]
-        hist[:, 1:] = seg
-        if n >= washout:
-            # node j of this step is v at j*theta + offset in the period
-            out[:, n - washout] = seg.reshape(b, m, theta)[:, :, offset - 1]
+            raise DivergenceError((n0 + j) * tau_d + k, what)
+        # node i of step n0 + j is v at (n0 + j)*tau_d + i*theta + offset
+        skip = max(washout - n0, 0)
+        if skip < size:
+            nodes = v[:, (skip + 1) * tau_d + 1 : (size + 1) * tau_d + 1]
+            out[:, n0 + skip - washout : n0 + size - washout] = (
+                nodes.reshape(b, size - skip, m, theta)[:, :, :, offset - 1])
+        v[:, : tau_d + 1] = periods[size]
 
-    states = [StateMatrix(values=v, node_ids=list(range(m)), washout=washout) for v in out]
+    states = [StateMatrix(values=rows, node_ids=list(range(m)), washout=washout)
+              for rows in out]
     return states[0] if single else states

@@ -391,9 +391,23 @@ class TestAnalyze:
         payload = json.loads(json.dumps(TINY_ANALYZE))
         payload["reservoir"] = {"kind": "oeo", "nodes": 4, "theta": 4, "f_w": 0.5}
         cfg = write_config(tmp_path, payload)
-        code = main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["analyze", "--config", cfg, "--out", str(out)])
         assert code == 2
         assert "tanh" in capsys.readouterr().err
+        assert not out.exists()
+        # the same error from replay: an OEO sweep's manifest relabelled as
+        # an analysis (its config_echo, and so its hash, unchanged)
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP),
+                     "--out", str(sweep_out)]) == 0
+        manifest = json.loads((sweep_out / "manifest.json").read_text())
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**manifest, "command": "analyze"}))
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "tanh" in capsys.readouterr().err
+        assert not replay_out.exists()
 
     def test_grid_fraction_reaching_no_node_rejected(self, tmp_path, capsys):
         # round(0.1 * 4) = 0: the first grid column would drive no node

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from shiftrc import reservoir
 from shiftrc.errors import DivergenceError
 from shiftrc.reservoir import (
+    OEO_CHUNK,
     OEOConfig,
     StateMatrix,
     TanhReservoirConfig,
@@ -331,7 +333,24 @@ class TestOEOBatch:
             np.testing.assert_array_equal(sm.values, reference_oeo_run(cfg, drive, 30, 0.3))
             assert sm.washout == 30 and sm.node_ids == list(range(6))
 
-    @pytest.mark.parametrize("bad_index", [10, 11, 299])
+    @pytest.mark.parametrize("n_in,washout", [
+        (OEO_CHUNK // 2, 5),                     # shorter than one chunk
+        (2 * OEO_CHUNK, OEO_CHUNK + 3),          # washout past the first chunk
+        (2 * OEO_CHUNK + 1, 2 * OEO_CHUNK - 1),  # a last chunk of one step
+        (3 * OEO_CHUNK + 17, OEO_CHUNK),         # not a multiple of the chunk
+    ])
+    @pytest.mark.parametrize("sample_offset", [None, 3])
+    def test_chunk_boundaries_equal_reference(self, lorenz_drive_short, n_in, washout,
+                                              sample_offset):
+        cfgs = oeo_batch_configs(sample_offset)
+        drive = lorenz_drive_short[:n_in]
+        batch = run_oeo_reservoir(cfgs, drive, washout=washout, v0=0.3)
+        for cfg, sm in zip(cfgs, batch):
+            np.testing.assert_array_equal(sm.values,
+                                          reference_oeo_run(cfg, drive, washout, 0.3))
+            assert sm.values.shape == (n_in - washout, 6)
+
+    @pytest.mark.parametrize("bad_index", [10, 11, OEO_CHUNK - 1, OEO_CHUNK, 299])
     def test_nan_drive_raises_at_the_reference_step(self, bad_index):
         cfgs = oeo_batch_configs()
         drive = np.linspace(-1.0, 1.0, 300)
@@ -344,10 +363,24 @@ class TestOEOBatch:
     def test_diverging_member_raises_with_its_step(self):
         good, bad = oeo_batch_configs()[:2]
         bad.phi = np.nan
-        drive = np.linspace(-1.0, 1.0, 50)
+        # longer than one chunk: the whole chunk runs before its check
+        drive = np.linspace(-1.0, 1.0, OEO_CHUNK + 50)
         want = divergence_step(lambda: reference_oeo_run(bad, drive, 0)).step
         err = divergence_step(lambda: run_oeo_reservoir([good, bad], drive, washout=5))
         assert err.step == want and "config 1" in str(err)
+
+    def test_direct_filter_kernel_equals_lfilter(self, rng):
+        # The oscillator calls lfilter's private compiled kernel; a SciPy
+        # release that changes or removes it must fail here.
+        tau_l = 4.0 * 8
+        a = 1.0 - 1.0 / tau_l + 1.0 / (2.0 * tau_l * tau_l)
+        numer, denom = np.array([1.0]), np.array([1.0, -a])
+        rhs = rng.uniform(-1.0, 1.0, size=(3, 6 * 8))
+        zi = a * rng.uniform(-1.0, 1.0, size=(3, 1))
+        seg, zf = reservoir._linear_filter(numer, denom, rhs, -1, zi)
+        want_seg, want_zf = lfilter(numer, denom, rhs, axis=-1, zi=zi)
+        np.testing.assert_array_equal(seg, want_seg)
+        np.testing.assert_array_equal(zf, want_zf)
 
     def test_batch_validation(self):
         base = make_oeo_config(m=4, theta=5, f_w=0.5, mask_seed=1)
