@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-from .reservoir import StateMatrix
-
 DEFAULT_WINDOW = 4
 # 20! - 1 is the largest code that fits an int64.
 MAX_WINDOW = 20
@@ -88,17 +86,16 @@ def key_entropy(keys) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def reservoir_entropy(state: StateMatrix, window: int = DEFAULT_WINDOW) -> float:
-    """Shannon entropy (bits) of the joint all-node ordinal symbol.
+def reservoir_entropy(states, window: int = DEFAULT_WINDOW) -> float:
+    """Shannon entropy (bits) of the joint all-node ordinal symbol of a
+    ``(rows, nodes)`` state array.
 
     At each window position the per-node codes form one tuple-valued symbol;
     the entropy is taken over the empirical distribution of those tuples.
     """
-    values = state.values
+    values = np.asarray(states, dtype=float)
     if values.shape[0] < window:
-        raise ValueError(
-            f"need at least {window} rows, have {values.shape[0]}"
-        )
+        raise ValueError(f"need at least {window} rows, have {values.shape[0]}")
     return key_entropy(joint_keys(ordinal_symbols(values, window), window))
 
 
@@ -123,18 +120,17 @@ def correlation_from_r(r, constant) -> float:
     return float(np.mean(per_node))
 
 
-def node_target_correlation(state: StateMatrix, g) -> float:
-    """Mean over nodes of the absolute zero-lag Pearson correlation with ``g``.
+def node_target_correlation(states, g) -> float:
+    """Mean over the nodes (columns) of a ``(rows, nodes)`` state array of
+    the absolute zero-lag Pearson correlation with ``g``.
 
     A constant node has an undefined correlation; its NaN propagates into
     the mean (as does a constant target, which makes every node's NaN).
     """
     g = np.asarray(g, dtype=float)
-    values = state.values
+    values = np.asarray(states, dtype=float)
     if g.shape != (values.shape[0],):
-        raise ValueError(
-            f"target length {g.shape} does not match {values.shape[0]} state rows"
-        )
+        raise ValueError(f"target length {g.shape} does not match {values.shape[0]} rows")
     r = np.linalg.qr(np.column_stack([np.ones_like(g), values, g]), mode="r")
     constant = (values.min(axis=0) == values.max(axis=0)) | (g.min() == g.max())
     return correlation_from_r(r, constant)

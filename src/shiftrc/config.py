@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -206,6 +207,17 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _non_finite_field(node, path: str = "") -> str | None:
+    """Dotted path of the first NaN or infinite number in a config, or None
+    (Python's ``json`` reads ``NaN`` and ``Infinity``; the schema passes them)."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        found = (_non_finite_field(v, f"{path}.{k}".lstrip(".")) for k, v in node.items())
+        return next(filter(None, found), None)
+    return path if isinstance(node, float) and not math.isfinite(node) else None
+
+
 def resolve_config(raw: dict) -> dict:
     """Merge a user config over the defaults and validate the result.
 
@@ -213,9 +225,10 @@ def resolve_config(raw: dict) -> dict:
     merging, so a tanh request is not polluted by oscillator fields.
 
     Raises:
-        ConfigError: schema violation (message names the offending field) or
-            cross-field inconsistency such as an oversized m_red entry or an
-            input fraction that rounds to no input node.
+        ConfigError: schema violation or NaN or infinite number (message
+            names the offending field) or cross-field inconsistency such as
+            an oversized m_red entry or an input fraction that rounds to no
+            input node.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -229,6 +242,9 @@ def resolve_config(raw: dict) -> dict:
     except jsonschema.ValidationError as exc:
         path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ConfigError(f"invalid config field '{path}': {exc.message}") from None
+    bad = _non_finite_field(resolved)
+    if bad is not None:
+        raise ConfigError(f"invalid config field '{bad}': must be a finite number")
 
     nodes = resolved["reservoir"]["nodes"]
     tau_max = resolved["shifts"]["tau_max"]
@@ -239,10 +255,14 @@ def resolve_config(raw: dict) -> dict:
                 f"invalid config field 'selection.m_red_grid': {m_red} exceeds "
                 f"nodes*(tau_max+1) = {max_cols}"
             )
-    # Only a tanh reservoir runs the analysis grid, so only its f_w_values count.
+    # Only a tanh reservoir runs the analysis grid, so only its fields count.
     fractions = [("reservoir.f_w", resolved["reservoir"]["f_w"])]
     if resolved["reservoir"]["kind"] == "tanh":
         fractions += [("analysis.f_w_values", f) for f in resolved["analysis"]["f_w_values"]]
+        rows = resolved["data"]["train_steps"] - resolved["washout"]
+        if resolved["analysis"]["window"] > rows:
+            raise ConfigError("invalid config field 'analysis.window': exceeds the "
+                              f"{rows} training rows (train_steps - washout)")
     for name, f_w in fractions:
         if round(f_w * nodes) == 0:
             raise ConfigError(
@@ -320,10 +340,6 @@ class ExperimentConfig:
     @property
     def n_nodes(self) -> int:
         return self.reservoir["nodes"]
-
-    @property
-    def n_shift_columns(self) -> int:
-        return self.n_nodes * (self.tau_max + 1)
 
 
 def experiment_from_dict(resolved: dict) -> ExperimentConfig:

@@ -159,12 +159,10 @@ def r22_bound_check(qr: PivotedQR, ell: int) -> tuple[float, float]:
 def covariance_rank(states, tol_rel: float = RANK_TOL_DEFAULT) -> int:
     """Rank of the state covariance, counted on squared singular values.
 
-    Accepts a plain matrix or any object with a ``values`` array (such as a
-    state matrix). The singular values are taken from the matrix itself,
-    never from the explicitly formed Gramian, which would square the
-    condition number.
+    The singular values are taken from the matrix itself, never from the
+    explicitly formed Gramian, which would square the condition number.
     """
-    values = np.asarray(getattr(states, "values", states), dtype=float)
+    values = np.asarray(states, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("matrix contains non-finite entries")
     s = np.linalg.svd(values, compute_uv=False)

@@ -119,7 +119,7 @@ def build_trial_reservoir(cfg: ExperimentConfig, trial_seed: int):
 def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,
                      continuation: bool = True):
     """Run reservoirs over both splits; one ``(train, test, g_train, g_test)``
-    tuple of aligned states and targets per config.
+    tuple of aligned state arrays and targets per config.
 
     The configs, all of one kind, run as one batch (one call per drive).
     With ``continuation`` the test split continues from the post-training
@@ -131,11 +131,7 @@ def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int
     if continuation:
         full = np.concatenate([dataset.drive_train, dataset.drive_test])
         n_train_rows = dataset.drive_train.shape[0] - washout
-        splits = [
-            (reservoir.StateMatrix(sm.values[:n_train_rows], list(sm.node_ids), washout),
-             reservoir.StateMatrix(sm.values[n_train_rows:], list(sm.node_ids), 0))
-            for sm in run(res_cfgs, full, washout)
-        ]
+        splits = [(x[:n_train_rows], x[n_train_rows:]) for x in run(res_cfgs, full, washout)]
         targets = (dataset.target_train[washout:], dataset.target_test)
     else:
         splits = list(zip(run(res_cfgs, dataset.drive_train, washout),
@@ -234,7 +230,6 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     """
     mode = NrmseMode(cfg.nrmse_mode)
     n = ctx.shifted_train.n_columns
-    index = {pair: j for j, pair in enumerate(ctx.shifted_train.columns)}
     cells: list[TaskResult] = []
 
     def score(w, labels):
@@ -250,7 +245,7 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     if subset_mode in ("both", "rrqr"):
         pivot = shifts.rrqr_select(ctx.shifted_train, n, r=ctx.r[:n, :n])
         sizes = [min(m_red, n) for m_red in cfg.m_red_grid]
-        ranked = fit([[index[p] for p in pivot.retained]], sizes)
+        ranked = fit([pivot.columns], sizes)
     for j, m_red in enumerate(cfg.m_red_grid):
         w, labels = [], []
         if pivot is not None:
@@ -259,12 +254,11 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
         if subset_mode in ("both", "random"):
             seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
                      for subset_id in range(cfg.n_random_subsets)]
-            w.append(fit([[index[p] for p in
-                           shifts.random_select(ctx.shifted_train, m_red, seed).retained]
+            w.append(fit([shifts.random_select(ctx.shifted_train, m_red, seed).columns
                           for seed in seeds]))
             labels += [("random", m_red, seed) for seed in seeds]
         score(np.hstack(w), labels)
-    score(fit([[index[(node, 0)] for node in range(cfg.n_nodes)]]),
+    score(fit([np.arange(cfg.n_nodes)]),  # the shift-0 columns
           [("baseline", cfg.n_nodes, None)])
     return cells, pivot
 
@@ -337,8 +331,7 @@ def _tanh_pieces(res_cfgs, drive, washout, state=None):
     start, skip = 0, washout
     while start < drive.shape[0]:
         stop = min(start + skip + ANALYSIS_SEGMENT, drive.shape[0])
-        states = reservoir.run_tanh_reservoir(res_cfgs, drive[start:stop], skip, state)
-        x = np.stack([sm.values for sm in states])
+        x = reservoir.run_tanh_reservoir(res_cfgs, drive[start:stop], skip, state)
         yield x
         start, skip, state = stop, 0, x[:, -1]
 

@@ -19,23 +19,30 @@ from .errors import DivergenceError
 
 @dataclass
 class StateMatrix:
-    """Node time series, one row per retained input step, one column per node."""
+    """Node time series of a single-config run, one row per input step after
+    the washout, one column per node. Batched runs return a plain array; a
+    single run keeps this wrapper because the checks in ``perfbench/`` read
+    its ``values``."""
 
     values: np.ndarray
-    node_ids: list[int]
-    washout: int
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got ndim={self.values.ndim}")
-        m = self.values.shape[1]
-        if sorted(self.node_ids) != list(range(m)):
-            raise ValueError(f"node_ids must cover 0..{m - 1} exactly")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[1]
+def _batch(cfg, kind, drive, washout: int, shape, what: str):
+    """``(single, cfgs, drive)`` of a runner's arguments: ``cfg`` as a list
+    of configs of ``kind`` that agree on ``shape(c)``, and ``drive`` as a
+    1-D float array longer than ``washout``."""
+    single = isinstance(cfg, kind)
+    cfgs = [cfg] if single else list(cfg)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    if any(shape(c) != shape(cfgs[0]) for c in cfgs):
+        raise ValueError(f"configs of a batch must have equal {what}")
+    drive = np.asarray(drive, dtype=float)
+    if drive.ndim != 1:
+        raise ValueError("drive must be 1-D")
+    if drive.shape[0] <= washout:
+        raise ValueError(f"drive length {drive.shape[0]} must exceed washout {washout}")
+    return single, cfgs, drive
 
 
 def _sparse_uniform(m: int, f_w: float, rng_seed: int) -> np.ndarray:
@@ -167,7 +174,7 @@ def run_tanh_reservoir(
     drive,
     washout: int,
     initial_state=None,
-) -> StateMatrix | list[StateMatrix]:
+) -> StateMatrix | np.ndarray:
     """Iterate the leaky-tanh map over a drive sequence.
 
     chi <- (1 - alpha) chi + alpha tanh(A chi + w_in s + 1), starting from
@@ -178,29 +185,19 @@ def run_tanh_reservoir(
     by the same ``drive``. They advance together, one stacked product
     ``np.matmul(A_stack, chi)`` per step, so the per-step interpreter cost
     is paid once per batch. ``initial_state`` then has one row per config,
-    and one state matrix per config is returned, each bitwise equal to the
-    config's own run. A single config is the batch of one. A run split
-    into pieces, each started from the previous piece's last row with no
-    washout, gives the same states bitwise as one run.
+    and the states come back as one ``(n_configs, rows, m)`` array, each
+    slice bitwise equal to the config's own run. A single config is the
+    batch of one. A run split into pieces, each started from the previous
+    piece's last row with no washout, gives the same states bitwise as one
+    run.
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
             drive index at which any batch member did.
     """
-    single = isinstance(cfg, TanhReservoirConfig)
-    cfgs = [cfg] if single else list(cfg)
-    if not cfgs:
-        raise ValueError("need at least one config")
-    m = cfgs[0].m
-    if any(c.m != m for c in cfgs):
-        raise ValueError("configs of a batch must have equal m")
-    drive = np.asarray(drive, dtype=float)
-    if drive.ndim != 1:
-        raise ValueError("drive must be 1-D")
-    n = drive.shape[0]
-    if n <= washout:
-        raise ValueError(f"drive length {n} must exceed washout {washout}")
-    b = len(cfgs)
+    single, cfgs, drive = _batch(cfg, TanhReservoirConfig, drive, washout,
+                                 lambda c: c.m, "m")
+    m, n, b = cfgs[0].m, drive.shape[0], len(cfgs)
     if initial_state is None:
         chi = np.zeros((b, m))
     else:
@@ -233,8 +230,7 @@ def run_tanh_reservoir(
         member = int(np.argmax(bad[:, row]))
         what = "tanh reservoir state" if single else f"tanh reservoir state of config {member}"
         raise DivergenceError(row + washout, what)
-    states = [StateMatrix(values=v, node_ids=list(range(m)), washout=washout) for v in out]
-    return states[0] if single else states
+    return StateMatrix(out[0]) if single else out
 
 
 @dataclass
@@ -319,7 +315,7 @@ def run_oeo_reservoir(
     drive,
     washout: int,
     v0: float = 0.0,
-) -> StateMatrix | list[StateMatrix]:
+) -> StateMatrix | np.ndarray:
     """Integrate the delay oscillator and sample its virtual nodes.
 
     The delay equation tau_L v' = -v + beta sin^2(v(t - tau_d) + phi +
@@ -337,33 +333,22 @@ def run_oeo_reservoir(
     and ``sample_offset`` (masks, gains and phases may differ), all driven
     by the same ``drive``. They advance together, one ``(n_configs,
     tau_d + 1)`` forcing block and one IIR filter call per input step, and
-    one state matrix per config is returned, each bitwise equal to the
-    config's own run. A single config is the batch of one. The loop runs in
-    chunks of ``OEO_CHUNK`` input steps: the drive part of the forcing is
-    computed for a whole chunk at once, the chunk's delay periods (and the
-    one before it) are held, and the chunk is checked for non-finite states
-    and sampled at its end.
+    the states come back as one ``(n_configs, rows, m)`` array, each slice
+    bitwise equal to the config's own run. A single config is the batch of
+    one. The loop runs in chunks of ``OEO_CHUNK`` input steps: the drive
+    part of the forcing is computed for a whole chunk at once, the chunk's
+    delay periods (and the one before it) are held, and the chunk is
+    checked for non-finite states and sampled at its end.
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
             integration step (``n * tau_d + k``) at which any batch member
             did.
     """
-    single = isinstance(cfg, OEOConfig)
-    cfgs = [cfg] if single else list(cfg)
-    if not cfgs:
-        raise ValueError("need at least one config")
-    first = cfgs[0]
-    shape = (first.m, first.theta, first.sample_offset)
-    if any((c.m, c.theta, c.sample_offset) != shape for c in cfgs):
-        raise ValueError("configs of a batch must have equal m, theta and sample_offset")
-    drive = np.asarray(drive, dtype=float)
-    if drive.ndim != 1:
-        raise ValueError("drive must be 1-D")
-    n_in = drive.shape[0]
-    if n_in <= washout:
-        raise ValueError(f"drive length {n_in} must exceed washout {washout}")
-
+    single, cfgs, drive = _batch(cfg, OEOConfig, drive, washout,
+                                 lambda c: (c.m, c.theta, c.sample_offset),
+                                 "m, theta and sample_offset")
+    first, n_in = cfgs[0], drive.shape[0]
     m, theta, tau_d = first.m, first.theta, first.tau_d
     tau_l = float(first.tau_l)
 
@@ -443,7 +428,4 @@ def run_oeo_reservoir(
             out[:, n0 + skip - washout : n0 + size - washout] = (
                 nodes.reshape(b, size - skip, m, theta)[:, :, :, offset - 1])
         v[:, : tau_d + 1] = periods[size]
-
-    states = [StateMatrix(values=rows, node_ids=list(range(m)), washout=washout)
-              for rows in out]
-    return states[0] if single else states
+    return StateMatrix(out[0]) if single else out

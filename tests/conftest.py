@@ -47,7 +47,7 @@ def oeo_shifted():
     drive = (drive - drive.mean()) / drive.std()
     cfg = make_oeo_config(m=10, theta=8, mask_seed=3)
     states = run_oeo_reservoir(cfg, drive, washout=50)
-    return build_shifted_matrix(states, 10)
+    return build_shifted_matrix(states.values, 10)
 
 
 @pytest.fixture
@@ -64,10 +64,9 @@ def mask_context(cfg, trial_seed: int) -> pipeline.MaskContext:
     return pipeline._mask_context(cfg.tau_max, *split)
 
 
-def score_pairs(ctx, pairs, ridge_lambda: float, include_bias: bool = False,
-                mode: NrmseMode = NrmseMode.GLOBAL) -> tuple[float, float]:
-    """``(train, test)`` NRMSE of one readout on the (node, shift) ``pairs``,
-    fitted and scored as a sweep group of one cell."""
-    cols = [ctx.shifted_train.columns.index(p) for p in pairs]
+def score_columns(ctx, cols, ridge_lambda: float, include_bias: bool = False,
+                  mode: NrmseMode = NrmseMode.GLOBAL) -> tuple[float, float]:
+    """``(train, test)`` NRMSE of one readout on the shifted-matrix columns
+    ``cols``, fitted and scored as a sweep group of one cell."""
     w = pipeline._fit_group(ctx, [cols], ridge_lambda, include_bias)
     return pipeline._score_weights(ctx, w, mode)[0]

@@ -24,7 +24,6 @@ from shiftrc.linalg import (
     r22_bound_check,
     ridge_fit,
 )
-from shiftrc.reservoir import StateMatrix
 
 from conftest import record_criterion
 from test_linalg import gram_schmidt_lstsq, thin_q
@@ -244,11 +243,10 @@ def test_criterion_08_entropy_and_correlation_trends():
 
 def test_criterion_09_entropy_oracle():
     with criterion(9, "entropy oracle: degenerate and balanced symbols") as info:
-        constant = StateMatrix(values=np.ones((60, 5)), node_ids=list(range(5)),
-                               washout=0)
+        constant = np.ones((60, 5))
         assert reservoir_entropy(constant) == 0.0
         x = np.tile([0.0, 1.0], 11)[:21]  # 18 positions, 2 balanced symbols
-        two = StateMatrix(values=np.column_stack([x, x]), node_ids=[0, 1], washout=0)
+        two = np.column_stack([x, x])
         h = reservoir_entropy(two, window=4)
         assert abs(h - 1.0) <= 1e-12
         info["detail"] = f"H(balanced) = {h!r}"

@@ -14,7 +14,7 @@ from shiftrc.analysis import (
     ordinal_symbols,
     reservoir_entropy,
 )
-from shiftrc.reservoir import StateMatrix, make_tanh_config, run_tanh_reservoir
+from shiftrc.reservoir import make_tanh_config, run_tanh_reservoir
 
 
 def lexicographic_code(ranks):
@@ -82,39 +82,34 @@ class TestOrdinalSymbols:
             ordinal_symbols(np.zeros(3), window=4)
 
 
-def _state(values):
-    values = np.asarray(values, dtype=float)
-    return StateMatrix(values=values, node_ids=list(range(values.shape[1])), washout=0)
-
-
 class TestReservoirEntropy:
     def test_constant_states_zero_entropy(self):
-        assert reservoir_entropy(_state(np.ones((50, 5)))) == 0.0
+        assert reservoir_entropy(np.ones((50, 5))) == 0.0
 
     def test_two_balanced_symbols_one_bit(self):
         # alternating signal: two joint symbols, equally frequent over an
         # even number of window positions
         x = np.tile([0.0, 1.0], 11)[:21]  # 18 positions, 9 of each symbol
         values = np.column_stack([x, x])
-        h = reservoir_entropy(_state(values), window=4)
+        h = reservoir_entropy(values, window=4)
         assert h == pytest.approx(1.0, abs=1e-12)
 
     def test_upper_bounds(self, rng):
         values = rng.normal(size=(40, 3))
-        h = reservoir_entropy(_state(values), window=4)
+        h = reservoir_entropy(values, window=4)
         n_positions = 40 - 4 + 1
         assert 0.0 <= h <= np.log2(n_positions) + 1e-12
 
     def test_monotone_transform_invariance(self, rng):
         values = rng.normal(size=(100, 4))
-        h1 = reservoir_entropy(_state(values))
-        h2 = reservoir_entropy(_state(np.exp(2.0 * values) - 0.3))
+        h1 = reservoir_entropy(values)
+        h2 = reservoir_entropy(np.exp(2.0 * values) - 0.3)
         assert h1 == h2
 
     def test_node_permutation_invariance(self, rng):
         values = rng.normal(size=(80, 5))
-        h1 = reservoir_entropy(_state(values))
-        h2 = reservoir_entropy(_state(values[:, [3, 1, 4, 0, 2]]))
+        h1 = reservoir_entropy(values)
+        h2 = reservoir_entropy(values[:, [3, 1, 4, 0, 2]])
         assert h1 == h2
 
     @pytest.mark.parametrize("window", [4, 6])
@@ -135,7 +130,7 @@ class TestReservoirEntropy:
         _, counts = np.unique(np.stack(per_node, axis=1), axis=0, return_counts=True)
         p = counts / counts.sum()
         expected = float(-(p * np.log2(p)).sum())
-        assert reservoir_entropy(_state(values), window) == expected
+        assert reservoir_entropy(values, window) == expected
         assert key_dtype(window).itemsize == (2 if window == 6 else 1)
 
     @pytest.mark.parametrize("window", [4, 6, 9])
@@ -161,7 +156,7 @@ class TestReservoirEntropy:
                     adjacency_seed=100 + trial, input_seed=200 + trial,
                 )
                 sm = run_tanh_reservoir(cfg, lorenz_drive_short, washout=100)
-                hs.append(reservoir_entropy(sm))
+                hs.append(reservoir_entropy(sm.values))
             means[f_w] = np.mean(hs)
         assert means[0.1] > means[1.0]
 
@@ -169,16 +164,16 @@ class TestReservoirEntropy:
 class TestNodeTargetCorrelation:
     def test_self_correlation_is_one(self, rng):
         g = rng.normal(size=60)
-        state = _state(np.column_stack([g, g, g]))
+        state = np.column_stack([g, g, g])
         assert node_target_correlation(state, g) == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_invariance(self, rng):
         g = rng.normal(size=60)
-        state = _state(np.column_stack([-g, -g]))
+        state = np.column_stack([-g, -g])
         assert node_target_correlation(state, g) == pytest.approx(1.0, abs=1e-12)
 
     def test_pearson_in_unit_interval(self, rng):
-        state = _state(rng.normal(size=(200, 6)))
+        state = rng.normal(size=(200, 6))
         g = rng.normal(size=200)
         value = node_target_correlation(state, g)
         assert 0.0 <= value <= 1.0
@@ -188,19 +183,19 @@ class TestNodeTargetCorrelation:
         values = rng.normal(size=(300, 6)) * 0.01 + rng.uniform(-1, 1, size=6)
         g = rng.normal(size=300) + 0.5 * values[:, 2] * 100 + 3.0
         expected = np.mean([abs(np.corrcoef(values[:, j], g)[0, 1]) for j in range(6)])
-        assert node_target_correlation(_state(values), g) == pytest.approx(expected, rel=1e-12)
+        assert node_target_correlation(values, g) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("level", [0.1, 0.3, -0.7131, 1.0])
     def test_constant_node_is_nan(self, rng, level):
         values = rng.normal(size=(7900, 3))
         values[:, 1] = level
-        assert np.isnan(node_target_correlation(_state(values), rng.normal(size=7900)))
+        assert np.isnan(node_target_correlation(values, rng.normal(size=7900)))
 
     def test_constant_target_is_nan(self, rng):
         values = rng.normal(size=(100, 3))
-        assert np.isnan(node_target_correlation(_state(values), np.full(100, 0.1)))
+        assert np.isnan(node_target_correlation(values, np.full(100, 0.1)))
 
     def test_length_mismatch(self, rng):
-        state = _state(rng.normal(size=(50, 2)))
+        state = rng.normal(size=(50, 2))
         with pytest.raises(ValueError, match="length"):
             node_target_correlation(state, np.zeros(49))

@@ -174,12 +174,13 @@ class TestSweep:
         assert main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP),
                      "--out", str(out), "--subset", "rrqr"]) == 0
         cfg = experiment_from_dict(resolve_config(TINY_SWEEP))
-        n_columns, diag = cfg.n_shift_columns, out / "diagnostics"
+        n_columns, diag = cfg.n_nodes * (cfg.tau_max + 1), out / "diagnostics"
         for mask_id in range(cfg.n_masks):
             sel = json.loads((diag / f"mask_{mask_id:04d}_selection.json").read_text())
             ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
             tall = qr_column_pivot(ctx.shifted_train.values)
-            assert sel["retained"] == [list(ctx.shifted_train.columns[j]) for j in tall.perm]
+            # column shift * n_nodes + node is written as [node, shift]
+            assert sel["retained"] == [[j % cfg.n_nodes, j // cfg.n_nodes] for j in tall.perm]
             assert sel["m_red"] == len(sel["retained"]) == n_columns
             assert len(sel["r_diag"]) == n_columns
             rdiag = (diag / f"mask_{mask_id:04d}_rdiag.csv").read_text().splitlines()
@@ -387,6 +388,21 @@ class TestAnalyze:
         assert main(["analyze", "--config", write_config(tmp_path, payload),
                      "--out", str(tmp_path / "p")]) == 0
 
+    def test_window_longer_than_training_rows_rejected(self, tmp_path, capsys):
+        # train_steps - washout = 5 training rows: a window of 6 fits none
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["data"]["train_steps"] = 25
+        payload["shifts"] = {"tau_max": 0}
+        payload["analysis"]["window"] = 6
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert "analysis.window" in capsys.readouterr().err
+        assert not out.exists()
+        payload["analysis"]["window"] = 5  # one window over all rows
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+
     def test_oeo_reservoir_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TINY_ANALYZE))
         payload["reservoir"] = {"kind": "oeo", "nodes": 4, "theta": 4, "f_w": 0.5}
@@ -448,6 +464,30 @@ class TestErrors:
         cfg = write_config(tmp_path, payload)
         code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("data", "sample_interval", float("inf")),
+        ("data", "dt_internal", float("nan")),
+        ("reservoir", "f_w", float("nan")),
+        ("readout", "ridge_lambda", float("nan")),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, section, field, value):
+        # Python's json reads NaN and Infinity; neither may reach a run
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload.setdefault(section, {})[field] = value
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert f"'{section}.{field}'" in capsys.readouterr().err
+        assert not out.exists()
+        # the same number in a manifest's config_echo fails replay alike
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "sweep", "config_echo": payload,
+                                        "config_hash": "0" * 40,
+                                        "tool_version": shiftrc.__version__}))
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"'{section}.{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_SWEEP)

@@ -13,10 +13,15 @@ from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_
 from shiftrc.errors import SingularMatrixError
 from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
-from shiftrc.reservoir import StateMatrix
-from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
+from shiftrc.shifts import (
+    SelectionResult,
+    build_shifted_matrix,
+    random_select,
+    reduce_columns,
+    rrqr_select,
+)
 
-from conftest import mask_context, score_pairs
+from conftest import mask_context, score_columns
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -69,15 +74,14 @@ def _synthetic_context(rng, target_in_span=True, duplicate=False):
         cols[:, 1] = g_full
     if duplicate:
         cols[:, 2] = cols[:, 0]
-    train = StateMatrix(values=cols[:80], node_ids=[0, 1, 2], washout=0)
-    test = StateMatrix(values=cols[80:], node_ids=[0, 1, 2], washout=0)
-    return pipeline._mask_context(tau, train, test, g_full[:80], g_full[80:])
+    # 3 nodes: column shift * 3 + node is the (node, shift) copy
+    return pipeline._mask_context(tau, cols[:80], cols[80:], g_full[:80], g_full[80:])
 
 
 class TestScoreSelection:
     def test_target_in_column_space_fits_exactly(self, rng):
         ctx = _synthetic_context(rng)
-        train_err, test_err = score_pairs(ctx, [(n, 0) for n in range(3)], ridge_lambda=0.0)
+        train_err, test_err = score_columns(ctx, [0, 1, 2], ridge_lambda=0.0)
         assert train_err <= 1e-8
         assert test_err <= 1e-8
 
@@ -85,27 +89,24 @@ class TestScoreSelection:
         # selecting only shift-0 columns from a tau_max=3 build reproduces
         # the source matrix on the shared trimmed window
         values = rng.normal(size=(60, 4))
-        sm = StateMatrix(values=values, node_ids=list(range(4)), washout=0)
-        shifted = build_shifted_matrix(sm, 3)
-        reduced = reduce_columns(shifted, [(n, 0) for n in range(4)])
-        np.testing.assert_array_equal(reduced.values, values[3:])
+        shifted = build_shifted_matrix(values, 3)
+        reduced = reduce_columns(shifted, SelectionResult(np.arange(4), shifted.n_nodes))
+        np.testing.assert_array_equal(reduced, values[3:])
 
 
-def direct_score(ctx, pairs, ridge_lambda, include_bias=False,
+def direct_score(ctx, cols, ridge_lambda, include_bias=False,
                  mode=NrmseMode.GLOBAL):
     """Reference: copy the selected columns and fit the tall system."""
-    train = reduce_columns(ctx.shifted_train, pairs).values
-    test = reduce_columns(ctx.shifted_test, pairs).values
+    train = ctx.shifted_train.values[:, cols]
+    test = ctx.shifted_test.values[:, cols]
     readout = ridge_fit(train, ctx.target_train, ridge_lambda, include_bias)
     return (nrmse(ctx.target_train, predict(train, readout), mode),
             nrmse(ctx.target_test, predict(test, readout), mode))
 
 
 def _context_from(x_train, x_test, g_train, g_test):
-    # tau_max = 0: column j is labelled (j, 0)
-    nodes = list(range(x_train.shape[1]))
-    return pipeline._mask_context(0, StateMatrix(x_train, nodes, 0),
-                                  StateMatrix(x_test, nodes, 0), g_train, g_test)
+    # tau_max = 0: column j is node j unshifted
+    return pipeline._mask_context(0, x_train, x_test, g_train, g_test)
 
 
 @st.composite
@@ -133,27 +134,27 @@ class TestCompressedReadout:
         t, c = problem["n_rows"], problem["n_cols"]
         ctx = _context_from(rng.normal(size=(t, c)), rng.normal(size=(t // 2 + 1, c)),
                             rng.normal(size=t), rng.normal(size=t // 2 + 1))
-        pairs = [(j, 0) for j in problem["subset"]]
+        cols = problem["subset"]
         args = (problem["ridge_lambda"], problem["bias"], problem["mode"])
-        got = score_pairs(ctx, pairs, *args)
-        want = direct_score(ctx, pairs, *args)
+        got = score_columns(ctx, cols, *args)
+        want = direct_score(ctx, cols, *args)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_bias_cell_of_sweep_matches_direct_fit(self):
         cfg = tiny_config(n_masks=1, include_bias=True)
         result = sweep(cfg)
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        ranked = result.pivots[0].retained
+        ranked = result.pivots[0].columns
         checked = 0
         for cell in result.cells:
             if cell.method == "rrqr":
-                pairs = ranked[: cell.m_red]
+                cols = ranked[: cell.m_red]
             elif cell.method == "random":
-                pairs = random_select(ctx.shifted_train, cell.m_red,
-                                      cell.subset_seed).retained
+                cols = random_select(ctx.shifted_train, cell.m_red,
+                                     cell.subset_seed).columns
             else:
-                pairs = [(n, 0) for n in range(cfg.n_nodes)]
-            want = direct_score(ctx, pairs, cfg.ridge_lambda, include_bias=True)
+                cols = np.arange(cfg.n_nodes)  # the shift-0 columns
+            want = direct_score(ctx, cols, cfg.ridge_lambda, include_bias=True)
             np.testing.assert_allclose((cell.nrmse_train, cell.nrmse_test), want,
                                        rtol=1e-12, atol=0.0)
             checked += 1
@@ -162,23 +163,22 @@ class TestCompressedReadout:
     def test_duplicated_column_at_zero_lambda_raises(self, rng):
         ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
         with pytest.raises(SingularMatrixError):
-            score_pairs(ctx, [(0, 0), (2, 0)], ridge_lambda=0.0)
+            score_columns(ctx, [0, 2], ridge_lambda=0.0)
         with pytest.raises(SingularMatrixError):
-            score_pairs(ctx, [(0, 1), (2, 1), (1, 0)], ridge_lambda=0.0, include_bias=True)
+            score_columns(ctx, [3, 5, 1], ridge_lambda=0.0, include_bias=True)
 
     def test_full_rank_subset_at_zero_lambda_fits(self, rng):
         ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
-        pairs = [(0, 0), (1, 0), (2, 1)]
-        got = score_pairs(ctx, pairs, ridge_lambda=0.0)
-        np.testing.assert_allclose(got, direct_score(ctx, pairs, 0.0),
+        cols = [0, 1, 5]
+        got = score_columns(ctx, cols, ridge_lambda=0.0)
+        np.testing.assert_allclose(got, direct_score(ctx, cols, 0.0),
                                    rtol=1e-12, atol=0.0)
 
     def test_non_finite_training_data_rejected(self, rng):
         values = rng.normal(size=(40, 3))
         values[5, 1] = np.nan
-        states = StateMatrix(values=values, node_ids=[0, 1, 2], washout=0)
         with pytest.raises(ValueError, match="non-finite"):
-            pipeline._mask_context(2, states, states, rng.normal(size=40),
+            pipeline._mask_context(2, values, values, rng.normal(size=40),
                                    rng.normal(size=40))
 
 
@@ -224,19 +224,18 @@ class TestFitGroup:
 
     def test_pair_listed_twice_sums_its_weights(self, rng):
         ctx = _synthetic_context(rng, target_in_span=False)
-        twice = score_pairs(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
-        want = direct_score(ctx, [(0, 0), (1, 2), (0, 0)], 1e-3)
+        twice = score_columns(ctx, [0, 7, 0], 1e-3)
+        want = direct_score(ctx, [0, 7, 0], 1e-3)
         np.testing.assert_allclose(twice, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("bias", [False, True])
     def test_zero_lambda_group_raises_the_member_rank(self, rng, bias):
         ctx = _synthetic_context(rng, target_in_span=False, duplicate=True)
-        sets = [[(0, 0), (1, 0), (2, 1)], [(0, 1), (1, 1), (2, 1)], [(0, 2), (1, 0), (2, 2)]]
-        cols = [[ctx.shifted_train.columns.index(p) for p in pairs] for pairs in sets]
+        sets = [[0, 1, 5], [3, 4, 5], [6, 1, 8]]
         with pytest.raises(SingularMatrixError) as alone:
             direct_score(ctx, sets[1], 0.0, bias)
         with pytest.raises(SingularMatrixError) as grouped:
-            pipeline._fit_group(ctx, cols, 0.0, bias)
+            pipeline._fit_group(ctx, sets, 0.0, bias)
         assert grouped.value.estimated_rank == alone.value.estimated_rank == 2 + bias
         assert grouped.value.n_cols == alone.value.n_cols == 3 + bias
 
@@ -244,10 +243,9 @@ class TestFitGroup:
     def test_ranked_prefixes_equal_per_prefix_fits(self, bias):
         cfg = tiny_config(n_masks=1, include_bias=bias)
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        order = rrqr_select(ctx.shifted_train, cfg.n_shift_columns).retained
-        sizes = list(range(1, cfg.n_shift_columns + 1))
-        cols = [ctx.shifted_train.columns.index(p) for p in order]
-        w = pipeline._fit_group(ctx, [cols], cfg.ridge_lambda, bias, sizes)
+        order = rrqr_select(ctx.shifted_train, ctx.shifted_train.n_columns).columns
+        sizes = list(range(1, ctx.shifted_train.n_columns + 1))
+        w = pipeline._fit_group(ctx, [order], cfg.ridge_lambda, bias, sizes)
         got = pipeline._score_weights(ctx, w, NrmseMode.GLOBAL)
         for j, p in enumerate(sizes):
             want = direct_score(ctx, order[:p], cfg.ridge_lambda, bias)
@@ -264,18 +262,18 @@ class TestRunSingle:
         assert baseline[0].m_red == 4
         assert baseline[0].mask_id == 0 and baseline[0].subset_seed is None
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        _, test_err = score_pairs(ctx, [(n, 0) for n in range(4)], cfg.ridge_lambda)
+        _, test_err = score_columns(ctx, np.arange(4), cfg.ridge_lambda)  # shift 0
         assert baseline[0].nrmse_test == test_err
         assert test_err >= 0.0 and np.isfinite(test_err)
 
     def test_rrqr_and_random_converge_at_full_width(self):
         cfg = tiny_config()
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        full = cfg.n_shift_columns
-        ranked = rrqr_select(ctx.shifted_train, full).retained
-        drawn = random_select(ctx.shifted_train, full, seed=9).retained
-        _, e1 = score_pairs(ctx, ranked, cfg.ridge_lambda)
-        _, e2 = score_pairs(ctx, drawn, cfg.ridge_lambda)
+        full = ctx.shifted_train.n_columns
+        ranked = rrqr_select(ctx.shifted_train, full).columns
+        drawn = random_select(ctx.shifted_train, full, seed=9).columns
+        _, e1 = score_columns(ctx, ranked, cfg.ridge_lambda)
+        _, e2 = score_columns(ctx, drawn, cfg.ridge_lambda)
         assert e1 == pytest.approx(e2, rel=1e-8)
 
     def test_no_test_leakage(self):
@@ -288,14 +286,14 @@ class TestRunSingle:
         ctx_b.shifted_test.values[:] = rng.normal(size=ctx_b.shifted_test.values.shape)
         ctx_b.target_test = rng.normal(size=ctx_b.target_test.shape)
 
-        full = cfg.n_shift_columns
+        full = ctx_a.shifted_train.n_columns
         sel_a = rrqr_select(ctx_a.shifted_train, full)
         sel_b = rrqr_select(ctx_b.shifted_train, full)
-        assert sel_a.retained == sel_b.retained
+        np.testing.assert_array_equal(sel_a.columns, sel_b.columns)
 
-        w_a = ridge_fit(reduce_columns(ctx_a.shifted_train, sel_a.retained[:8]).values,
+        w_a = ridge_fit(ctx_a.shifted_train.values[:, sel_a.columns[:8]],
                         ctx_a.target_train, cfg.ridge_lambda).w
-        w_b = ridge_fit(reduce_columns(ctx_b.shifted_train, sel_b.retained[:8]).values,
+        w_b = ridge_fit(ctx_b.shifted_train.values[:, sel_b.columns[:8]],
                         ctx_b.target_train, cfg.ridge_lambda).w
         np.testing.assert_array_equal(w_a, w_b)
 
@@ -322,10 +320,34 @@ class TestSweep:
         for mask_id, pivot in enumerate(pivots):
             ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
             tall = qr_column_pivot(ctx.shifted_train.values)
-            assert pivot.retained == [ctx.shifted_train.columns[j] for j in tall.perm]
-            assert rrqr_select(ctx.shifted_train, 16).retained == pivot.retained
+            np.testing.assert_array_equal(pivot.columns, tall.perm)
+            np.testing.assert_array_equal(rrqr_select(ctx.shifted_train, 16).columns,
+                                          pivot.columns)
             np.testing.assert_allclose(pivot.r_diag, tall.r_diag,
                                        rtol=0.0, atol=1e-14 * tall.r_diag[0])
+
+    @pytest.mark.parametrize("res", [
+        None,  # the tiny delay oscillator, 4 nodes
+        {"kind": "tanh", "nodes": 8, "alpha": 0.35, "spectral_radius": 0.5,
+         "f_a": 0.5, "f_w": 1.0},
+    ], ids=["oeo", "tanh"])
+    def test_ranking_is_task_independent(self, res):
+        # the pivot sees only the reservoir states: the target column and the
+        # ones column come after the state columns in the compressed system,
+        # so neither the task nor the bias can move the ranking
+        base = tiny_config(n_masks=3, **({} if res is None else {"reservoir": res}))
+        runs = [
+            sweep(dataclasses.replace(base, include_bias=bias,
+                                      data=dataclasses.replace(base.data, task=task)),
+                  subset_mode="rrqr").pivots
+            for task in ("prediction", "observer") for bias in (False, True)
+        ]
+        first = runs[0]
+        assert len(first) == 3
+        for pivots in runs[1:]:
+            for got, want in zip(pivots, first, strict=True):
+                np.testing.assert_array_equal(got.columns, want.columns)
+                assert got.r_diag.tobytes() == want.r_diag.tobytes()
 
     def test_full_width_grid_has_no_improvement(self):
         cfg = tiny_config(m_red_grid=(16,))
@@ -376,19 +398,19 @@ def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
             [res_cfg], obs, cfg.washout, cfg.continuation
         )[0]
         entropies.append(analysis.reservoir_entropy(train, acfg.window))
-        xc = train.values - train.values.mean(axis=0)
+        xc = train - train.mean(axis=0)
         gc = g_obs_train - g_obs_train.mean()
         correlations.append(np.mean(np.abs(xc.T @ gc) / np.sqrt(
             (xc**2).sum(axis=0) * (gc**2).sum())))
-        readout = ridge_fit(train.values, g_obs_train, cfg.ridge_lambda,
+        readout = ridge_fit(train, g_obs_train, cfg.ridge_lambda,
                            include_bias=cfg.include_bias)
-        err_obs.append(nrmse(g_obs_test, predict(test.values, readout), mode))
+        err_obs.append(nrmse(g_obs_test, predict(test, readout), mode))
         g_pred_train = pred.target_train[cfg.washout :]
         g_pred_test = pred.target_test if cfg.continuation \
             else pred.target_test[cfg.washout :]
-        readout = ridge_fit(train.values, g_pred_train, cfg.ridge_lambda,
+        readout = ridge_fit(train, g_pred_train, cfg.ridge_lambda,
                            include_bias=cfg.include_bias)
-        err_pred.append(nrmse(g_pred_test, predict(test.values, readout), mode))
+        err_pred.append(nrmse(g_pred_test, predict(test, readout), mode))
     return pipeline.AnalysisRow(
         f_w=f_w,
         f_a=f_a,

@@ -148,21 +148,18 @@ class TestTanhBatch:
     def test_batch_equals_per_config_runs(self, lorenz_drive_short):
         cfgs = batch_configs()
         batch = run_tanh_reservoir(cfgs, lorenz_drive_short, washout=50)
-        assert len(batch) == len(cfgs)
-        for cfg, sm in zip(cfgs, batch):
+        assert batch.shape == (len(cfgs), len(lorenz_drive_short) - 50, 20)
+        for cfg, x in zip(cfgs, batch):
             single = run_tanh_reservoir(cfg, lorenz_drive_short, washout=50)
-            np.testing.assert_array_equal(sm.values, single.values)
-            assert sm.washout == 50 and sm.node_ids == list(range(20))
+            np.testing.assert_array_equal(x, single.values)
 
     def test_pieces_restarted_from_last_state_equal_one_run(self, lorenz_drive_short):
         cfgs = batch_configs()
-        whole = np.stack([sm.values for sm in run_tanh_reservoir(cfgs, lorenz_drive_short, 50)])
-        pieces = [np.stack([sm.values for sm in run_tanh_reservoir(
-            cfgs, lorenz_drive_short[:300], 50)])]
+        whole = run_tanh_reservoir(cfgs, lorenz_drive_short, 50)
+        pieces = [run_tanh_reservoir(cfgs, lorenz_drive_short[:300], 50)]
         for start in range(300, len(lorenz_drive_short), 137):
-            states = run_tanh_reservoir(cfgs, lorenz_drive_short[start:start + 137], 0,
-                                        initial_state=pieces[-1][:, -1])
-            pieces.append(np.stack([sm.values for sm in states]))
+            pieces.append(run_tanh_reservoir(cfgs, lorenz_drive_short[start:start + 137], 0,
+                                             initial_state=pieces[-1][:, -1]))
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
 
     def test_batch_of_one_equals_reference_loop(self, lorenz_drive_short, rng):
@@ -172,7 +169,7 @@ class TestTanhBatch:
         single = run_tanh_reservoir(cfg, lorenz_drive_short, 30, initial_state=x0)
         (listed,) = run_tanh_reservoir([cfg], lorenz_drive_short, 30, initial_state=[x0])
         np.testing.assert_array_equal(single.values, expected)
-        np.testing.assert_array_equal(listed.values, expected)
+        np.testing.assert_array_equal(listed, expected)
 
     def test_diverging_member_raises_with_its_step(self):
         # An infinite drive sample turns 0 * inf into NaN only in the member
@@ -325,13 +322,12 @@ class TestOEOBatch:
         cfgs = oeo_batch_configs(sample_offset)
         drive = lorenz_drive_short[:300]
         batch = run_oeo_reservoir(cfgs, drive, washout=30, v0=0.3)
-        assert len(batch) == len(cfgs)
-        for cfg, sm in zip(cfgs, batch):
+        assert batch.shape == (len(cfgs), 270, 6)
+        for cfg, x in zip(cfgs, batch):
             single = run_oeo_reservoir(cfg, drive, washout=30, v0=0.3)
             assert isinstance(single, StateMatrix)
-            np.testing.assert_array_equal(sm.values, single.values)
-            np.testing.assert_array_equal(sm.values, reference_oeo_run(cfg, drive, 30, 0.3))
-            assert sm.washout == 30 and sm.node_ids == list(range(6))
+            np.testing.assert_array_equal(x, single.values)
+            np.testing.assert_array_equal(x, reference_oeo_run(cfg, drive, 30, 0.3))
 
     @pytest.mark.parametrize("n_in,washout", [
         (OEO_CHUNK // 2, 5),                     # shorter than one chunk
@@ -345,10 +341,9 @@ class TestOEOBatch:
         cfgs = oeo_batch_configs(sample_offset)
         drive = lorenz_drive_short[:n_in]
         batch = run_oeo_reservoir(cfgs, drive, washout=washout, v0=0.3)
-        for cfg, sm in zip(cfgs, batch):
-            np.testing.assert_array_equal(sm.values,
-                                          reference_oeo_run(cfg, drive, washout, 0.3))
-            assert sm.values.shape == (n_in - washout, 6)
+        for cfg, x in zip(cfgs, batch):
+            np.testing.assert_array_equal(x, reference_oeo_run(cfg, drive, washout, 0.3))
+            assert x.shape == (n_in - washout, 6)
 
     @pytest.mark.parametrize("bad_index", [10, 11, OEO_CHUNK - 1, OEO_CHUNK, 299])
     def test_nan_drive_raises_at_the_reference_step(self, bad_index):
@@ -410,7 +405,3 @@ class TestConfigs:
     def test_tanh_diagonal_validated(self):
         with pytest.raises(ValueError, match="diagonal"):
             TanhReservoirConfig(m=2, alpha=0.5, a=np.eye(2), w_in=np.ones(2))
-
-    def test_state_matrix_node_ids_validated(self):
-        with pytest.raises(ValueError, match="node_ids"):
-            StateMatrix(values=np.zeros((3, 2)), node_ids=[0, 2], washout=0)
