@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import jsonschema
 
+from .dynamics import sampling_problem
 from .errors import ConfigError
 
 # The task itself is the user's choice and deliberately has no default.
@@ -227,7 +228,8 @@ def resolve_config(raw: dict) -> dict:
     Raises:
         ConfigError: schema violation or NaN or infinite number (message
             names the offending field) or cross-field inconsistency such as
-            an oversized m_red entry or an input fraction that rounds to no
+            an oversized m_red entry, a ``dt_internal`` that does not divide
+            ``sample_interval``, or an input fraction that rounds to no
             input node.
     """
     if not isinstance(raw, dict):
@@ -245,6 +247,11 @@ def resolve_config(raw: dict) -> dict:
     bad = _non_finite_field(resolved)
     if bad is not None:
         raise ConfigError(f"invalid config field '{bad}': must be a finite number")
+
+    problem = sampling_problem(resolved["data"]["dt_internal"],
+                               resolved["data"]["sample_interval"])
+    if problem is not None:
+        raise ConfigError(f"invalid config field 'data.dt_internal': {problem}")
 
     nodes = resolved["reservoir"]["nodes"]
     tau_max = resolved["shifts"]["tau_max"]

@@ -27,6 +27,21 @@ class TaskKind(Enum):
     OBSERVER = "observer"
 
 
+def sampling_problem(dt_internal: float, sample_interval: float) -> str | None:
+    """Why RK4 steps of ``dt_internal`` cannot land on a grid of
+    ``sample_interval``, or None: the step must be positive, at most the
+    interval, and divide it exactly."""
+    if dt_internal <= 0.0:
+        return f"dt_internal must be positive, got {dt_internal}"
+    if dt_internal > sample_interval:
+        return f"dt_internal {dt_internal} exceeds sample_interval {sample_interval}"
+    ratio = sample_interval / dt_internal
+    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        return (f"sample_interval {sample_interval} is not an integer "
+                f"multiple of dt_internal {dt_internal}")
+    return None
+
+
 @dataclass(frozen=True)
 class ChaoticParams:
     """Parameters of one chaotic source plus its sampling setup.
@@ -46,19 +61,9 @@ class ChaoticParams:
     def __post_init__(self):
         if self.time_scale <= 0.0:
             raise ValueError(f"time_scale must be positive, got {self.time_scale}")
-        if self.dt_internal <= 0.0:
-            raise ValueError(f"dt_internal must be positive, got {self.dt_internal}")
-        if self.dt_internal > self.sample_interval:
-            raise ValueError(
-                f"dt_internal {self.dt_internal} exceeds sample_interval "
-                f"{self.sample_interval}"
-            )
-        ratio = self.sample_interval / self.dt_internal
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ValueError(
-                f"sample_interval {self.sample_interval} is not an integer "
-                f"multiple of dt_internal {self.dt_internal}"
-            )
+        problem = sampling_problem(self.dt_internal, self.sample_interval)
+        if problem is not None:
+            raise ValueError(problem)
         if self.transient_samples < 0:
             raise ValueError("transient_samples must be non-negative")
 

@@ -4,7 +4,9 @@ LAPACK's Householder QR with greedy column pivoting (``dgeqp3``) ranks
 columns: its permutation orders them from most to least linearly
 independent, and the magnitudes of the R diagonal expose near rank
 deficiency. It is the selection kernel and, at lambda = 0, the rank check
-of every ridge fit.
+of every ridge fit. ``dgeqp3`` is SciPy's LAPACK wrapper, taken from the
+``scipy.linalg._flapack`` extension loaded by :mod:`shiftrc._kernels`
+without importing ``scipy.linalg``.
 
 The fits themselves are LAPACK Householder QRs of stacked ridge systems,
 many at once: :func:`ridge_solve` factors a batch of equal-shape designs in
@@ -28,9 +30,12 @@ from enum import Enum
 
 import numpy as np
 
+from ._kernels import load_scipy_extension
 from .errors import DegenerateTargetError, SingularMatrixError
 
 logger = logging.getLogger(__name__)
+
+_dgeqp3 = load_scipy_extension("scipy.linalg._flapack").dgeqp3
 
 # Default relative tolerance for numerical-rank decisions.
 RANK_TOL_DEFAULT = 1e-10
@@ -75,7 +80,8 @@ class PivotedQR:
 def qr_column_pivot(b: np.ndarray) -> PivotedQR:
     """Factor a tall matrix as ``B[:, perm] = Q R`` with greedy pivoting.
 
-    One call of LAPACK ``dgeqp3``, the Businger-Golub column-pivoted QR: at
+    One call of LAPACK ``dgeqp3`` (bound at import from SciPy's
+    ``_flapack`` extension), the Businger-Golub column-pivoted QR: at
     each step the remaining column with the largest residual 2-norm is
     chosen, so ``|R_kk|`` is non-increasing and the permutation ranks columns
     by linear independence.
@@ -84,8 +90,6 @@ def qr_column_pivot(b: np.ndarray) -> PivotedQR:
         ValueError: if the matrix is wider than tall or contains non-finite
             entries. A zero matrix is valid and yields all-zero ``r_diag``.
     """
-    from scipy.linalg import lapack
-
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={b.ndim}")
@@ -94,7 +98,7 @@ def qr_column_pivot(b: np.ndarray) -> PivotedQR:
         raise ValueError(f"need at least as many rows as columns, got {t}x{m}")
     if not np.all(np.isfinite(b)):
         raise ValueError("matrix contains non-finite entries")
-    factor, jpvt, taus, _, _ = lapack.dgeqp3(b)
+    factor, jpvt, taus, _, _ = _dgeqp3(b)
     return PivotedQR(
         packed=factor.T,
         taus=taus,

@@ -3,7 +3,9 @@
 Two reservoirs produce a state matrix from a scalar drive: a leaky-tanh
 recurrent network iterated as a map, and a time-multiplexed opto-electronic
 delay oscillator whose virtual nodes are samples of a single delayed
-feedback loop.
+feedback loop. The oscillator's low-pass filter is ``lfilter``'s compiled
+kernel, ``_linear_filter`` of the ``scipy.signal._sigtools`` extension,
+loaded by :mod:`shiftrc._kernels` without importing ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal._sigtools import _linear_filter
 
+from ._kernels import load_scipy_extension
 from .errors import DivergenceError
+
+_linear_filter = load_scipy_extension("scipy.signal._sigtools")._linear_filter
 
 
 @dataclass

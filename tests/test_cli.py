@@ -4,6 +4,9 @@ import ast
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +275,16 @@ class TestSweep:
         assert "m_red_grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_not_dividing_sample_interval_rejected(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["data"]["dt_internal"] = 0.3
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'data.dt_internal'" in err and "integer multiple" in err
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -495,6 +508,36 @@ class TestErrors:
         blocker.write_text("a file, not a directory")
         code = main(["generate", "--config", cfg, "--out", str(blocker / "sub")])
         assert code == 3
+
+
+# Runs ``python -m shiftrc.cli`` with the given arguments, then prints the
+# exit code and every SciPy module the process imported.
+RUN_CLI_AND_LIST_SCIPY = """
+import runpy, sys
+sys.argv[0] = "shiftrc"
+try:
+    runpy.run_module("shiftrc.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_cli_loads_no_scipy_package(tmp_path, command):
+    # only the two compiled kernels are loaded, not scipy.signal (which
+    # pulls in scipy.stats) or scipy.linalg
+    src = str(Path(shiftrc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    payload = TINY_SWEEP if command == "sweep" else TINY_ANALYZE
+    argv = [command, "--config", write_config(tmp_path, payload),
+            "--out", str(tmp_path / "out")]
+    argv += ["--subset", "both"] if command == "sweep" else []
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI_AND_LIST_SCIPY, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert modules == ["scipy.linalg._flapack", "scipy.signal._sigtools"]
 
 
 WRITE_CALLS = {"write_text", "write_bytes", "dump", "save", "savez", "savetxt", "tofile"}
