@@ -45,12 +45,10 @@ from .linalg import (
     NrmseMode,
     PivotedQR,
     Readout,
-    covariance_rank,
     estimate_rank,
     nrmse,
     predict,
     qr_column_pivot,
-    r22_bound_check,
     ridge_fit,
 )
 from .pipeline import (
@@ -66,16 +64,14 @@ from .reservoir import (
     TanhReservoirConfig,
     generate_adjacency,
     generate_input_weights,
-    generate_mask,
     make_oeo_config,
     make_tanh_config,
     run_oeo_reservoir,
     run_tanh_reservoir,
 )
 from .shifts import (
-    SelectionResult,
-    ShiftedMatrix,
     build_shifted_matrix,
+    column_labels,
     random_select,
     reduce_columns,
     rrqr_select,

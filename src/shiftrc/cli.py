@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
-from . import __version__, pipeline
+from . import __version__, pipeline, shifts
 from .config import (
     AnalysisConfig,
     ExperimentConfig,
@@ -87,13 +87,14 @@ def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
                     encoding="ascii")
 
 
-def _write_selection(path: Path, sel) -> None:
-    """A ranked selection: its pivot order, width and |R_kk|."""
+def _write_selection(path: Path, order, r_diag, n_nodes: int) -> None:
+    """A ranked selection: its pivot order as [node, shift] labels, its
+    width and |R_kk|."""
     _write_json(path, {
         "method": "rrqr",  # the sweep records only its ranked selections
-        "m_red": len(sel.retained),
-        "retained": [[n, s] for n, s in sel.retained],
-        "r_diag": [float(v) for v in sel.r_diag],
+        "m_red": len(order),
+        "retained": shifts.column_labels(order, n_nodes),
+        "r_diag": [float(v) for v in r_diag],
     })
 
 
@@ -136,11 +137,11 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, subset_mode: str) -> list[s
     paths = ["sweep.csv", "cells.json"]
     if result.pivots:
         (out_dir / "diagnostics").mkdir(exist_ok=True)
-    for mask_id, pivot in enumerate(result.pivots):
+    for mask_id, (order, r_diag) in enumerate(result.pivots):
         sel_path = f"diagnostics/mask_{mask_id:04d}_selection.json"
-        _write_selection(out_dir / sel_path, pivot)
+        _write_selection(out_dir / sel_path, order, r_diag, cfg.n_nodes)
         rdiag_path = f"diagnostics/mask_{mask_id:04d}_rdiag.csv"
-        _write_r_diag(out_dir / rdiag_path, pivot.r_diag)
+        _write_r_diag(out_dir / rdiag_path, r_diag)
         paths += [sel_path, rdiag_path]
     return paths
 

@@ -65,12 +65,6 @@ class PivotedQR:
     r_diag: np.ndarray
 
     @property
-    def shape(self) -> tuple[int, int]:
-        """Shape ``(T, M)`` of the factored matrix."""
-        m, t = self.packed.shape
-        return t, m
-
-    @property
     def r(self) -> np.ndarray:
         """The upper-triangular factor, trimmed to its nonzero M x M block."""
         m = self.packed.shape[0]
@@ -140,40 +134,6 @@ def estimate_rank(qr: PivotedQR, tol_rel: float = RANK_TOL_DEFAULT) -> int:
         return 0
     above = np.nonzero(r > tol_rel * r[0])[0]
     return int(above[-1]) + 1 if above.size else 0
-
-
-def r22_bound_check(qr: PivotedQR, ell: int) -> tuple[float, float]:
-    """Return ``(sigma_{M-ell+1}, ||R22||_2)`` for the trailing ell x ell block.
-
-    The singular value is that of the factored source matrix; it is computed
-    from R, whose singular values equal the source's because Q is orthogonal
-    and the permutation is unitary. Callers assert ``sigma <= r22_norm``
-    (up to roundoff): a small trailing block certifies rank deficiency.
-    """
-    t, m = qr.shape
-    if not 1 <= ell <= m:
-        raise IndexError(f"ell must be in 1..{m}, got {ell}")
-    r = qr.r
-    r22 = r[m - ell :, m - ell :]
-    r22_norm = float(np.linalg.norm(r22, 2))
-    sigma = float(np.linalg.svd(r, compute_uv=False)[m - ell])
-    return sigma, r22_norm
-
-
-def covariance_rank(states, tol_rel: float = RANK_TOL_DEFAULT) -> int:
-    """Rank of the state covariance, counted on squared singular values.
-
-    The singular values are taken from the matrix itself, never from the
-    explicitly formed Gramian, which would square the condition number.
-    """
-    values = np.asarray(states, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("matrix contains non-finite entries")
-    s = np.linalg.svd(values, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    sq = s**2
-    return int(np.count_nonzero(sq > tol_rel * sq[0]))
 
 
 @dataclass

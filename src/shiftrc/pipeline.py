@@ -44,7 +44,7 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow]
     cells: list[TaskResult]
-    pivots: list[shifts.SelectionResult] = field(default_factory=list)
+    pivots: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # (order, r_diag)
 
 
 def percent_improvement(delta_rand: float, delta_rrqr: float) -> float:
@@ -157,8 +157,8 @@ class MaskContext:
     serve fits without a bias (row C is zero in every state column).
     """
 
-    shifted_train: shifts.ShiftedMatrix
-    shifted_test: shifts.ShiftedMatrix
+    shifted_train: np.ndarray
+    shifted_test: np.ndarray
     target_train: np.ndarray
     target_test: np.ndarray
     r: np.ndarray
@@ -171,11 +171,10 @@ def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
     shifted_train = shifts.build_shifted_matrix(train, tau_max)
     shifted_test = shifts.build_shifted_matrix(test, tau_max)
     target_train = g_train[tau_max:]
-    x = shifted_train.values
-    system = np.column_stack([x, np.ones(x.shape[0]), target_train])
+    system = np.column_stack([shifted_train, np.ones(shifted_train.shape[0]), target_train])
     if not np.all(np.isfinite(system)):
         raise ValueError("training matrix or target contains non-finite entries")
-    n = x.shape[1]
+    n = shifted_train.shape[1]
     r = np.linalg.qr(system, mode="r")
     return MaskContext(shifted_train, shifted_test, target_train, g_test[tau_max:],
                        r=r[: n + 1, : n + 1], c=r[: n + 1, n + 1])
@@ -210,9 +209,9 @@ def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
 def _score_weights(ctx: MaskContext, w, mode: NrmseMode) -> list[tuple[float, float]]:
     """``(train, test)`` NRMSE of each column of full-width weights ``w``:
     one product per split predicts every cell of a group."""
-    n = ctx.shifted_train.n_columns
+    n = ctx.shifted_train.shape[1]
     errs = [
-        [linalg.nrmse(g, h, mode) for h in (x.values @ w[:n] + w[n]).T]
+        [linalg.nrmse(g, h, mode) for h in (x @ w[:n] + w[n]).T]
         for x, g in ((ctx.shifted_train, ctx.target_train),
                      (ctx.shifted_test, ctx.target_test))
     ]
@@ -229,7 +228,7 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     reservoir evaluated on the same trimmed row window.
     """
     mode = NrmseMode(cfg.nrmse_mode)
-    n = ctx.shifted_train.n_columns
+    n = ctx.shifted_train.shape[1]
     cells: list[TaskResult] = []
 
     def score(w, labels):
@@ -243,9 +242,9 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
 
     pivot = None
     if subset_mode in ("both", "rrqr"):
-        pivot = shifts.rrqr_select(ctx.shifted_train, n, r=ctx.r[:n, :n])
+        pivot = shifts.rrqr_select(ctx.r[:n, :n])  # (order, r_diag)
         sizes = [min(m_red, n) for m_red in cfg.m_red_grid]
-        ranked = fit([pivot.columns], sizes)
+        ranked = fit([pivot[0]], sizes)
     for j, m_red in enumerate(cfg.m_red_grid):
         w, labels = [], []
         if pivot is not None:
@@ -254,8 +253,7 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
         if subset_mode in ("both", "random"):
             seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
                      for subset_id in range(cfg.n_random_subsets)]
-            w.append(fit([shifts.random_select(ctx.shifted_train, m_red, seed).columns
-                          for seed in seeds]))
+            w.append(fit([shifts.random_select(n, m_red, seed) for seed in seeds]))
             labels += [("random", m_red, seed) for seed in seeds]
         score(np.hstack(w), labels)
     score(fit([np.arange(cfg.n_nodes)]),  # the shift-0 columns

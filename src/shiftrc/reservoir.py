@@ -49,10 +49,11 @@ def _batch(cfg, kind, drive, washout: int, shape, what: str):
     return single, cfgs, drive
 
 
-def _sparse_uniform(m: int, f_w: float, rng_seed: int) -> np.ndarray:
-    """Length-m vector, round(f_w*m) entries uniform in [-1, 1], rest zero.
-
-    Positions are chosen without replacement.
+def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
+    """Sparse input weights: a length-m vector with ``round(f_w * m)``
+    entries uniform in [-1, 1] at positions chosen without replacement, the
+    rest zero. The tanh reservoir's ``w_in`` and the delay reservoir's mask
+    are both this draw.
     """
     if not 0.0 < f_w <= 1.0:
         raise ValueError(f"f_w must be in (0, 1], got {f_w}")
@@ -67,23 +68,6 @@ def _sparse_uniform(m: int, f_w: float, rng_seed: int) -> np.ndarray:
     positions = rng.choice(m, size=n_nonzero, replace=False)
     values[positions] = rng.uniform(-1.0, 1.0, size=n_nonzero)
     return values
-
-
-def generate_mask(m: int, theta: int, f_w: float, rng_seed: int) -> np.ndarray:
-    """Sparse input mask for the delay reservoir.
-
-    Exactly ``round(f_w * m)`` entries are nonzero, drawn uniform in [-1, 1]
-    at positions chosen without replacement. The mask is interpreted as
-    piecewise constant over node intervals of length ``theta``.
-    """
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    return _sparse_uniform(m, f_w, rng_seed)
-
-
-def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
-    """Sparse input weight vector for the tanh reservoir (same draw as a mask)."""
-    return _sparse_uniform(m, f_w, rng_seed)
 
 
 # Sparse draws of zero spectral radius that generate_adjacency retries.
@@ -264,7 +248,7 @@ class OEOConfig:
             raise ValueError(f"theta must be a positive integer, got {self.theta}")
         self.theta = int(self.theta)
         if self.mask is None:
-            raise ValueError("mask is required; use generate_mask")
+            raise ValueError("mask is required; use generate_input_weights")
         self.mask = np.asarray(self.mask, dtype=float)
         if self.mask.shape != (self.m,):
             raise ValueError(f"mask shape {self.mask.shape} != ({self.m},)")
@@ -302,7 +286,7 @@ def make_oeo_config(
     mask_seed: int,
 ) -> OEOConfig:
     """Generate a delay-oscillator reservoir with a fresh random mask."""
-    mask = generate_mask(m, theta, f_w, mask_seed)
+    mask = generate_input_weights(m, f_w, mask_seed)
     return OEOConfig(
         m=m, theta=theta, beta=beta, phi=phi, rho=rho, f_w=f_w,
         mask=mask, sample_offset=sample_offset,

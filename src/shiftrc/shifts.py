@@ -3,42 +3,27 @@
 Augments a state matrix with lagged copies of every node column and selects
 a subset of the columns either by pivoted-QR ranking or uniformly at random.
 Columns are passed around as indices; column ``shift * n_nodes + node`` is
-the (node, shift) copy, and this module alone turns an index into that label.
+the (node, shift) copy, and :func:`column_labels` alone turns an index into
+that label.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import log_row_dominance, qr_column_pivot
 
 
-@dataclass
-class ShiftedMatrix:
-    """All (node, shift) columns over the rows where every lag is defined.
-
-    Column order is shift-major: column ``shift * n_nodes + node`` is the
-    shift-``shift`` copy of node ``node``, for shifts 0 up to ``tau_max``.
-    Row t of a shift-s column holds the source entry at row
-    ``t + tau_max - s``.
-    """
-
-    values: np.ndarray
-    n_nodes: int
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
-
-
-def build_shifted_matrix(source: np.ndarray, tau_max: int) -> ShiftedMatrix:
+def build_shifted_matrix(source: np.ndarray, tau_max: int) -> np.ndarray:
     """Stack lagged copies of every column of a ``(rows, nodes)`` state
-    array, shifts 0..tau_max inclusive.
+    array, shifts 0..tau_max inclusive, into a
+    ``(rows - tau_max, (tau_max + 1) * nodes)`` array.
 
-    The first ``tau_max`` source rows are dropped so that every column is
-    fully defined without padding.
+    Column order is shift-major: column ``shift * nodes + node`` is the
+    shift-``shift`` copy of node ``node``. Row t of a shift-s column holds
+    the source entry at row ``t + tau_max - s``, so the first ``tau_max``
+    source rows are dropped and every column is fully defined without
+    padding.
     """
     if tau_max < 0:
         raise ValueError(f"tau_max must be >= 0, got {tau_max}")
@@ -50,65 +35,44 @@ def build_shifted_matrix(source: np.ndarray, tau_max: int) -> ShiftedMatrix:
     for shift in range(tau_max + 1):
         start = tau_max - shift
         values[:, shift * m : (shift + 1) * m] = source[start : start + t_out]
-    return ShiftedMatrix(values=values, n_nodes=m)
+    return values
 
 
-@dataclass
-class SelectionResult:
-    """Ordered retained column indices of a shifted matrix with ``n_nodes``
-    nodes; a ranked selection also carries its pivot spectrum ``|R_kk|``."""
-
-    columns: np.ndarray
-    n_nodes: int
-    r_diag: np.ndarray | None = None
-
-    def __post_init__(self):
-        if len(np.unique(self.columns)) != len(self.columns):
-            raise ValueError("retained columns must be distinct")
-
-    @property
-    def retained(self) -> list[tuple[int, int]]:
-        """The retained columns as (node, shift) labels, in order."""
-        return [(int(j) % self.n_nodes, int(j) // self.n_nodes) for j in self.columns]
+def column_labels(columns, n_nodes: int) -> list[list[int]]:
+    """The ``[node, shift]`` label of each shifted-matrix column index."""
+    return [[int(j) % n_nodes, int(j) // n_nodes] for j in columns]
 
 
-def rrqr_select(shifted: ShiftedMatrix, m_red: int,
-                r: np.ndarray | None = None) -> SelectionResult:
-    """Keep the ``m_red`` most linearly independent columns.
+def rrqr_select(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the columns of ``b`` from most to least linearly independent.
 
-    Runs the greedy pivoted QR (``qr_column_pivot``, LAPACK ``dgeqp3``);
-    the pivot order ranks columns from most to least independent and the
-    first ``m_red`` are retained. Every greedy choice depends only on the
-    column norms of the residuals, which an orthogonal ``Q^T`` leaves
-    unchanged, so the pivot runs on the C x C triangle ``R`` of
-    ``shifted.values = Q R`` instead of the tall matrix; the order is the
-    same and ``r_diag`` agrees to rounding (about eps * |R_00|). ``r`` is
-    that triangle when the caller already has it (a sweep reads it off its
-    compressed training system); otherwise one LAPACK QR of
-    ``shifted.values`` computes it. A row-dominance violation of the
-    factorization is logged as a warning.
+    Runs the greedy pivoted QR (``qr_column_pivot``, LAPACK ``dgeqp3``) on
+    exactly ``b`` and returns ``(order, r_diag)``: its pivot order and
+    spectrum ``|R_kk|``. A selection of width m_red keeps ``order[:m_red]``.
+    Every greedy choice depends only on the column norms of the residuals,
+    which an orthogonal ``Q^T`` leaves unchanged, so the C x C triangle
+    ``R`` of a tall ``X = Q R`` ranks the columns of ``X`` in the same
+    order, with ``r_diag`` equal to rounding (about eps * |R_00|), and
+    costs far less to pivot; a sweep passes the triangle that compresses
+    its training system. A row-dominance violation of the factorization is
+    logged as a warning.
 
     Raises:
-        ValueError: ``m_red`` is outside 1..C, or the shifted matrix has
-            fewer rows than columns or non-finite entries.
+        ValueError: ``b`` has fewer rows than columns or non-finite entries.
     """
-    c = shifted.n_columns
-    if not 1 <= m_red <= c:
-        raise ValueError(f"m_red must be in 1..{c}, got {m_red}")
-    qr = qr_column_pivot(np.linalg.qr(shifted.values, mode="r") if r is None else r)
+    qr = qr_column_pivot(b)
     log_row_dominance(qr)
-    return SelectionResult(qr.perm[:m_red], shifted.n_nodes, qr.r_diag.copy())
+    return qr.perm, qr.r_diag
 
 
-def random_select(shifted: ShiftedMatrix, m_red: int, seed: int) -> SelectionResult:
-    """Keep ``m_red`` distinct columns drawn uniformly without replacement."""
-    c = shifted.n_columns
-    if not 1 <= m_red <= c:
-        raise ValueError(f"m_red must be in 1..{c}, got {m_red}")
-    idx = np.random.default_rng(seed).choice(c, size=m_red, replace=False)
-    return SelectionResult(idx, shifted.n_nodes)
+def random_select(n_columns: int, m_red: int, seed: int) -> np.ndarray:
+    """``m_red`` distinct column indices of ``0..n_columns - 1``, drawn
+    uniformly without replacement."""
+    if not 1 <= m_red <= n_columns:
+        raise ValueError(f"m_red must be in 1..{n_columns}, got {m_red}")
+    return np.random.default_rng(seed).choice(n_columns, size=m_red, replace=False)
 
 
-def reduce_columns(shifted: ShiftedMatrix, selection: SelectionResult) -> np.ndarray:
-    """The retained columns of a shifted matrix, in retained order."""
-    return shifted.values[:, selection.columns]
+def reduce_columns(shifted: np.ndarray, columns) -> np.ndarray:
+    """The given columns of a shifted matrix, in the given order."""
+    return shifted[:, columns]

@@ -1,0 +1,44 @@
+"""Acceptance oracles on a pivoted QR and on a state matrix.
+
+They certify the kernel's results by separate routes (an SVD of R, an SVD
+of the matrix itself), so they live with the tests rather than in the
+package.
+"""
+
+import numpy as np
+
+from shiftrc.linalg import RANK_TOL_DEFAULT, PivotedQR
+
+
+def r22_bound_check(qr: PivotedQR, ell: int) -> tuple[float, float]:
+    """Return ``(sigma_{M-ell+1}, ||R22||_2)`` for the trailing ell x ell block.
+
+    The singular value is that of the factored source matrix; it is computed
+    from R, whose singular values equal the source's because Q is orthogonal
+    and the permutation is unitary. Callers assert ``sigma <= r22_norm``
+    (up to roundoff): a small trailing block certifies rank deficiency.
+    """
+    m = qr.packed.shape[0]
+    if not 1 <= ell <= m:
+        raise IndexError(f"ell must be in 1..{m}, got {ell}")
+    r = qr.r
+    r22 = r[m - ell :, m - ell :]
+    r22_norm = float(np.linalg.norm(r22, 2))
+    sigma = float(np.linalg.svd(r, compute_uv=False)[m - ell])
+    return sigma, r22_norm
+
+
+def covariance_rank(states, tol_rel: float = RANK_TOL_DEFAULT) -> int:
+    """Rank of the state covariance, counted on squared singular values.
+
+    The singular values are taken from the matrix itself, never from the
+    explicitly formed Gramian, which would square the condition number.
+    """
+    values = np.asarray(states, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix contains non-finite entries")
+    s = np.linalg.svd(values, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    sq = s**2
+    return int(np.count_nonzero(sq > tol_rel * sq[0]))

@@ -181,7 +181,7 @@ class TestSweep:
         for mask_id in range(cfg.n_masks):
             sel = json.loads((diag / f"mask_{mask_id:04d}_selection.json").read_text())
             ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
-            tall = qr_column_pivot(ctx.shifted_train.values)
+            tall = qr_column_pivot(ctx.shifted_train)
             # column shift * n_nodes + node is written as [node, shift]
             assert sel["retained"] == [[j % cfg.n_nodes, j // cfg.n_nodes] for j in tall.perm]
             assert sel["m_red"] == len(sel["retained"]) == n_columns

@@ -8,18 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
-from shiftrc import analysis, dynamics, pipeline, reservoir
+from shiftrc import analysis, dynamics, pipeline, reservoir, shifts
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
 from shiftrc.errors import SingularMatrixError
 from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
-from shiftrc.shifts import (
-    SelectionResult,
-    build_shifted_matrix,
-    random_select,
-    reduce_columns,
-    rrqr_select,
-)
+from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
 
 from conftest import mask_context, score_columns
 
@@ -90,15 +84,15 @@ class TestScoreSelection:
         # the source matrix on the shared trimmed window
         values = rng.normal(size=(60, 4))
         shifted = build_shifted_matrix(values, 3)
-        reduced = reduce_columns(shifted, SelectionResult(np.arange(4), shifted.n_nodes))
+        reduced = reduce_columns(shifted, np.arange(4))
         np.testing.assert_array_equal(reduced, values[3:])
 
 
 def direct_score(ctx, cols, ridge_lambda, include_bias=False,
                  mode=NrmseMode.GLOBAL):
     """Reference: copy the selected columns and fit the tall system."""
-    train = ctx.shifted_train.values[:, cols]
-    test = ctx.shifted_test.values[:, cols]
+    train = ctx.shifted_train[:, cols]
+    test = ctx.shifted_test[:, cols]
     readout = ridge_fit(train, ctx.target_train, ridge_lambda, include_bias)
     return (nrmse(ctx.target_train, predict(train, readout), mode),
             nrmse(ctx.target_test, predict(test, readout), mode))
@@ -144,14 +138,14 @@ class TestCompressedReadout:
         cfg = tiny_config(n_masks=1, include_bias=True)
         result = sweep(cfg)
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        ranked = result.pivots[0].columns
+        ranked, _ = result.pivots[0]
         checked = 0
         for cell in result.cells:
             if cell.method == "rrqr":
                 cols = ranked[: cell.m_red]
             elif cell.method == "random":
-                cols = random_select(ctx.shifted_train, cell.m_red,
-                                     cell.subset_seed).columns
+                cols = random_select(ctx.shifted_train.shape[1], cell.m_red,
+                                     cell.subset_seed)
             else:
                 cols = np.arange(cfg.n_nodes)  # the shift-0 columns
             want = direct_score(ctx, cols, cfg.ridge_lambda, include_bias=True)
@@ -243,8 +237,8 @@ class TestFitGroup:
     def test_ranked_prefixes_equal_per_prefix_fits(self, bias):
         cfg = tiny_config(n_masks=1, include_bias=bias)
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        order = rrqr_select(ctx.shifted_train, ctx.shifted_train.n_columns).columns
-        sizes = list(range(1, ctx.shifted_train.n_columns + 1))
+        order = rrqr_select(ctx.shifted_train)[0]
+        sizes = list(range(1, ctx.shifted_train.shape[1] + 1))
         w = pipeline._fit_group(ctx, [order], cfg.ridge_lambda, bias, sizes)
         got = pipeline._score_weights(ctx, w, NrmseMode.GLOBAL)
         for j, p in enumerate(sizes):
@@ -269,9 +263,9 @@ class TestRunSingle:
     def test_rrqr_and_random_converge_at_full_width(self):
         cfg = tiny_config()
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        full = ctx.shifted_train.n_columns
-        ranked = rrqr_select(ctx.shifted_train, full).columns
-        drawn = random_select(ctx.shifted_train, full, seed=9).columns
+        full = ctx.shifted_train.shape[1]
+        ranked = rrqr_select(ctx.shifted_train)[0]
+        drawn = random_select(full, full, seed=9)
         _, e1 = score_columns(ctx, ranked, cfg.ridge_lambda)
         _, e2 = score_columns(ctx, drawn, cfg.ridge_lambda)
         assert e1 == pytest.approx(e2, rel=1e-8)
@@ -283,17 +277,16 @@ class TestRunSingle:
         ctx_a = mask_context(cfg, seed)
         ctx_b = mask_context(cfg, seed)
         rng = np.random.default_rng(0)
-        ctx_b.shifted_test.values[:] = rng.normal(size=ctx_b.shifted_test.values.shape)
+        ctx_b.shifted_test[:] = rng.normal(size=ctx_b.shifted_test.shape)
         ctx_b.target_test = rng.normal(size=ctx_b.target_test.shape)
 
-        full = ctx_a.shifted_train.n_columns
-        sel_a = rrqr_select(ctx_a.shifted_train, full)
-        sel_b = rrqr_select(ctx_b.shifted_train, full)
-        np.testing.assert_array_equal(sel_a.columns, sel_b.columns)
+        order_a = rrqr_select(ctx_a.shifted_train)[0]
+        order_b = rrqr_select(ctx_b.shifted_train)[0]
+        np.testing.assert_array_equal(order_a, order_b)
 
-        w_a = ridge_fit(ctx_a.shifted_train.values[:, sel_a.columns[:8]],
+        w_a = ridge_fit(ctx_a.shifted_train[:, order_a[:8]],
                         ctx_a.target_train, cfg.ridge_lambda).w
-        w_b = ridge_fit(ctx_b.shifted_train.values[:, sel_b.columns[:8]],
+        w_b = ridge_fit(ctx_b.shifted_train[:, order_b[:8]],
                         ctx_b.target_train, cfg.ridge_lambda).w
         np.testing.assert_array_equal(w_a, w_b)
 
@@ -317,13 +310,12 @@ class TestSweep:
         cfg = tiny_config(n_masks=3, continuation=continuation)
         pivots = sweep(cfg, subset_mode="rrqr").pivots
         assert len(pivots) == 3
-        for mask_id, pivot in enumerate(pivots):
+        for mask_id, (order, r_diag) in enumerate(pivots):
             ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
-            tall = qr_column_pivot(ctx.shifted_train.values)
-            np.testing.assert_array_equal(pivot.columns, tall.perm)
-            np.testing.assert_array_equal(rrqr_select(ctx.shifted_train, 16).columns,
-                                          pivot.columns)
-            np.testing.assert_allclose(pivot.r_diag, tall.r_diag,
+            tall = qr_column_pivot(ctx.shifted_train)
+            np.testing.assert_array_equal(order, tall.perm)
+            np.testing.assert_array_equal(rrqr_select(ctx.shifted_train)[0], order)
+            np.testing.assert_allclose(r_diag, tall.r_diag,
                                        rtol=0.0, atol=1e-14 * tall.r_diag[0])
 
     @pytest.mark.parametrize("res", [
@@ -345,9 +337,37 @@ class TestSweep:
         first = runs[0]
         assert len(first) == 3
         for pivots in runs[1:]:
-            for got, want in zip(pivots, first, strict=True):
-                np.testing.assert_array_equal(got.columns, want.columns)
-                assert got.r_diag.tobytes() == want.r_diag.tobytes()
+            for (got, got_r), (want, want_r) in zip(pivots, first, strict=True):
+                np.testing.assert_array_equal(got, want)
+                assert got_r.tobytes() == want_r.tobytes()
+
+    def test_each_mask_is_ranked_once_through_rrqr_select(self, monkeypatch):
+        # the benchmark's traced runs count the ranking pivot as the call of
+        # qr_column_pivot, under the name that shifts imports, nested in
+        # shifts.rrqr_select; the sweep must rank through both names
+        cfg = tiny_config(n_masks=3)
+        ranked, pivoted, open_selects = [], [], []
+        real_select, real_pivot = shifts.rrqr_select, shifts.qr_column_pivot
+
+        def select(b):
+            ranked.append(b.shape)
+            open_selects.append(b)
+            try:
+                return real_select(b)
+            finally:
+                open_selects.pop()
+
+        def pivot(b):
+            pivoted.append((bool(open_selects), b.shape))
+            return real_pivot(b)
+
+        monkeypatch.setattr(shifts, "rrqr_select", select)
+        monkeypatch.setattr(shifts, "qr_column_pivot", pivot)
+        result = sweep(cfg)
+        n = cfg.n_nodes * (cfg.tau_max + 1)
+        assert ranked == [(n, n)] * cfg.n_masks
+        assert pivoted == [(True, (n, n))] * cfg.n_masks
+        assert len(result.pivots) == cfg.n_masks
 
     def test_full_width_grid_has_no_improvement(self):
         cfg = tiny_config(m_red_grid=(16,))

@@ -13,7 +13,6 @@ from shiftrc.reservoir import (
     TanhReservoirConfig,
     generate_adjacency,
     generate_input_weights,
-    generate_mask,
     make_oeo_config,
     make_tanh_config,
     run_oeo_reservoir,
@@ -59,23 +58,24 @@ class TestAdjacency:
 
 class TestMask:
     def test_forty_percent_nonzero(self):
-        mask = generate_mask(10, 40, 0.4, rng_seed=3)
+        mask = generate_input_weights(10, 0.4, rng_seed=3)
         nz = mask[mask != 0.0]
         assert nz.size == 4
         assert np.all(np.abs(nz) <= 1.0)
 
     def test_full_mask(self):
-        mask = generate_mask(10, 40, 1.0, rng_seed=3)
+        mask = generate_input_weights(10, 1.0, rng_seed=3)
         assert np.count_nonzero(mask) == 10
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            generate_mask(16, 40, 0.4, rng_seed=9), generate_mask(16, 40, 0.4, rng_seed=9)
+            generate_input_weights(16, 0.4, rng_seed=9),
+            generate_input_weights(16, 0.4, rng_seed=9),
         )
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no input"):
-            generate_mask(2, 40, 0.25, rng_seed=0)  # round(0.5) == 0
+            generate_input_weights(2, 0.25, rng_seed=0)  # round(0.5) == 0
 
     def test_input_weights_same_contract(self):
         w = generate_input_weights(50, 0.1, rng_seed=2)
