@@ -154,9 +154,12 @@ def _run_analyze(cfg: AnalysisConfig, out_dir: Path) -> list[str]:
 
 
 def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
-    # The config objects are built first, so a config error leaves no
-    # output directory behind.
+    # The config objects are built and checked first, so a config error
+    # leaves no output directory behind.
     cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
+    problem = pipeline.sweep_problem(cfg) if command == "sweep" else None
+    if problem is not None:
+        raise ConfigError(f"invalid config field 'data.train_steps': {problem}")
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     if command == "generate":

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import analysis, dynamics, linalg, reservoir, shifts
+from . import analysis, dynamics, linalg, reservoir, series_cache, shifts
 from .config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
 from .linalg import NrmseMode
 
@@ -64,16 +64,16 @@ def _series_cached(system: str, dt_internal: float, sample_interval: float,
         sample_interval=sample_interval,
         transient_samples=transient_samples,
     )
-    series = dynamics.integrate_chaotic(params, initial_state, n_samples)
-    series.setflags(write=False)
-    return series
+    return series_cache.load_or_integrate(params, initial_state, n_samples)
 
 
 def build_series(data: DataConfig) -> np.ndarray:
     """Sampled 3-column source series for a data config (cached, read-only).
 
     The cache is keyed on the integration parameters only, so configs that
-    differ in task or drive standardization share one integration.
+    differ in task or drive standardization share one integration. It is
+    kept in memory and, across processes, on disk (see
+    :mod:`shiftrc.series_cache`).
     """
     return _series_cached(data.system, data.dt_internal, data.sample_interval,
                           data.transient_samples, data.initial_state,
@@ -261,6 +261,19 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     return cells, pivot
 
 
+def sweep_problem(cfg: ExperimentConfig) -> str | None:
+    """Why a sweep cannot compress the training system of ``cfg``, or None:
+    the QR of ``[X | 1]`` needs at least as many training rows as columns."""
+    rows = cfg.data.train_steps - cfg.washout - cfg.tau_max
+    columns = cfg.n_nodes * (cfg.tau_max + 1) + 1
+    if rows >= columns:
+        return None
+    return (f"{cfg.data.train_steps} leaves {rows} training rows after washout "
+            f"{cfg.washout} and tau_max {cfg.tau_max}, fewer than the {columns} "
+            f"columns of [X | 1]; a sweep needs at least "
+            f"{cfg.washout + cfg.tau_max + columns}")
+
+
 def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     """Evaluate every m_red on the grid, averaged over masks and subsets.
 
@@ -270,6 +283,9 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     """
     if subset_mode not in ("both", "rrqr", "random"):
         raise ValueError(f"subset_mode must be both|rrqr|random, got {subset_mode}")
+    problem = sweep_problem(cfg)
+    if problem is not None:
+        raise ValueError(f"data.train_steps {problem}")
     dataset = build_dataset(cfg.data)
     res_cfgs = [
         build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", mask_id))

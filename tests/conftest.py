@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shiftrc import integrate_chaotic, lorenz_params, pipeline, standardize
+from shiftrc import integrate_chaotic, lorenz_params, pipeline, series_cache, standardize
 from shiftrc.linalg import NrmseMode
 from shiftrc.reservoir import make_oeo_config, run_oeo_reservoir
 from shiftrc.shifts import build_shifted_matrix
@@ -48,6 +48,15 @@ def oeo_shifted():
     cfg = make_oeo_config(m=10, theta=8, mask_seed=3)
     states = run_oeo_reservoir(cfg, drive, washout=50)
     return build_shifted_matrix(states.values, 10)
+
+
+@pytest.fixture(autouse=True)
+def series_cache_dir(tmp_path_factory, monkeypatch):
+    """Every test starts with an empty series cache of its own and never
+    reads or writes the user's; CLI subprocesses inherit it. Returns the
+    directory the cache files go to."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    return series_cache.cache_dir()
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 
 import shiftrc
 from shiftrc.cli import main
-from shiftrc.config import derive_seed, experiment_from_dict, resolve_config
+from shiftrc.config import config_hash, derive_seed, experiment_from_dict, resolve_config
 from shiftrc.linalg import qr_column_pivot
 from shiftrc.pipeline import build_series
 
@@ -54,6 +54,13 @@ m_red,nrmse_rrqr_mean,nrmse_rrqr_std,nrmse_rand_mean,nrmse_rand_std,nrmse_baseli
 4,0.52422583948676094,0.054436426490293344,,,0.42843377208496525,
 16,0.19612574204396982,0.11597686458438934,,,0.42843377208496525,
 """
+
+
+def tiny_rows(train_steps: int) -> dict:
+    """TINY_SWEEP with ``train_steps`` changed."""
+    payload = json.loads(json.dumps(TINY_SWEEP))
+    payload["data"]["train_steps"] = train_steps
+    return payload
 
 
 def assert_rows_match(text, pinned, exact_fields=()):
@@ -284,6 +291,40 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "'data.dt_internal'" in err and "integer multiple" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subset", ["both", "rrqr", "random"])
+    def test_fewer_training_rows_than_columns_rejected(self, tmp_path, capsys, subset):
+        # 39 - washout 20 - tau_max 3 = 16 training rows against the 17
+        # columns of [X | 1]; one more row is enough
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, tiny_rows(39)),
+                     "--out", str(out), "--subset", subset]) == 2
+        err = capsys.readouterr().err
+        assert "'data.train_steps'" in err and "16 training rows" in err
+        assert not out.exists()
+        assert main(["sweep", "--config", write_config(tmp_path, tiny_rows(40)),
+                     "--out", str(out), "--subset", subset]) == 0
+
+    def test_replay_of_too_few_training_rows_rejected(self, tmp_path, capsys):
+        resolved = resolve_config(tiny_rows(39))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "sweep", "subset_mode": "random", "config_echo": resolved,
+            "config_hash": config_hash(resolved), "tool_version": shiftrc.__version__,
+        }))
+        out = tmp_path / "out"
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "'data.train_steps'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_training_rows_still_generate_and_analyze(self, tmp_path):
+        # neither command builds a shifted matrix
+        assert main(["generate", "--config", write_config(tmp_path, tiny_rows(39)),
+                     "--out", str(tmp_path / "gen")]) == 0
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["data"]["train_steps"] = 120  # 90 rows, 111 columns
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "ana")]) == 0
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)
@@ -540,6 +581,28 @@ def test_cli_loads_no_scipy_package(tmp_path, command):
     assert modules == ["scipy.linalg._flapack", "scipy.signal._sigtools"]
 
 
+def test_series_cache_is_shared_across_processes(tmp_path, series_cache_dir):
+    # the second process reads the series the first one stored, and its
+    # outputs are byte-identical
+    src = str(Path(shiftrc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_config(tmp_path, TINY_SWEEP)
+    outs, stats = [tmp_path / "a", tmp_path / "b"], []
+    for out in outs:
+        subprocess.run([sys.executable, "-m", "shiftrc.cli", "generate", "--config", cfg,
+                        "--out", str(out)], env=env, check=True)
+        files = list(series_cache_dir.iterdir())
+        assert len(files) == 1
+        stats.append(files[0].stat())
+    assert file_hashes(outs[0]) == file_hashes(outs[1])
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    for manifest in manifests:
+        del manifest["wall_time_seconds"]
+    assert manifests[0] == manifests[1]
+    assert (stats[1].st_ino, stats[1].st_mtime_ns) == (stats[0].st_ino, stats[0].st_mtime_ns)
+
+
 WRITE_CALLS = {"write_text", "write_bytes", "dump", "save", "savez", "savetxt", "tofile"}
 
 
@@ -553,16 +616,19 @@ def _opens_for_writing(call):
 
 def test_only_the_cli_writes_files():
     # the output format lives behind one module: no other module of the
-    # package opens a file for writing or writes one through a helper
+    # package opens a file for writing or writes one through a helper. The
+    # one exception is the series cache, which writes no outputs, only its
+    # own files outside --out.
     found = []
     for path in sorted(Path(shiftrc.__file__).parent.glob("*.py")):
-        if path.name == "cli.py":
+        if path.name in ("cli.py", "series_cache.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in WRITE_CALLS or (name == "open" and _opens_for_writing(node)):
+            if name in WRITE_CALLS or (name in ("open", "fdopen")
+                                       and _opens_for_writing(node)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found
 

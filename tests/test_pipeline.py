@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
-from shiftrc import analysis, dynamics, pipeline, reservoir, shifts
+from shiftrc import analysis, dynamics, pipeline, reservoir, series_cache, shifts
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
-from shiftrc.errors import SingularMatrixError
+from shiftrc.errors import DivergenceError, SingularMatrixError
 from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
@@ -292,6 +292,15 @@ class TestRunSingle:
 
 
 class TestSweep:
+    def test_fewer_training_rows_than_columns_rejected(self):
+        # 39 - washout 20 - tau_max 3 = 16 rows against the 17 columns of [X | 1]
+        cfg = tiny_config(data=dataclasses.replace(tiny_config().data, train_steps=39))
+        assert "16 training rows" in pipeline.sweep_problem(cfg)
+        for subset_mode in ("both", "rrqr", "random"):
+            with pytest.raises(ValueError, match="data.train_steps"):
+                sweep(cfg, subset_mode)
+        assert pipeline.sweep_problem(tiny_config()) is None
+
     def test_deterministic_repeat(self):
         cfg = tiny_config()
         a = sweep(cfg)
@@ -538,3 +547,107 @@ def test_dataset_cache_returns_consistent_data():
     b = build_dataset(cfg.data)
     np.testing.assert_array_equal(a.drive_train, b.drive_train)
     assert a.standardization == b.standardization
+
+
+class TestSeriesCache:
+    PARAMS = dynamics.lorenz_params(transient_samples=20)
+    INITIAL = (1.0, 1.0, 1.0)
+    N = 50  # the spot checks re-integrate from rows 0, 24 and 48
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """``(params, n_samples)`` of every ``integrate_chaotic`` call."""
+        seen = []
+        integrate = dynamics.integrate_chaotic
+
+        def counting(params, initial_state, n_samples):
+            seen.append((params, n_samples))
+            return integrate(params, initial_state, n_samples)
+
+        monkeypatch.setattr(dynamics, "integrate_chaotic", counting)
+        return seen
+
+    def load(self, params=PARAMS, initial=INITIAL, n=N):
+        return series_cache.load_or_integrate(params, initial, n)
+
+    def test_warm_read_is_bitwise_and_only_spot_checks(self, series_cache_dir, calls):
+        expected = dynamics.integrate_chaotic(self.PARAMS, self.INITIAL, self.N)
+        cold = self.load()
+        (path,) = series_cache_dir.iterdir()
+        stat = path.stat()
+        del calls[:]
+        warm = self.load()
+        assert warm.tobytes() == cold.tobytes() == expected.tobytes()
+        assert warm.shape == (self.N, 3) and warm.dtype == np.float64
+        assert not warm.flags.writeable and not cold.flags.writeable
+        one_interval = dataclasses.replace(self.PARAMS, transient_samples=0)
+        assert calls == [(one_interval, 2)] * 3
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped_byte", "wrong_length", "stale"])
+    def test_bad_file_is_reintegrated_and_overwritten(self, series_cache_dir, calls, damage):
+        expected = self.load()
+        (path,) = series_cache_dir.iterdir()
+        good = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(good[:-100])
+        elif damage == "flipped_byte":
+            # a byte of row 10, which no spot check re-integrates
+            data = bytearray(good)
+            data[10 * 24 + 3] ^= 0x01
+            path.write_bytes(bytes(data))
+        elif damage == "wrong_length":
+            # a valid file, of one row more
+            series_cache._store(path, dynamics.integrate_chaotic(
+                self.PARAMS, self.INITIAL, self.N + 1))
+        else:
+            # a valid digest over rows of another integrator
+            series_cache._store(path, dynamics.integrate_chaotic(
+                dataclasses.replace(self.PARAMS, time_scale=11.0), self.INITIAL, self.N))
+        assert path.read_bytes() != good
+        del calls[:]
+        assert self.load().tobytes() == expected.tobytes()
+        assert (self.PARAMS, self.N) in calls
+        assert path.read_bytes() == good
+        assert [p.name for p in series_cache_dir.iterdir()] == [path.name]
+
+    def test_cache_dir_that_is_a_file_falls_back(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        expected = dynamics.integrate_chaotic(self.PARAMS, self.INITIAL, self.N)
+        assert self.load().tobytes() == expected.tobytes()
+        assert self.load().tobytes() == expected.tobytes()
+        assert blocker.read_text() == "a file, not a directory"
+
+    def test_cache_dir_location(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/dir")  # ignored, as XDG says
+        assert series_cache.cache_dir() == tmp_path / ".cache" / "shiftrc"
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert series_cache.cache_dir() == tmp_path / ".cache" / "shiftrc"
+        monkeypatch.setattr(series_cache.os.path, "expanduser", lambda path: path)
+        assert series_cache.cache_dir() is None  # no home directory: no cache
+        expected = dynamics.integrate_chaotic(self.PARAMS, self.INITIAL, self.N)
+        assert self.load().tobytes() == expected.tobytes()
+        assert not (tmp_path / ".cache").exists()
+
+    def test_divergence_stores_nothing(self, series_cache_dir):
+        params = dynamics.rossler_params(time_scale=1.0, dt_internal=0.5, transient_samples=2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            self.load(params, self.INITIAL, 200)
+        assert not series_cache_dir.exists() or not any(series_cache_dir.iterdir())
+
+    def test_each_input_has_its_own_file(self, series_cache_dir):
+        variants = [  # (params, initial state, n_samples)
+            (self.PARAMS, self.INITIAL, self.N),
+            (self.PARAMS, self.INITIAL, self.N + 1),
+            (dataclasses.replace(self.PARAMS, dt_internal=0.005), self.INITIAL, self.N),
+            (self.PARAMS, (1.0, 1.0, 1.5), self.N),
+        ]
+        for params, initial, n in variants:
+            self.load(params, initial, n)
+        assert len(list(series_cache_dir.iterdir())) == len(variants)
+        for params, initial, n in variants:  # each file verifies against its own inputs
+            path = series_cache._cache_path(params, initial, n)
+            assert series_cache._load(path, params, n) is not None
