@@ -1,4 +1,4 @@
-"""Run configuration: JSON schema, defaults, and deterministic seed derivation.
+"""Run configuration: defaults, their validation, and deterministic seed derivation.
 
 Every experiment is a pure function of its resolved configuration. The
 defaults encode the standard operating point of both reservoirs and both
@@ -13,10 +13,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
+import operator
+import sys
 from dataclasses import dataclass, field
-
-import jsonschema
 
 from .dynamics import sampling_problem
 from .errors import ConfigError
@@ -70,120 +69,48 @@ TANH_RESERVOIR_DEFAULTS = {
     "f_w": 1.0,
 }
 
-_OEO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"const": "oeo"},
-        "nodes": {"type": "integer", "minimum": 1},
-        "theta": {"type": "integer", "minimum": 1},
-        "beta": {"type": "number"},
-        "phi": {"type": "number"},
-        "rho": {"type": "number"},
-        "f_w": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "sample_offset": {"type": ["integer", "null"], "minimum": 1},
-    },
+# Text fields and their allowed values. The task has no default, so this
+# table alone names its two fields.
+CHOICES = {
+    "task.system": ("lorenz", "rossler"),
+    "task.kind": ("prediction", "observer"),
+    "reservoir.kind": ("oeo", "tanh"),
+    "nrmse_mode": ("global", "paper-literal"),
 }
 
-_TANH_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"const": "tanh"},
-        "nodes": {"type": "integer", "minimum": 2},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "spectral_radius": {"type": "number", "exclusiveMinimum": 0},
-        "f_a": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "f_w": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-    },
+# Bounds of the numeric fields as {comparison: limit}. A list's bounds hold
+# for each of its items and its "len" bounds for its length. The reservoir's
+# fields are keyed by its kind: a tanh network needs two nodes.
+BOUNDS = {
+    "data.train_steps": {">=": 2},
+    "data.test_steps": {">=": 1},
+    "data.dt_internal": {">": 0},
+    "data.sample_interval": {">": 0},
+    "data.transient_samples": {">=": 0},
+    "data.initial_state": {"len": {"==": 3}},
+    "oeo.nodes": {">=": 1},
+    "oeo.theta": {">=": 1},
+    "oeo.f_w": {">": 0, "<=": 1},
+    "oeo.sample_offset": {">=": 1},
+    "tanh.nodes": {">=": 2},
+    "tanh.alpha": {">": 0, "<=": 1},
+    "tanh.spectral_radius": {">": 0},
+    "tanh.f_a": {">": 0, "<=": 1},
+    "tanh.f_w": {">": 0, "<=": 1},
+    "shifts.tau_max": {">=": 0},
+    "selection.m_red_grid": {"len": {">=": 1}, ">=": 1},
+    "selection.n_masks": {">=": 1},
+    "selection.n_random_subsets": {">=": 1},
+    "readout.ridge_lambda": {">=": 0},
+    "washout": {">=": 0},
+    "master_seed": {">=": 0},
+    "analysis.f_w_values": {"len": {">=": 1}, ">": 0, "<=": 1},
+    "analysis.f_a_values": {"len": {">=": 1}, ">": 0, "<=": 1},
+    "analysis.n_trials": {">=": 1},
+    "analysis.window": {">=": 2, "<=": 20},
 }
 
-CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["task"],
-    "properties": {
-        "task": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["system", "kind"],
-            "properties": {
-                "system": {"enum": ["lorenz", "rossler"]},
-                "kind": {"enum": ["prediction", "observer"]},
-            },
-        },
-        "data": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "train_steps": {"type": "integer", "minimum": 2},
-                "test_steps": {"type": "integer", "minimum": 1},
-                "dt_internal": {"type": "number", "exclusiveMinimum": 0},
-                "sample_interval": {"type": "number", "exclusiveMinimum": 0},
-                "transient_samples": {"type": "integer", "minimum": 0},
-                "initial_state": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "standardize_drive": {"type": "boolean"},
-            },
-        },
-        "reservoir": {"oneOf": [_OEO_SCHEMA, _TANH_SCHEMA]},
-        "shifts": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"tau_max": {"type": "integer", "minimum": 0}},
-        },
-        "selection": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m_red_grid": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-                "n_masks": {"type": "integer", "minimum": 1},
-                "n_random_subsets": {"type": "integer", "minimum": 1},
-            },
-        },
-        "readout": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ridge_lambda": {"type": "number", "minimum": 0},
-                "include_bias": {"type": "boolean"},
-            },
-        },
-        "nrmse_mode": {"enum": ["global", "paper-literal"]},
-        "washout": {"type": "integer", "minimum": 0},
-        "continuation": {"type": "boolean"},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "analysis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "f_w_values": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    "minItems": 1,
-                },
-                "f_a_values": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    "minItems": 1,
-                },
-                "n_trials": {"type": "integer", "minimum": 1},
-                "window": {"type": "integer", "minimum": 2, "maximum": 20},
-            },
-        },
-    },
-}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
 
 def derive_seed(master_seed: int, role: str, *indices: int) -> int:
@@ -208,45 +135,93 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _non_finite_field(node, path: str = "") -> str | None:
-    """Dotted path of the first NaN or infinite number in a config, or None
-    (Python's ``json`` reads ``NaN`` and ``Infinity``; the schema passes them)."""
-    if isinstance(node, list):
-        node = dict(enumerate(node))
-    if isinstance(node, dict):
-        found = (_non_finite_field(v, f"{path}.{k}".lstrip(".")) for k, v in node.items())
-        return next(filter(None, found), None)
-    return path if isinstance(node, float) and not math.isfinite(node) else None
+def _invalid(path: str, problem: str) -> ConfigError:
+    return ConfigError(f"invalid config field '{path}': {problem}")
+
+
+def _type_problem(value, default) -> str | None:
+    """Why ``value`` cannot stand where ``default`` does, or None. JSON
+    integers and numbers stay apart: ``4.0`` is no integer."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "must be true or false"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "must be a string"
+    if default is None or isinstance(default, int):  # None: sample_offset
+        if type(value) is int or (default is None and value is None):
+            return None
+        return "must be an integer" + (" or null" if default is None else "")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int no float holds
+        return "must be a finite number"
+    return None
+
+
+def _check_limits(subject, limits: dict, path: str, what: str = "") -> None:
+    for op, limit in limits.items():
+        if op != "len" and not _COMPARE[op](subject, limit):
+            raise _invalid(path, f"{what}must be {op} {limit}, got {subject!r}")
+
+
+def _check(value, default, path: str, kind: str) -> None:
+    """Raise ConfigError unless ``value`` may stand where ``default`` does:
+    the same fields, each of its default's JSON type (a list's items of its
+    first item's), keeping its CHOICES and BOUNDS entries. ``kind`` is the
+    reservoir's, whose BOUNDS apply."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise _invalid(path, "must be an object")
+        for key in value:
+            if key not in default:
+                raise _invalid(f"{path}.{key}" if path else key, "is not a known field")
+        for key, sub in default.items():
+            where = f"{path}.{key}" if path else key
+            if key not in value:
+                raise _invalid(where, "is required")
+            _check(value[key], sub, where, kind)
+        return
+    section, _, name = path.partition(".")
+    limits = BOUNDS.get(f"{kind}.{name}" if section == "reservoir" else path, {})
+    items = [(path, value)]
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise _invalid(path, "must be a list")
+        _check_limits(len(value), limits.get("len", {}), path, "its length ")
+        items, default = [(f"{path}.{i}", item) for i, item in enumerate(value)], default[0]
+    for where, item in items:
+        problem = _type_problem(item, default)
+        if problem is not None:
+            raise _invalid(where, problem)
+        if path in CHOICES and item not in CHOICES[path]:
+            raise _invalid(where, f"must be one of {', '.join(CHOICES[path])}, got {item!r}")
+        if item is not None:
+            _check_limits(item, limits, where)
 
 
 def resolve_config(raw: dict) -> dict:
     """Merge a user config over the defaults and validate the result.
 
     Reservoir defaults are chosen by the user's reservoir kind before
-    merging, so a tanh request is not polluted by oscillator fields.
+    merging, so a tanh request is not polluted by oscillator fields; the
+    merged config is then checked field by field against those defaults.
 
     Raises:
-        ConfigError: schema violation or NaN or infinite number (message
-            names the offending field) or cross-field inconsistency such as
-            an oversized m_red entry, a ``dt_internal`` that does not divide
+        ConfigError: unknown, missing or mistyped field, NaN or infinite
+            number, value outside CHOICES or BOUNDS (message names the
+            offending field) or cross-field inconsistency such as an
+            oversized m_red entry, a ``dt_internal`` that does not divide
             ``sample_interval``, or an input fraction that rounds to no
             input node.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    defaults = copy.deepcopy(DEFAULT_CONFIG)
+    defaults = DEFAULT_CONFIG
     reservoir = raw.get("reservoir")
     if isinstance(reservoir, dict) and reservoir.get("kind") == "tanh":
-        defaults["reservoir"] = copy.deepcopy(TANH_RESERVOIR_DEFAULTS)
+        defaults = {**DEFAULT_CONFIG, "reservoir": TANH_RESERVOIR_DEFAULTS}
     resolved = _deep_merge(defaults, raw)
-    try:
-        jsonschema.validate(resolved, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"invalid config field '{path}': {exc.message}") from None
-    bad = _non_finite_field(resolved)
-    if bad is not None:
-        raise ConfigError(f"invalid config field '{bad}': must be a finite number")
+    _check(resolved, {"task": {"system": "", "kind": ""}, **defaults}, "",
+           defaults["reservoir"]["kind"])
 
     problem = sampling_problem(resolved["data"]["dt_internal"],
                                resolved["data"]["sample_interval"])

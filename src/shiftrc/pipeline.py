@@ -10,7 +10,7 @@ improvement between the two arms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -91,9 +91,10 @@ def build_dataset(data: DataConfig, task: str | None = None) -> dynamics.TaskDat
     )
 
 
-def build_trial_reservoir(cfg: ExperimentConfig, trial_seed: int):
-    """Instantiate the per-trial reservoir (mask or adjacency realization)."""
-    params = cfg.reservoir
+def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
+    """Instantiate one trial's reservoir (mask or adjacency realization);
+    ``seed(role)`` seeds each draw, ``overrides`` replace reservoir fields."""
+    params = {**cfg.reservoir, **overrides}
     if params["kind"] == "oeo":
         return reservoir.make_oeo_config(
             m=params["nodes"],
@@ -103,7 +104,7 @@ def build_trial_reservoir(cfg: ExperimentConfig, trial_seed: int):
             rho=params["rho"],
             f_w=params["f_w"],
             sample_offset=params.get("sample_offset"),
-            mask_seed=derive_seed(trial_seed, "mask"),
+            mask_seed=seed("mask"),
         )
     return reservoir.make_tanh_config(
         m=params["nodes"],
@@ -111,8 +112,8 @@ def build_trial_reservoir(cfg: ExperimentConfig, trial_seed: int):
         f_a=params["f_a"],
         f_w=params["f_w"],
         spectral_radius=params["spectral_radius"],
-        adjacency_seed=derive_seed(trial_seed, "adjacency"),
-        input_seed=derive_seed(trial_seed, "input-weights"),
+        adjacency_seed=seed("adjacency"),
+        input_seed=seed("input-weights"),
     )
 
 
@@ -287,10 +288,8 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     if problem is not None:
         raise ValueError(f"data.train_steps {problem}")
     dataset = build_dataset(cfg.data)
-    res_cfgs = [
-        build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
-        for mask_id in range(cfg.n_masks)
-    ]
+    trial_seeds = (derive_seed(cfg.master_seed, "trial", i) for i in range(cfg.n_masks))
+    res_cfgs = [build_trial_reservoir(cfg, partial(derive_seed, seed)) for seed in trial_seeds]
     per_mask = [
         _sweep_one_mask(cfg, mask_id, _mask_context(cfg.tau_max, *split), subset_mode)
         for mask_id, split in enumerate(
@@ -451,15 +450,8 @@ def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,
     per_trial = []
     for first in range(0, acfg.n_trials, ANALYSIS_BATCH):
         res_cfgs = [
-            reservoir.make_tanh_config(
-                m=cfg.reservoir["nodes"],
-                alpha=cfg.reservoir["alpha"],
-                f_a=f_a,
-                f_w=f_w,
-                spectral_radius=cfg.reservoir["spectral_radius"],
-                adjacency_seed=derive_seed(cfg.master_seed, "adjacency", i_fw, i_fa, trial),
-                input_seed=derive_seed(cfg.master_seed, "input-weights", i_fw, i_fa, trial),
-            )
+            build_trial_reservoir(cfg, lambda role, t=trial: derive_seed(
+                cfg.master_seed, role, i_fw, i_fa, t), f_w=f_w, f_a=f_a)
             for trial in range(first, min(first + ANALYSIS_BATCH, acfg.n_trials))
         ]
         per_trial += _analysis_batch(cfg, res_cfgs, datasets, acfg.window)

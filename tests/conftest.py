@@ -1,9 +1,12 @@
 """Shared fixtures and the acceptance-criteria summary reporter."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from shiftrc import integrate_chaotic, lorenz_params, pipeline, series_cache, standardize
+from shiftrc.config import derive_seed
 from shiftrc.linalg import NrmseMode
 from shiftrc.reservoir import make_oeo_config, run_oeo_reservoir
 from shiftrc.shifts import build_shifted_matrix
@@ -67,7 +70,7 @@ def rng():
 def mask_context(cfg, trial_seed: int) -> pipeline.MaskContext:
     """One mask of a sweep config simulated alone, shifted and compressed
     as the sweep prepares each of its masks."""
-    res_cfg = pipeline.build_trial_reservoir(cfg, trial_seed)
+    res_cfg = pipeline.build_trial_reservoir(cfg, partial(derive_seed, trial_seed))
     split = pipeline.run_split_states([res_cfg], pipeline.build_dataset(cfg.data),
                                       cfg.washout, cfg.continuation)[0]
     return pipeline._mask_context(cfg.tau_max, *split)

@@ -524,6 +524,8 @@ class TestErrors:
         ("data", "dt_internal", float("nan")),
         ("reservoir", "f_w", float("nan")),
         ("readout", "ridge_lambda", float("nan")),
+        ("reservoir", "beta", float("-inf")),
+        ("shifts", "tau_max", float("nan")),
     ])
     def test_non_finite_number_rejected(self, tmp_path, capsys, section, field, value):
         # Python's json reads NaN and Infinity; neither may reach a run
@@ -543,6 +545,33 @@ class TestErrors:
         assert f"'{section}.{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("reservoir", "nodes", 4.0),
+        ("data", "train_steps", 400.0),
+        ("shifts", "tau_max", 3.0),
+        ("selection", "n_masks", 2.0),
+        ("reservoir", "sample_offset", 4.0),
+    ])
+    def test_integral_float_in_integer_field_rejected(self, tmp_path, capsys,
+                                                      section, field, value):
+        # 4.0 is a JSON number, not an integer; a run given one used to
+        # crash with a traceback and leave an empty --out behind
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload[section][field] = value
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert f"'{section}.{field}': must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+        # a manifest whose config_echo holds one fails replay alike
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "sweep", "config_echo": payload,
+                                        "config_hash": "0" * 40,
+                                        "tool_version": shiftrc.__version__}))
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"'{section}.{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_SWEEP)
         blocker = tmp_path / "blocker"
@@ -552,21 +581,23 @@ class TestErrors:
 
 
 # Runs ``python -m shiftrc.cli`` with the given arguments, then prints the
-# exit code and every SciPy module the process imported.
+# exit code and every SciPy or jsonschema module the process imported.
 RUN_CLI_AND_LIST_SCIPY = """
 import runpy, sys
 sys.argv[0] = "shiftrc"
 try:
     runpy.run_module("shiftrc.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    print(exc.code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    print(exc.code, *sorted(m for m in sys.modules
+                            if m.split(".")[0] in ("scipy", "jsonschema")))
 """
 
 
 @pytest.mark.parametrize("command", ["sweep", "analyze"])
 def test_cli_loads_no_scipy_package(tmp_path, command):
     # only the two compiled kernels are loaded, not scipy.signal (which
-    # pulls in scipy.stats) or scipy.linalg
+    # pulls in scipy.stats) or scipy.linalg, and configs are checked
+    # without jsonschema
     src = str(Path(shiftrc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -578,6 +609,7 @@ def test_cli_loads_no_scipy_package(tmp_path, command):
                           env=env, capture_output=True, text=True, check=True)
     code, *modules = proc.stdout.split()
     assert code == "0", proc.stderr
+    assert not [m for m in modules if m.split(".")[0] == "jsonschema"]
     assert modules == ["scipy.linalg._flapack", "scipy.signal._sigtools"]
 
 

@@ -1,0 +1,148 @@
+"""Config resolution: field checks against the defaults, and pinned hashes."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from shiftrc.config import config_hash, resolve_config
+from shiftrc.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+OEO = {"task": {"system": "lorenz", "kind": "prediction"}}
+TANH = {"task": {"system": "lorenz", "kind": "observer"}, "reservoir": {"kind": "tanh"}}
+MISSING = ...  # no JSON value: with_field removes the field instead
+
+
+def with_field(base: dict, path: str, value) -> dict:
+    """A copy of ``base`` with the field at dotted ``path`` set to ``value``,
+    or removed when ``value`` is MISSING."""
+    raw = copy.deepcopy(base)
+    *sections, name = path.split(".")
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    if value is MISSING:
+        node.pop(name, None)
+    else:
+        node[name] = value
+    return raw
+
+
+# (base config, dotted field, value, dotted path the error names)
+REJECTED = [
+    # unknown keys, at the root, in a section and in each reservoir kind
+    (OEO, "typo_key", 1, "typo_key"),
+    (OEO, "task.typo_key", 1, "task.typo_key"),
+    (OEO, "data.typo_key", 1, "data.typo_key"),
+    (OEO, "reservoir.alpha", 0.35, "reservoir.alpha"),
+    (TANH, "reservoir.theta", 40, "reservoir.theta"),
+    (TANH, "reservoir.sample_offset", None, "reservoir.sample_offset"),
+    # a section that is not an object
+    (OEO, "task", "lorenz", "task"),
+    (OEO, "data", [], "data"),
+    (OEO, "reservoir", "oeo", "reservoir"),
+    (OEO, "analysis", None, "analysis"),
+    # missing task fields
+    (OEO, "task", MISSING, "task"),
+    (OEO, "task.system", MISSING, "task.system"),
+    (OEO, "task.kind", MISSING, "task.kind"),
+    # bad choices
+    (OEO, "task.system", "henon", "task.system"),
+    (OEO, "task.kind", "forecast", "task.kind"),
+    (OEO, "reservoir.kind", "esn", "reservoir.kind"),
+    (OEO, "reservoir.kind", 0, "reservoir.kind"),
+    (OEO, "nrmse_mode", "local", "nrmse_mode"),
+    # wrong JSON types: a bool for an integer or a number, null outside
+    # sample_offset, text for a number, a number for a bool or a list
+    (OEO, "reservoir.nodes", True, "reservoir.nodes"),
+    (OEO, "master_seed", False, "master_seed"),
+    (OEO, "readout.ridge_lambda", False, "readout.ridge_lambda"),
+    (OEO, "data.initial_state", [1.0, True, 1.0], "data.initial_state.1"),
+    (OEO, "reservoir.theta", None, "reservoir.theta"),
+    (OEO, "data.dt_internal", None, "data.dt_internal"),
+    (OEO, "selection.m_red_grid", [10, None], "selection.m_red_grid.1"),
+    (OEO, "reservoir.beta", "0.8", "reservoir.beta"),
+    (OEO, "readout.include_bias", 1, "readout.include_bias"),
+    (OEO, "selection.m_red_grid", 10, "selection.m_red_grid"),
+    (OEO, "analysis.window", 4.0, "analysis.window"),
+    (OEO, "selection.m_red_grid", [10, 20.0], "selection.m_red_grid.1"),
+    (OEO, "reservoir.beta", 10**400, "reservoir.beta"),  # no float holds it
+    # inclusive bounds, one step outside
+    (OEO, "data.train_steps", 1, "data.train_steps"),
+    (OEO, "data.test_steps", 0, "data.test_steps"),
+    (OEO, "data.transient_samples", -1, "data.transient_samples"),
+    (OEO, "reservoir.nodes", 0, "reservoir.nodes"),
+    (OEO, "reservoir.theta", 0, "reservoir.theta"),
+    (OEO, "reservoir.f_w", 1.01, "reservoir.f_w"),
+    (OEO, "reservoir.sample_offset", 0, "reservoir.sample_offset"),
+    (TANH, "reservoir.nodes", 1, "reservoir.nodes"),
+    (TANH, "reservoir.alpha", 1.01, "reservoir.alpha"),
+    (TANH, "reservoir.f_a", 1.01, "reservoir.f_a"),
+    (TANH, "reservoir.f_w", 1.01, "reservoir.f_w"),
+    (OEO, "shifts.tau_max", -1, "shifts.tau_max"),
+    (OEO, "selection.m_red_grid", [10, 0], "selection.m_red_grid.1"),
+    (OEO, "selection.n_masks", 0, "selection.n_masks"),
+    (OEO, "selection.n_random_subsets", 0, "selection.n_random_subsets"),
+    (OEO, "readout.ridge_lambda", -1e-300, "readout.ridge_lambda"),
+    (OEO, "washout", -1, "washout"),
+    (OEO, "master_seed", -1, "master_seed"),
+    (OEO, "analysis.f_w_values", [0.5, 1.01], "analysis.f_w_values.1"),
+    (OEO, "analysis.f_a_values", [1.01], "analysis.f_a_values.0"),
+    (OEO, "analysis.n_trials", 0, "analysis.n_trials"),
+    (OEO, "analysis.window", 1, "analysis.window"),
+    # exclusive bounds, at the edge
+    (OEO, "data.dt_internal", 0.0, "data.dt_internal"),
+    (OEO, "data.sample_interval", 0, "data.sample_interval"),
+    (OEO, "reservoir.f_w", 0.0, "reservoir.f_w"),
+    (TANH, "reservoir.alpha", 0.0, "reservoir.alpha"),
+    (TANH, "reservoir.spectral_radius", 0, "reservoir.spectral_radius"),
+    (TANH, "reservoir.f_a", 0.0, "reservoir.f_a"),
+    (TANH, "reservoir.f_w", 0.0, "reservoir.f_w"),
+    (OEO, "analysis.f_w_values", [0.0], "analysis.f_w_values.0"),
+    (OEO, "analysis.f_a_values", [0.5, 0], "analysis.f_a_values.1"),
+    # list lengths
+    (OEO, "data.initial_state", [1.0, 1.0], "data.initial_state"),
+    (OEO, "data.initial_state", [1.0, 1.0, 1.0, 1.0], "data.initial_state"),
+    (OEO, "selection.m_red_grid", [], "selection.m_red_grid"),
+    (OEO, "analysis.f_w_values", [], "analysis.f_w_values"),
+    (OEO, "analysis.f_a_values", [], "analysis.f_a_values"),
+]
+
+
+@pytest.mark.parametrize("base,path,value,where", REJECTED,
+                         ids=[f"{'tanh' if b is TANH else 'oeo'}-{p}-{v!r:.24}"
+                              for b, p, v, _ in REJECTED])
+def test_invalid_field_rejected(base, path, value, where):
+    with pytest.raises(ConfigError, match=f"invalid config field '{where}':"):
+        resolve_config(with_field(base, path, value))
+
+
+@pytest.mark.parametrize("base,path,value", [
+    (OEO, "readout.ridge_lambda", 0),
+    (OEO, "analysis.window", 2),
+    (OEO, "reservoir.f_w", 1),
+    (TANH, "reservoir.f_w", 1),
+    (TANH, "reservoir.alpha", 1.0),
+    (OEO, "data.transient_samples", 0),
+    (OEO, "reservoir.sample_offset", None),
+    (OEO, "reservoir.beta", 1),  # a number field takes a JSON integer
+])
+def test_inclusive_edges_accepted(base, path, value):
+    resolved = resolve_config(with_field(base, path, value))
+    section, _, name = path.rpartition(".")
+    assert resolved[section][name] == value and type(resolved[section][name]) is type(value)
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("lorenz_observer_fig_sweep.json", "9e27146aa993ccbf499d2ba5dbc3c60ba446e068"),
+    ("lorenz_prediction_fig_sweep.json", "d6b7247482f641df96116234707a564627c64f91"),
+    ("rossler_prediction_fig_sweep.json", "ca9fd49eef637dd4a336ff169e735604233f2198"),
+    ("tanh_sparseness_grid.json", "993575ecf7f368fbfe6dc0b5b1abf17bcec9e81c"),
+])
+def test_shipped_config_hash_is_pinned(name, digest):
+    # the hashes that manifests written from these configs hold: a change
+    # to resolution that moved one would stop them replaying
+    assert config_hash(resolve_config(json.loads((CONFIGS / name).read_text()))) == digest
