@@ -35,19 +35,23 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file ``path``; ``what`` names the file in the
+    ConfigError of a missing file or malformed JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON ({path}, line {exc.lineno}, "
+                          f"column {exc.colno}): {exc.msg}") from None
+
+
 def _load_config(args) -> dict:
     """Read ``--config``, apply ``--seed`` and ``--nrmse-mode``, then
     validate, so that a bad override fails before anything runs."""
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config is not valid JSON ({args.config}, line {exc.lineno}, "
-            f"column {exc.colno}): {exc.msg}"
-        ) from None
+    raw = _read_json(args.config, "config file")
     overrides = {key: value for key, value in
                  (("master_seed", args.seed), ("nrmse_mode", args.nrmse_mode))
                  if value is not None}
@@ -102,22 +106,6 @@ def _write_r_diag(path: Path, r_diag) -> None:
     _write_csv(path, ("k", "r_kk_abs"), enumerate(r_diag))
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict,
-                    output_paths: list[str], wall_time: float,
-                    subset_mode: str) -> None:
-    _write_json(out_dir / "manifest.json", {
-        "tool": "shiftrc",
-        "tool_version": __version__,
-        "command": command,
-        "subset_mode": subset_mode,
-        "master_seed": resolved["master_seed"],
-        "config_hash": config_hash(resolved),
-        "config_echo": resolved,
-        "output_paths": output_paths,
-        "wall_time_seconds": wall_time,
-    }, sort_keys=True)
-
-
 def _run_generate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     dt = cfg.data.sample_interval
     _write_csv(out_dir / "series.csv", ("t", "x", "y", "z"),
@@ -168,8 +156,17 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
         paths = _run_sweep(cfg, out_dir, subset_mode)
     else:
         paths = _run_analyze(cfg, out_dir)
-    _write_manifest(out_dir, command, resolved, paths,
-                    time.monotonic() - start, subset_mode)
+    _write_json(out_dir / "manifest.json", {
+        "tool": "shiftrc",
+        "tool_version": __version__,
+        "command": command,
+        "subset_mode": subset_mode,
+        "master_seed": resolved["master_seed"],
+        "config_hash": config_hash(resolved),
+        "config_echo": resolved,
+        "output_paths": paths,
+        "wall_time_seconds": time.monotonic() - start,
+    }, sort_keys=True)
 
 
 def _cmd_run(args, command: str) -> int:
@@ -180,15 +177,7 @@ def _cmd_run(args, command: str) -> int:
 
 
 def _cmd_replay(args) -> int:
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"manifest not found: {args.manifest}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"manifest is not valid JSON (line {exc.lineno}): {exc.msg}"
-        ) from None
+    manifest = _read_json(args.manifest, "manifest")
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest root must be an object, got {type(manifest).__name__}")
     for key in ("command", "config_echo", "config_hash", "tool_version"):
@@ -225,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")

@@ -308,16 +308,16 @@ class ExperimentConfig:
 
     data: DataConfig
     reservoir: dict = field(hash=False)
-    tau_max: int = 10
-    m_red_grid: tuple[int, ...] = ()
-    ridge_lambda: float = 1e-6
-    include_bias: bool = False
-    n_masks: int = 20
-    n_random_subsets: int = 20
-    master_seed: int = 1
-    nrmse_mode: str = "global"
-    washout: int = 100
-    continuation: bool = True
+    tau_max: int = DEFAULT_CONFIG["shifts"]["tau_max"]
+    m_red_grid: tuple[int, ...] = tuple(DEFAULT_CONFIG["selection"]["m_red_grid"])
+    ridge_lambda: float = DEFAULT_CONFIG["readout"]["ridge_lambda"]
+    include_bias: bool = DEFAULT_CONFIG["readout"]["include_bias"]
+    n_masks: int = DEFAULT_CONFIG["selection"]["n_masks"]
+    n_random_subsets: int = DEFAULT_CONFIG["selection"]["n_random_subsets"]
+    master_seed: int = DEFAULT_CONFIG["master_seed"]
+    nrmse_mode: str = DEFAULT_CONFIG["nrmse_mode"]
+    washout: int = DEFAULT_CONFIG["washout"]
+    continuation: bool = DEFAULT_CONFIG["continuation"]
 
     @property
     def n_nodes(self) -> int:

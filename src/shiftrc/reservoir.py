@@ -166,8 +166,9 @@ def run_tanh_reservoir(
     """Iterate the leaky-tanh map over a drive sequence.
 
     chi <- (1 - alpha) chi + alpha tanh(A chi + w_in s + 1), starting from
-    zero (or ``initial_state``); the first ``washout`` rows are discarded.
-    The +1 bias inside the tanh is part of the node model.
+    zero (or ``initial_state``). One row is kept per drive step, and the
+    rows from ``washout`` on are returned as a view of that buffer. The +1
+    bias inside the tanh is part of the node model.
 
     ``cfg`` may also be a sequence of configs with equal ``m``, all driven
     by the same ``drive``. They advance together, one stacked product
@@ -181,7 +182,7 @@ def run_tanh_reservoir(
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
-            drive index at which any batch member did.
+            drive index, washout included, at which any batch member did.
     """
     single, cfgs, drive = _batch(cfg, TanhReservoirConfig, drive, washout,
                                  lambda c: c.m, "m")
@@ -200,7 +201,7 @@ def run_tanh_reservoir(
     keep = 1.0 - alpha
     product = np.empty((b, m, 1))
     net = product[:, :, 0]
-    out = np.empty((b, n - washout, m))
+    out = np.empty((b, n, m))
     for i, s in enumerate(drive):
         # The update formula, evaluated in place in the same order.
         np.matmul(a, chi[:, :, None], out=product)
@@ -210,15 +211,14 @@ def run_tanh_reservoir(
         net *= alpha
         chi *= keep
         chi += net
-        if i >= washout:
-            out[:, i - washout] = chi
+        out[:, i] = chi
     bad = ~np.isfinite(out).all(axis=2)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
         member = int(np.argmax(bad[:, row]))
         what = "tanh reservoir state" if single else f"tanh reservoir state of config {member}"
-        raise DivergenceError(row + washout, what)
-    return StateMatrix(out[0]) if single else out
+        raise DivergenceError(row, what)
+    return StateMatrix(out[0, washout:]) if single else out[:, washout:]
 
 
 @dataclass
@@ -314,8 +314,9 @@ def run_oeo_reservoir(
     within each delay period, which is evaluated period-by-period with an
     IIR filter; the arithmetic is the exact Heun update, regrouped.
 
-    Node j of input step n is v at step n*tau_d + j*theta + sample_offset;
-    the first ``washout`` input steps are discarded.
+    Node j of input step n is v at step n*tau_d + j*theta + sample_offset.
+    One row is kept per input step, and the rows from ``washout`` on are
+    returned as a view of that buffer.
 
     ``cfg`` may also be a sequence of configs with equal ``m``, ``theta``
     and ``sample_offset`` (masks, gains and phases may differ), all driven
@@ -378,7 +379,7 @@ def run_oeo_reservoir(
     rhs = np.empty((b, tau_d))
     late = np.empty((b, tau_d))
     zi = np.empty((b, 1))
-    out = np.empty((b, n_in - washout, m))
+    out = np.empty((b, n_in, m))
     for n0 in range(0, n_in, OEO_CHUNK):
         size = min(OEO_CHUNK, n_in - n0)
         part = driven[:, :size]
@@ -410,10 +411,7 @@ def run_oeo_reservoir(
                     else f"delay oscillator state of config {member}")
             raise DivergenceError((n0 + j) * tau_d + k, what)
         # node i of step n0 + j is v at (n0 + j)*tau_d + i*theta + offset
-        skip = max(washout - n0, 0)
-        if skip < size:
-            nodes = v[:, (skip + 1) * tau_d + 1 : (size + 1) * tau_d + 1]
-            out[:, n0 + skip - washout : n0 + size - washout] = (
-                nodes.reshape(b, size - skip, m, theta)[:, :, :, offset - 1])
+        nodes = v[:, tau_d + 1 : (size + 1) * tau_d + 1]
+        out[:, n0 : n0 + size] = nodes.reshape(b, size, m, theta)[:, :, :, offset - 1]
         v[:, : tau_d + 1] = periods[size]
-    return StateMatrix(out[0]) if single else out
+    return StateMatrix(out[0, washout:]) if single else out[:, washout:]

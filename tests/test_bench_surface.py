@@ -1,17 +1,20 @@
 """The package surface that the benchmark harness in ``perfbench/`` uses.
 
-The traced benchmark wraps the functions listed in ``perfbench/tracing.py``
-and its output checks read fields of the reservoir configs. Removing any of
-them breaks traced benchmark runs, so it must fail here first.
+The traced benchmark wraps the functions listed in ``perfbench/tracing.py``,
+its output checks read fields of the reservoir configs, and ``perfbench/run.py``
+runs the CLI with fixed flags. Removing any of them breaks benchmark runs, so
+it must fail here first.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shiftrc.cli import build_parser
 from shiftrc.reservoir import (
     StateMatrix,
     make_oeo_config,
@@ -20,7 +23,8 @@ from shiftrc.reservoir import (
     run_tanh_reservoir,
 )
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +61,18 @@ def test_single_config_runs_return_a_state_matrix():
     tanh = run_tanh_reservoir(make_tanh_config(m=4, adjacency_seed=1, input_seed=2), drive, 0)
     assert isinstance(oeo, StateMatrix) and oeo.values.shape == (10, 4)
     assert isinstance(tanh, StateMatrix) and tanh.values.shape == (12, 4)
+
+
+def test_workload_command_lines_parse(monkeypatch):
+    # the benchmark runs each workload with --seed, --threads 1 and, for a
+    # sweep, --subset; a CLI that dropped one would fail only the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracing
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # @dataclass looks the module up
+    spec.loader.exec_module(run)
+    assert run.WORKLOADS
+    for workload in run.WORKLOADS.values():
+        args = build_parser().parse_args(workload.argv(Path("c.json"), Path("out"), 7))
+        assert (args.command, args.seed, args.threads) == (workload.command, 7, 1)
+        assert getattr(args, "subset", "both") == workload.subset

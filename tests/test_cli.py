@@ -503,6 +503,17 @@ class TestErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("command,flag", [("sweep", "--config"),
+                                              ("replay", "--manifest")])
+    def test_malformed_json_names_the_file(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "broken.json"
+        path.write_text('{"task": \n  oops}')
+        out = tmp_path / "o"
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"({path}, line 2, column 3)" in err
+        assert not out.exists()
+
     def test_manifest_root_not_an_object(self, tmp_path, capsys):
         # a string holding every required key passes an ``in`` check
         path = tmp_path / "manifest.json"
@@ -578,6 +589,32 @@ class TestErrors:
         blocker.write_text("a file, not a directory")
         code = main(["generate", "--config", cfg, "--out", str(blocker / "sub")])
         assert code == 3
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["generate"], TINY_SWEEP),
+    (["sweep", "--subset", "both"], TINY_SWEEP),
+    (["analyze"], TINY_ANALYZE),
+], ids=["generate", "sweep", "analyze"])
+def test_manifest_lists_every_output_in_write_order(tmp_path, monkeypatch, argv, payload):
+    # output_paths names exactly the files under --out besides the
+    # manifest, in the order they were written
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    written, write_text = [], Path.write_text
+
+    def recording_write_text(path, *args, **kwargs):
+        written.append(path.relative_to(out).as_posix())
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recording_write_text)
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert written == manifest["output_paths"] + ["manifest.json"]
+    on_disk = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
+    assert sorted(on_disk) == sorted(written)
+    if argv[0] == "sweep":
+        assert sum(p.startswith("diagnostics/") for p in written) == 2 * 2  # two masks
 
 
 # Runs ``python -m shiftrc.cli`` with the given arguments, then prints the

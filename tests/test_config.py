@@ -1,13 +1,26 @@
 """Config resolution: field checks against the defaults, and pinned hashes."""
 
 import copy
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from shiftrc.config import config_hash, resolve_config
+from shiftrc import analysis
+from shiftrc.config import (
+    BOUNDS,
+    DEFAULT_CONFIG,
+    TANH_RESERVOIR_DEFAULTS,
+    ExperimentConfig,
+    config_hash,
+    experiment_from_dict,
+    resolve_config,
+)
+from shiftrc.dynamics import ChaoticParams, make_task
 from shiftrc.errors import ConfigError
+from shiftrc.reservoir import OEOConfig, make_oeo_config, make_tanh_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -146,3 +159,34 @@ def test_shipped_config_hash_is_pinned(name, digest):
     # the hashes that manifests written from these configs hold: a change
     # to resolution that moved one would stop them replaying
     assert config_hash(resolve_config(json.loads((CONFIGS / name).read_text()))) == digest
+
+
+def defaults(obj) -> dict:
+    """The defaults of a dataclass's fields or of a function's parameters."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_library_defaults_are_the_config_defaults():
+    # modules that config imports, or that stand alone, write the operating
+    # point out again; each copy must agree with DEFAULT_CONFIG and BOUNDS
+    oeo, tanh = ({("m" if k == "nodes" else k): v for k, v in table.items() if k != "kind"}
+                 for table in (DEFAULT_CONFIG["reservoir"], TANH_RESERVOIR_DEFAULTS))
+    oeo_fields = {k: v for k, v in oeo.items() if k != "m"}
+    assert defaults(make_oeo_config) == oeo
+    assert defaults(OEOConfig) == {**oeo_fields, "mask": None}
+    assert defaults(make_tanh_config) == tanh
+    data = DEFAULT_CONFIG["data"]
+    assert defaults(ChaoticParams) == {
+        k: data[k] for k in ("dt_internal", "sample_interval", "transient_samples")}
+    assert defaults(make_task) == {"split": (data["train_steps"], data["test_steps"]),
+                                   "standardize_drive": data["standardize_drive"]}
+    assert analysis.DEFAULT_WINDOW == DEFAULT_CONFIG["analysis"]["window"]
+    assert analysis.MAX_WINDOW == BOUNDS["analysis.window"]["<="]
+    # a library ExperimentConfig runs the paper's grid, as a resolved one does
+    resolved = experiment_from_dict(resolve_config(OEO))
+    assert defaults(ExperimentConfig) == {
+        name: getattr(resolved, name) for name in defaults(ExperimentConfig)}

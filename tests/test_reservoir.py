@@ -184,6 +184,14 @@ class TestTanhBatch:
             run_tanh_reservoir([full, sparse], drive, washout=5)
         assert exc.value.step == 17
 
+    def test_nan_drive_inside_the_washout_raises_at_its_drive_index(self):
+        cfgs = batch_configs()
+        drive = np.linspace(-1.0, 1.0, 60)
+        drive[5] = np.nan
+        assert divergence_step(lambda: run_tanh_reservoir(cfgs[0], drive, 20)).step == 5
+        err = divergence_step(lambda: run_tanh_reservoir(cfgs, drive, washout=20))
+        assert err.step == 5 and "config 0" in str(err)
+
     def test_batch_validation(self):
         small, large = (make_tanh_config(m=m, adjacency_seed=1, input_seed=2) for m in (4, 5))
         with pytest.raises(ValueError, match="equal m"):
