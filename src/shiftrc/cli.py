@@ -3,8 +3,9 @@
 Subcommands: ``generate`` (task data CSVs), ``sweep`` (selection-method
 comparison over an m_red grid), ``analyze`` (sparseness grid diagnostics)
 and ``replay`` (re-run a manifest bitwise). Every run writes a manifest that
-fully determines its outputs. Every output file is written here, through
-one CSV writer and one JSON writer.
+fully determines its outputs. Every output is formatted here, by one CSV
+formatter and one JSON formatter, and written in one loop once all of a
+run's outputs exist, so a run that fails writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -37,7 +38,7 @@ EXIT_RUNTIME = 3
 
 def _read_json(path, what: str):
     """The JSON value in the file ``path``; ``what`` names the file in the
-    ConfigError of a missing file or malformed JSON."""
+    ConfigError of a file that is missing, cannot be read or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -46,6 +47,8 @@ def _read_json(path, what: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON ({path}, line {exc.lineno}, "
                           f"column {exc.colno}): {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} cannot be read ({path}): {exc}") from None
 
 
 def _load_config(args) -> dict:
@@ -77,24 +80,23 @@ def _validate_threads(args) -> None:
         raise ConfigError(f"{source} must be >= 1, got {threads}")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv(header, rows) -> str:
     """One line per row under the column names ``header``: numbers with 17
     significant digits, so doubles round-trip exactly; None is an empty
     field."""
     lines = [",".join(header)]
     lines += [",".join("" if v is None else f"{float(v):.17g}" for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n",
-                    encoding="ascii")
+def _json(obj, sort_keys: bool = False) -> str:
+    return json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
 
 
-def _write_selection(path: Path, order, r_diag, n_nodes: int) -> None:
+def _selection_json(order, r_diag, n_nodes: int) -> str:
     """A ranked selection: its pivot order as [node, shift] labels, its
     width and |R_kk|."""
-    _write_json(path, {
+    return _json({
         "method": "rrqr",  # the sweep records only its ranked selections
         "m_red": len(order),
         "retained": shifts.column_labels(order, n_nodes),
@@ -102,61 +104,52 @@ def _write_selection(path: Path, order, r_diag, n_nodes: int) -> None:
     })
 
 
-def _write_r_diag(path: Path, r_diag) -> None:
-    _write_csv(path, ("k", "r_kk_abs"), enumerate(r_diag))
+def _r_diag_csv(r_diag) -> str:
+    return _csv(("k", "r_kk_abs"), enumerate(r_diag))
 
 
-def _run_generate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
+def _run_generate(cfg: ExperimentConfig) -> dict[str, str]:
     dt = cfg.data.sample_interval
-    _write_csv(out_dir / "series.csv", ("t", "x", "y", "z"),
-               ((k * dt, *row) for k, row in enumerate(pipeline.build_series(cfg.data))))
+    outputs = {"series.csv": _csv(("t", "x", "y", "z"), (
+        (k * dt, *row) for k, row in enumerate(pipeline.build_series(cfg.data))))}
     dataset = pipeline.build_dataset(cfg.data)
-    names = ("drive_train", "target_train", "drive_test", "target_test")
-    for name in names:
-        _write_csv(out_dir / f"{name}.csv", ("n", "value"), enumerate(getattr(dataset, name)))
-    return ["series.csv"] + [f"{name}.csv" for name in names]
+    for name in ("drive_train", "target_train", "drive_test", "target_test"):
+        outputs[f"{name}.csv"] = _csv(("n", "value"), enumerate(getattr(dataset, name)))
+    return outputs
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path, subset_mode: str) -> list[str]:
+def _run_sweep(cfg: ExperimentConfig, subset_mode: str) -> dict[str, str]:
     result = pipeline.sweep(cfg, subset_mode=subset_mode)
-    _write_csv(out_dir / "sweep.csv", [f.name for f in fields(pipeline.SweepRow)],
-               map(astuple, result.rows))
-    _write_json(out_dir / "cells.json", {"cells": [asdict(c) for c in result.cells]})
-    paths = ["sweep.csv", "cells.json"]
-    if result.pivots:
-        (out_dir / "diagnostics").mkdir(exist_ok=True)
+    outputs = {
+        "sweep.csv": _csv([f.name for f in fields(pipeline.SweepRow)],
+                          map(astuple, result.rows)),
+        "cells.json": _json({"cells": [asdict(c) for c in result.cells]}),
+    }
     for mask_id, (order, r_diag) in enumerate(result.pivots):
-        sel_path = f"diagnostics/mask_{mask_id:04d}_selection.json"
-        _write_selection(out_dir / sel_path, order, r_diag, cfg.n_nodes)
-        rdiag_path = f"diagnostics/mask_{mask_id:04d}_rdiag.csv"
-        _write_r_diag(out_dir / rdiag_path, r_diag)
-        paths += [sel_path, rdiag_path]
-    return paths
+        prefix = f"diagnostics/mask_{mask_id:04d}"
+        outputs[f"{prefix}_selection.json"] = _selection_json(order, r_diag, cfg.n_nodes)
+        outputs[f"{prefix}_rdiag.csv"] = _r_diag_csv(r_diag)
+    return outputs
 
 
-def _run_analyze(cfg: AnalysisConfig, out_dir: Path) -> list[str]:
+def _run_analyze(cfg: AnalysisConfig) -> dict[str, str]:
     rows = pipeline.analysis_sweep(cfg)
-    _write_csv(out_dir / "analysis.csv", [f.name for f in fields(pipeline.AnalysisRow)],
-               map(astuple, rows))
-    return ["analysis.csv"]
+    return {"analysis.csv": _csv([f.name for f in fields(pipeline.AnalysisRow)],
+                                 map(astuple, rows))}
 
 
 def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
-    # The config objects are built and checked first, so a config error
-    # leaves no output directory behind.
+    # Every output is formatted before the first file is written, so a run
+    # that fails, with a config error or at run time, writes nothing.
     cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
-    problem = pipeline.sweep_problem(cfg) if command == "sweep" else None
-    if problem is not None:
-        raise ConfigError(f"invalid config field 'data.train_steps': {problem}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     if command == "generate":
-        paths = _run_generate(cfg, out_dir)
+        outputs = _run_generate(cfg)
     elif command == "sweep":
-        paths = _run_sweep(cfg, out_dir, subset_mode)
+        outputs = _run_sweep(cfg, subset_mode)
     else:
-        paths = _run_analyze(cfg, out_dir)
-    _write_json(out_dir / "manifest.json", {
+        outputs = _run_analyze(cfg)
+    outputs["manifest.json"] = _json({
         "tool": "shiftrc",
         "tool_version": __version__,
         "command": command,
@@ -164,9 +157,13 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
         "master_seed": resolved["master_seed"],
         "config_hash": config_hash(resolved),
         "config_echo": resolved,
-        "output_paths": paths,
+        "output_paths": list(outputs),  # taken before the manifest is added
         "wall_time_seconds": time.monotonic() - start,
     }, sort_keys=True)
+    for name, text in outputs.items():
+        path = out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="ascii")
 
 
 def _cmd_run(args, command: str) -> int:

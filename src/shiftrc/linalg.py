@@ -109,12 +109,9 @@ def log_row_dominance(qr: PivotedQR) -> None:
     than raised.
     """
     r = qr.r
-    m = r.shape[0]
-    if m < 2 or qr.r_diag[0] == 0.0:
+    if r.shape[0] < 2 or qr.r_diag[0] == 0.0:
         return
-    tail_max = np.array(
-        [np.max(np.abs(r[k, k + 1 :]), initial=0.0) for k in range(m)]
-    )
+    tail_max = np.abs(np.triu(r, 1)).max(axis=1)
     excess = tail_max - qr.r_diag
     worst = float(np.max(excess))
     if worst > 0.0:

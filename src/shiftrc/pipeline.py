@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, dynamics, linalg, reservoir, series_cache, shifts
 from .config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
+from .errors import ConfigError
 from .linalg import NrmseMode
 
 
@@ -262,31 +263,26 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     return cells, pivot
 
 
-def sweep_problem(cfg: ExperimentConfig) -> str | None:
-    """Why a sweep cannot compress the training system of ``cfg``, or None:
-    the QR of ``[X | 1]`` needs at least as many training rows as columns."""
-    rows = cfg.data.train_steps - cfg.washout - cfg.tau_max
-    columns = cfg.n_nodes * (cfg.tau_max + 1) + 1
-    if rows >= columns:
-        return None
-    return (f"{cfg.data.train_steps} leaves {rows} training rows after washout "
-            f"{cfg.washout} and tau_max {cfg.tau_max}, fewer than the {columns} "
-            f"columns of [X | 1]; a sweep needs at least "
-            f"{cfg.washout + cfg.tau_max + columns}")
-
-
 def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     """Evaluate every m_red on the grid, averaged over masks and subsets.
 
     All masks share the drive, so they are simulated as one reservoir batch.
     The shifted matrices of a mask are then built, scored and dropped
     before the next mask's, so one mask's are held at a time.
+
+    Raises:
+        ConfigError: fewer training rows than the columns of ``[X | 1]``.
     """
     if subset_mode not in ("both", "rrqr", "random"):
         raise ValueError(f"subset_mode must be both|rrqr|random, got {subset_mode}")
-    problem = sweep_problem(cfg)
-    if problem is not None:
-        raise ValueError(f"data.train_steps {problem}")
+    rows = cfg.data.train_steps - cfg.washout - cfg.tau_max
+    columns = cfg.n_nodes * (cfg.tau_max + 1) + 1
+    if rows < columns:
+        raise ConfigError(
+            f"invalid config field 'data.train_steps': {cfg.data.train_steps} leaves "
+            f"{rows} training rows after washout {cfg.washout} and tau_max "
+            f"{cfg.tau_max}, fewer than the {columns} columns of [X | 1]; a sweep "
+            f"needs at least {cfg.washout + cfg.tau_max + columns}")
     dataset = build_dataset(cfg.data)
     trial_seeds = (derive_seed(cfg.master_seed, "trial", i) for i in range(cfg.n_masks))
     res_cfgs = [build_trial_reservoir(cfg, partial(derive_seed, seed)) for seed in trial_seeds]

@@ -514,6 +514,35 @@ class TestErrors:
         assert f"({path}, line 2, column 3)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+    @pytest.mark.parametrize("command,flag", [("sweep", "--config"),
+                                              ("replay", "--manifest")])
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, command, flag,
+                                             content):
+        # a directory or a file that is not UTF-8 is a config error, like a
+        # missing file, not a runtime error
+        path = tmp_path / "input.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "o"
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        assert f"cannot be read ({path})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, command):
+        # the Lorenz fixed point gives a constant drive: the run fails at
+        # run time, after the config was accepted, and leaves no --out
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["data"]["initial_state"] = [0, 0, 0]
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+        assert "shiftrc: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_root_not_an_object(self, tmp_path, capsys):
         # a string holding every required key passes an ``in`` check
         path = tmp_path / "manifest.json"
@@ -700,6 +729,21 @@ def test_only_the_cli_writes_files():
                                        and _opens_for_writing(node)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found
+
+
+def test_cli_writes_files_in_one_place():
+    # every file of a run is written by one loop in _dispatch, after all of
+    # its outputs are formatted
+    tree = ast.parse((Path(shiftrc.__file__).parent / "cli.py").read_text())
+    dispatch = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_dispatch")
+
+    def write_calls(root):
+        return sorted(node.func.attr for node in ast.walk(root)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("mkdir", "write_text"))
+
+    assert write_calls(tree) == write_calls(dispatch) == ["mkdir", "write_text"]
 
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -10,7 +10,7 @@ from scipy.linalg import lstsq
 
 from shiftrc import analysis, dynamics, pipeline, reservoir, series_cache, shifts
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
-from shiftrc.errors import DivergenceError, SingularMatrixError
+from shiftrc.errors import ConfigError, DivergenceError, SingularMatrixError
 from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
@@ -295,11 +295,10 @@ class TestSweep:
     def test_fewer_training_rows_than_columns_rejected(self):
         # 39 - washout 20 - tau_max 3 = 16 rows against the 17 columns of [X | 1]
         cfg = tiny_config(data=dataclasses.replace(tiny_config().data, train_steps=39))
-        assert "16 training rows" in pipeline.sweep_problem(cfg)
         for subset_mode in ("both", "rrqr", "random"):
-            with pytest.raises(ValueError, match="data.train_steps"):
+            with pytest.raises(ConfigError, match="data.train_steps") as exc:
                 sweep(cfg, subset_mode)
-        assert pipeline.sweep_problem(tiny_config()) is None
+            assert "16 training rows" in str(exc.value)
 
     def test_deterministic_repeat(self):
         cfg = tiny_config()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftrc.cli import _write_selection
+from shiftrc.cli import _selection_json
 from shiftrc.linalg import qr_column_pivot
 from shiftrc.shifts import (
     build_shifted_matrix,
@@ -172,14 +172,12 @@ class TestProperties:
         assert wins >= 45
 
 
-def test_selection_json_roundtrip(tmp_path, random_states):
+def test_selection_json_roundtrip(random_states):
     import json
 
     shifted = build_shifted_matrix(random_states, 3)
     order, r_diag = rrqr_select(shifted)
-    path = tmp_path / "selection.json"
-    _write_selection(path, order[:5], r_diag, 10)
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(_selection_json(order[:5], r_diag, 10))
     assert loaded["method"] == "rrqr"
     assert loaded["m_red"] == 5
     assert loaded["retained"] == column_labels(order[:5], 10)
