@@ -140,7 +140,14 @@ def _run_analyze(cfg: AnalysisConfig) -> dict[str, str]:
 
 def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
     # Every output is formatted before the first file is written, so a run
-    # that fails, with a config error or at run time, writes nothing.
+    # that fails, with a config error or at run time, writes nothing. An
+    # earlier run's files would stay beside outputs whose manifest does not
+    # list them, so --out must be new or an empty directory.
+    if out_dir.exists():
+        if not out_dir.is_dir():
+            raise ConfigError(f"--out {out_dir} is not a directory")
+        if any(out_dir.iterdir()):
+            raise ConfigError(f"--out {out_dir} is not empty")
     cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
     start = time.monotonic()
     if command == "generate":

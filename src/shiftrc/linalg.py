@@ -19,7 +19,9 @@ pipeline therefore compresses each mask once: an unpivoted QR of
 ``[X | 1 | g] = Q R`` gives, for every column subset S,
 ``||X_S w - g||^2 = ||R[:, S] w - Q^T g||^2 + rho^2`` with a constant
 ``rho``. Each fit then runs on the small triangular system instead of the
-tall one, with the same solution and conditioning.
+tall one, with the same solution and conditioning. :func:`tsqr` computes
+that R from row blocks, so the tall matrix never needs to be held whole,
+and :func:`nrmse_sums` scores outputs block by block.
 """
 
 from __future__ import annotations
@@ -230,6 +232,74 @@ def predict(x: np.ndarray, readout: Readout) -> np.ndarray:
     return x @ readout.w
 
 
+def tsqr(blocks) -> np.ndarray:
+    """The R factor of the row blocks ``blocks`` stacked in order, by a
+    binary tree of Householder QRs (TSQR: Demmel, Grigori, Hoemmen and
+    Langou, SIAM J. Sci. Comput. 34(1), 2012).
+
+    ``blocks`` yields arrays of equal column count, each ``(..., rows, k)``;
+    leading axes factor a batch of matrices at once. Each block is factored
+    on its own, and factors of equal depth are merged pairwise by a QR of
+    the two stacked, so at most log2(blocks) + 1 factors are held at a time
+    and the rounding of R stays close to that of one QR of the whole matrix.
+    The result equals that QR's R up to the signs of its rows; it has
+    ``min(rows, k)`` rows, for ``rows`` the total. A block may be shorter
+    than ``k`` rows.
+
+    Raises:
+        ValueError: ``blocks`` is empty.
+    """
+    factors = []  # (depth, R) of merged blocks, depths strictly decreasing
+    for block in blocks:
+        depth, r = 0, np.linalg.qr(block, mode="r")
+        while factors and factors[-1][0] == depth:
+            r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=-2), mode="r")
+            depth += 1
+        factors.append((depth, r))
+    if not factors:
+        raise ValueError("need at least one row block")
+    r = factors.pop()[1]
+    while factors:
+        r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=-2), mode="r")
+    return r
+
+
+def nrmse_sums(g: np.ndarray, h: np.ndarray, mode: NrmseMode) -> tuple[np.ndarray, float]:
+    """One row block's share of the NRMSE of every output in ``h``.
+
+    ``g`` holds the block's target samples ``(rows,)`` and ``h`` the
+    outputs ``(cells, rows)``. Returns each output's error sum and the
+    target sum, which is taken once for all outputs: for GLOBAL the summed
+    squared errors and the target energy, for PAPER_LITERAL the summed
+    squared relative errors over the samples with ``|g| >= 1e-9`` and their
+    count. Added up over the blocks of a series, they give its NRMSE
+    through :func:`nrmse_from_sums`.
+    """
+    if mode is NrmseMode.GLOBAL:
+        return np.sum((h - g) ** 2, axis=-1), float(np.sum(g * g))
+    keep = np.abs(g) >= 1e-9
+    ratios = (h[..., keep] - g[keep]) / g[keep]
+    return np.sum(ratios**2, axis=-1), int(np.count_nonzero(keep))
+
+
+def nrmse_from_sums(errors, target, mode: NrmseMode) -> np.ndarray:
+    """NRMSE of each output from the sums of :func:`nrmse_sums` over a
+    whole series.
+
+    Raises:
+        DegenerateTargetError: GLOBAL with a target energy below 1e-18, or
+            PAPER_LITERAL with no target sample of magnitude 1e-9 or more.
+    """
+    if mode is NrmseMode.GLOBAL:
+        if target < 1e-18:
+            raise DegenerateTargetError(
+                f"target energy {target:.3e} below 1e-18; NRMSE undefined"
+            )
+    elif target == 0:
+        raise DegenerateTargetError("all target samples below 1e-9 in magnitude")
+    return np.sqrt(errors / target)
+
+
 def nrmse(g: np.ndarray, h: np.ndarray, mode: NrmseMode = NrmseMode.GLOBAL) -> float:
     """Normalized root-mean-square error between target ``g`` and output ``h``.
 
@@ -244,17 +314,6 @@ def nrmse(g: np.ndarray, h: np.ndarray, mode: NrmseMode = NrmseMode.GLOBAL) -> f
     if g.shape != h.shape or g.ndim != 1 or g.size < 1:
         raise ValueError(f"need equal-length 1-D sequences, got {g.shape} and {h.shape}")
     mode = NrmseMode(mode)
-    if mode is NrmseMode.GLOBAL:
-        denom = float(np.sum(g * g))
-        if denom < 1e-18:
-            raise DegenerateTargetError(
-                f"target energy {denom:.3e} below 1e-18; NRMSE undefined"
-            )
-        return float(np.sqrt(np.sum((g - h) ** 2) / denom))
-    keep = np.abs(g) >= 1e-9
-    n_keep = int(np.count_nonzero(keep))
-    if n_keep == 0:
-        raise DegenerateTargetError("all target samples below 1e-9 in magnitude")
-    ratios = (g[keep] - h[keep]) / g[keep]
-    return float(np.sqrt(np.sum(ratios**2) / n_keep))
+    errors, target = nrmse_sums(g, h[None], mode)
+    return float(nrmse_from_sums(errors, target, mode)[0])
 

@@ -142,11 +142,41 @@ def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int
     return [(train, test, *targets) for train, test in splits]
 
 
+# Shifted matrices are built, factored and scored in blocks of rows, so a
+# mask holds a few blocks at a time instead of its tall train and test
+# matrices. A block has at least BLOCK_ROWS rows, and at least four times
+# the columns of [X | 1 | g]. Measured on one thread for 7890 rows (medians
+# of 15): at 112 columns the TSQR tree took 26 ms with blocks of 1024 or
+# 2048 rows and 37 ms at 4096, against 42 ms for one QR; at 552 columns it
+# took 312 ms at 1024 rows, 243-249 ms at 2048 or 2208 (4 x 552) and 265 ms
+# at 4096, against 251 ms for one QR.
+BLOCK_ROWS = 2048
+
+
+def _row_blocks(states: np.ndarray, tau_max: int):
+    """Yield ``(rows, x)`` for consecutive row blocks ``x`` of the shifted
+    matrix of ``states``, ``rows`` the slice of that matrix each one holds;
+    each block is built from the ``tau_max`` state rows before it as well."""
+    n_rows = states.shape[0] - tau_max
+    if n_rows < 1:
+        raise ValueError(f"need more than tau_max={tau_max} rows, have {states.shape[0]}")
+    step = max(BLOCK_ROWS, 4 * (states.shape[1] * (tau_max + 1) + 2))
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        yield rows, shifts.build_shifted_matrix(states[start : rows.stop + tau_max], tau_max)
+
+
 @dataclass
 class MaskContext:
     """Everything one (mask, task) pair needs to score any selection.
 
-    ``r`` and ``c`` hold one Householder QR of the training system,
+    ``train`` and ``test`` are the mask's reservoir states, ``(rows,
+    nodes)`` per split, and the targets are trimmed to the rows of their
+    shifted matrices (shift ``tau_max`` drops the first ``tau_max``). The
+    shifted matrices themselves are never held whole; they are rebuilt
+    block by block (:func:`_row_blocks`) where they are needed.
+
+    ``r`` and ``c`` hold one QR of the training system,
     ``[X | 1 | g] = Q R`` for the shifted training matrix ``X`` (C columns),
     a ones column and the training target: ``r`` is the leading
     ``(C + 1) x (C + 1)`` triangle and ``c = Q^T g`` its right-hand side,
@@ -159,8 +189,9 @@ class MaskContext:
     serve fits without a bias (row C is zero in every state column).
     """
 
-    shifted_train: np.ndarray
-    shifted_test: np.ndarray
+    train: np.ndarray
+    test: np.ndarray
+    tau_max: int
     target_train: np.ndarray
     target_test: np.ndarray
     r: np.ndarray
@@ -168,17 +199,25 @@ class MaskContext:
 
 
 def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
-    """Shift both splits and compress the training system (unpivoted
-    LAPACK QR; no normal equations are formed)."""
-    shifted_train = shifts.build_shifted_matrix(train, tau_max)
-    shifted_test = shifts.build_shifted_matrix(test, tau_max)
+    """Compress the training system of one mask's states: a TSQR tree
+    (:func:`linalg.tsqr`, unpivoted LAPACK QRs; no normal equations are
+    formed) over the row blocks of ``[X | 1 | g]``.
+
+    Raises:
+        ValueError: a block of the training system holds a non-finite entry.
+    """
     target_train = g_train[tau_max:]
-    system = np.column_stack([shifted_train, np.ones(shifted_train.shape[0]), target_train])
-    if not np.all(np.isfinite(system)):
-        raise ValueError("training matrix or target contains non-finite entries")
-    n = shifted_train.shape[1]
-    r = np.linalg.qr(system, mode="r")
-    return MaskContext(shifted_train, shifted_test, target_train, g_test[tau_max:],
+
+    def systems():
+        for rows, x in _row_blocks(train, tau_max):
+            block = np.column_stack([x, np.ones(x.shape[0]), target_train[rows]])
+            if not np.all(np.isfinite(block)):
+                raise ValueError("training matrix or target contains non-finite entries")
+            yield block
+
+    n = train.shape[1] * (tau_max + 1)
+    r = linalg.tsqr(systems())
+    return MaskContext(train, test, tau_max, target_train, g_test[tau_max:],
                        r=r[: n + 1, : n + 1], c=r[: n + 1, n + 1])
 
 
@@ -209,14 +248,19 @@ def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
 
 
 def _score_weights(ctx: MaskContext, w, mode: NrmseMode) -> list[tuple[float, float]]:
-    """``(train, test)`` NRMSE of each column of full-width weights ``w``:
-    one product per split predicts every cell of a group."""
-    n = ctx.shifted_train.shape[1]
-    errs = [
-        [linalg.nrmse(g, h, mode) for h in (x @ w[:n] + w[n]).T]
-        for x, g in ((ctx.shifted_train, ctx.target_train),
-                     (ctx.shifted_test, ctx.target_test))
-    ]
+    """``(train, test)`` NRMSE of each column of full-width weights ``w``,
+    from one pass over the row blocks of each split: one product per block
+    predicts every cell, and the block's target sums are taken once for all
+    cells (:func:`linalg.nrmse_sums`)."""
+    n = w.shape[0] - 1
+    errs = []
+    for states, g in ((ctx.train, ctx.target_train), (ctx.test, ctx.target_test)):
+        errors, target = 0.0, 0
+        for rows, x in _row_blocks(states, ctx.tau_max):
+            h = w[:n].T @ x.T + w[n][:, None]  # (cells, rows)
+            block_errors, block_target = linalg.nrmse_sums(g[rows], h, mode)
+            errors, target = errors + block_errors, target + block_target
+        errs.append(linalg.nrmse_from_sums(errors, target, mode).tolist())
     return list(zip(*errs))
 
 
@@ -225,19 +269,13 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
 
     The ranked arm takes prefixes of one full-width pivot, run on the
     training triangle the compression already holds, and fits them all from
-    one factorization. The cells of one m_red (its ranked prefix and random
-    subsets) are scored as one group. The baseline is the unshifted
-    reservoir evaluated on the same trimmed row window.
+    one factorization; the random subsets of one m_red are fitted as one
+    stack. Every cell is then scored in one pass over each split. The
+    baseline is the unshifted reservoir evaluated on the same trimmed row
+    window.
     """
-    mode = NrmseMode(cfg.nrmse_mode)
-    n = ctx.shifted_train.shape[1]
-    cells: list[TaskResult] = []
-
-    def score(w, labels):
-        for (train_err, test_err), (method, m_red, seed) in zip(
-            _score_weights(ctx, w, mode), labels
-        ):
-            cells.append(TaskResult(train_err, test_err, method, m_red, mask_id, seed))
+    n = ctx.r.shape[0] - 1
+    weights, labels = [], []
 
     def fit(cols, sizes=None):
         return _fit_group(ctx, cols, cfg.ridge_lambda, cfg.include_bias, sizes)
@@ -248,18 +286,19 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
         sizes = [min(m_red, n) for m_red in cfg.m_red_grid]
         ranked = fit([pivot[0]], sizes)
     for j, m_red in enumerate(cfg.m_red_grid):
-        w, labels = [], []
         if pivot is not None:
-            w.append(ranked[:, j : j + 1])
+            weights.append(ranked[:, j : j + 1])
             labels.append(("rrqr", sizes[j], None))
         if subset_mode in ("both", "random"):
             seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
                      for subset_id in range(cfg.n_random_subsets)]
-            w.append(fit([shifts.random_select(n, m_red, seed) for seed in seeds]))
+            weights.append(fit([shifts.random_select(n, m_red, seed) for seed in seeds]))
             labels += [("random", m_red, seed) for seed in seeds]
-        score(np.hstack(w), labels)
-    score(fit([np.arange(cfg.n_nodes)]),  # the shift-0 columns
-          [("baseline", cfg.n_nodes, None)])
+    weights.append(fit([np.arange(cfg.n_nodes)]))  # the shift-0 columns
+    labels.append(("baseline", cfg.n_nodes, None))
+    scores = _score_weights(ctx, np.hstack(weights), NrmseMode(cfg.nrmse_mode))
+    cells = [TaskResult(train_err, test_err, method, m_red, mask_id, seed)
+             for (train_err, test_err), (method, m_red, seed) in zip(scores, labels)]
     return cells, pivot
 
 
@@ -267,8 +306,8 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     """Evaluate every m_red on the grid, averaged over masks and subsets.
 
     All masks share the drive, so they are simulated as one reservoir batch.
-    The shifted matrices of a mask are then built, scored and dropped
-    before the next mask's, so one mask's are held at a time.
+    Each mask is then compressed and scored from its states block by block,
+    so no tall shifted matrix is held.
 
     Raises:
         ConfigError: fewer training rows than the columns of ``[X | 1]``.
@@ -350,15 +389,14 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     trial of a batch, streamed over pieces of the run.
 
     Per trial the training states are folded into the R factor of
-    ``[1 | X | g_obs | g_pred]``: each piece is factored on its own, and
-    factors of equal depth are merged pairwise by a QR of the two stacked,
-    as in the binary tree of TSQR. That keeps the rounding of R close to a
-    single QR of the whole matrix, where folding every piece into one
-    running factor made readout NRMSEs drift by up to 7e-12 relative. By
-    the residual identity of :class:`MaskContext` both readouts fit on the
-    leading ``m + 1`` rows of R. Unlike the sweep's factor, the ones column
-    comes first, so the Pearson correlation with ``g_obs`` is read from R as
-    well. The test split is predicted piece by piece.
+    ``[1 | X | g_obs | g_pred]`` by the TSQR tree of :func:`linalg.tsqr`,
+    one piece per block. That keeps the rounding of R close to a single QR
+    of the whole matrix, where folding every piece into one running factor
+    made readout NRMSEs drift by up to 7e-12 relative. By the residual
+    identity of :class:`MaskContext` both readouts fit on the leading
+    ``m + 1`` rows of R. Unlike the sweep's factor, the ones column comes
+    first, so the Pearson correlation with ``g_obs`` is read from R as well.
+    The test split is predicted piece by piece.
     """
     obs, pred = datasets
     washout = cfg.washout
@@ -371,39 +409,38 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     if n_rows < window:
         raise ValueError(f"need at least {window} rows, have {n_rows}")
 
-    factors = []  # (depth, R) of merged pieces, depths strictly decreasing
     lo = np.full((n_trials, m), np.inf)
     hi = np.full((n_trials, m), -np.inf)
     codes = np.empty((n_trials, n_rows - window + 1, m), dtype=analysis.key_dtype(window))
-    tail = np.empty((n_trials, 0, m))  # rows whose windows reach into the next piece
-    row = 0
-    for x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
-        rows = x.shape[1]
-        # Every piece completes at least one window: the first has
-        # min(ANALYSIS_SEGMENT, n_rows) >= window rows, and each later one
-        # adds at least one row to the window - 1 carried over.
-        seq = np.concatenate([tail, x], axis=1)
-        n_win = seq.shape[1] - window + 1
-        first = row - tail.shape[1]
-        codes[:, first : first + n_win] = analysis.ordinal_symbols(
-            seq.transpose(1, 0, 2), window
-        ).transpose(1, 0, 2)
-        tail = seq[:, n_win:]
-        np.minimum(lo, x.min(axis=1), out=lo)
-        np.maximum(hi, x.max(axis=1), out=hi)
-        block = np.empty((n_trials, rows, m + 3))
-        block[:, :, 0] = 1.0
-        block[:, :, 1 : m + 1] = x
-        block[:, :, m + 1 :] = g_train[row : row + rows]
-        depth, r = 0, np.linalg.qr(block, mode="r")
-        while factors and factors[-1][0] == depth:
-            r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=1), mode="r")
-            depth += 1
-        factors.append((depth, r))
-        row += rows
-    r = factors.pop()[1]
-    while factors:
-        r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=1), mode="r")
+    last = None  # the last training state, where a continued test run starts
+
+    def systems():
+        nonlocal last
+        tail = np.empty((n_trials, 0, m))  # rows whose windows reach into the next piece
+        row = 0
+        for x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
+            rows = x.shape[1]
+            # Every piece completes at least one window: the first has
+            # min(ANALYSIS_SEGMENT, n_rows) >= window rows, and each later one
+            # adds at least one row to the window - 1 carried over.
+            seq = np.concatenate([tail, x], axis=1)
+            n_win = seq.shape[1] - window + 1
+            first = row - tail.shape[1]
+            codes[:, first : first + n_win] = analysis.ordinal_symbols(
+                seq.transpose(1, 0, 2), window
+            ).transpose(1, 0, 2)
+            tail = seq[:, n_win:]
+            np.minimum(lo, x.min(axis=1), out=lo)
+            np.maximum(hi, x.max(axis=1), out=hi)
+            block = np.empty((n_trials, rows, m + 3))
+            block[:, :, 0] = 1.0
+            block[:, :, 1 : m + 1] = x
+            block[:, :, m + 1 :] = g_train[row : row + rows]
+            yield block
+            row += rows
+        last = x[:, -1]
+
+    r = linalg.tsqr(systems())
 
     # Both readouts of every trial: one stacked solve, the two targets
     # sharing each trial's design. A bias fit takes the ones column too,
@@ -412,7 +449,7 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     w = linalg.ridge_solve(r[:, : m + 1, 1 - bias : m + 1], r[:, : m + 1, m + 1 :],
                            cfg.ridge_lambda)[:, 0]
     if cfg.continuation:
-        pieces = _tanh_pieces(res_cfgs, obs.drive_test, 0, x[:, -1])
+        pieces = _tanh_pieces(res_cfgs, obs.drive_test, 0, last)
     else:
         pieces = _tanh_pieces(res_cfgs, obs.drive_test, washout)
     h = np.empty((n_trials, g_test.shape[0], 2))

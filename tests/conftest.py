@@ -76,9 +76,19 @@ def mask_context(cfg, trial_seed: int) -> pipeline.MaskContext:
     return pipeline._mask_context(cfg.tau_max, *split)
 
 
+def tall_matrices(ctx) -> tuple[np.ndarray, np.ndarray]:
+    """The whole shifted train and test matrices of a mask context, which
+    the context itself never holds: ``build_shifted_matrix`` of its states."""
+    return (build_shifted_matrix(ctx.train, ctx.tau_max),
+            build_shifted_matrix(ctx.test, ctx.tau_max))
+
+
 def score_columns(ctx, cols, ridge_lambda: float, include_bias: bool = False,
                   mode: NrmseMode = NrmseMode.GLOBAL) -> tuple[float, float]:
     """``(train, test)`` NRMSE of one readout on the shifted-matrix columns
-    ``cols``, fitted and scored as a sweep group of one cell."""
+    ``cols``, fitted as a sweep group of one cell and scored as the sweep
+    scores its cells. The sweep never scores a cell alone, so a zero-weight
+    cell goes beside it: numpy multiplies a single weight row by gemv, whose
+    rounding differs from the gemm that a pass over many cells takes."""
     w = pipeline._fit_group(ctx, [cols], ridge_lambda, include_bias)
-    return pipeline._score_weights(ctx, w, mode)[0]
+    return pipeline._score_weights(ctx, np.column_stack([w, np.zeros_like(w)]), mode)[0]

@@ -18,7 +18,7 @@ from shiftrc.config import config_hash, derive_seed, experiment_from_dict, resol
 from shiftrc.linalg import qr_column_pivot
 from shiftrc.pipeline import build_series
 
-from conftest import mask_context
+from conftest import mask_context, tall_matrices
 
 TINY_SWEEP = {
     "task": {"system": "lorenz", "kind": "prediction"},
@@ -188,7 +188,7 @@ class TestSweep:
         for mask_id in range(cfg.n_masks):
             sel = json.loads((diag / f"mask_{mask_id:04d}_selection.json").read_text())
             ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
-            tall = qr_column_pivot(ctx.shifted_train)
+            tall = qr_column_pivot(tall_matrices(ctx)[0])
             # column shift * n_nodes + node is written as [node, shift]
             assert sel["retained"] == [[j % cfg.n_nodes, j // cfg.n_nodes] for j in tall.perm]
             assert sel["m_red"] == len(sel["retained"]) == n_columns
@@ -258,6 +258,43 @@ class TestSweep:
             err = capsys.readouterr().err
             assert field in err and value in err
             assert not replay_out.exists()
+
+    def test_reused_out_rejected_and_left_untouched(self, tmp_path, capsys, monkeypatch):
+        # a 1-mask run into a 3-mask run's --out would leave mask 1 and 2
+        # diagnostics beside a manifest that does not list them
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["selection"]["n_masks"] = 3
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        before = file_hashes(out, skip=())
+        assert "diagnostics/mask_0002_selection.json" in before
+        payload["selection"]["n_masks"] = 1
+        one_mask = write_config(tmp_path, payload, "one_mask.json")
+        capsys.readouterr()
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(shiftrc.pipeline, "sweep", must_not_run)
+        assert main(["sweep", "--config", one_mask, "--out", str(out)]) == 2
+        assert f"--out {out} is not empty" in capsys.readouterr().err
+        assert main(["replay", "--manifest", str(out / "manifest.json"),
+                     "--out", str(out)]) == 2
+        assert f"--out {out} is not empty" in capsys.readouterr().err
+        assert file_hashes(out, skip=()) == before
+
+    def test_empty_out_directory_accepted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, TINY_SWEEP)
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--subset", "rrqr"]) == 0
+        assert (out / "manifest.json").exists()
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["sweep", "--config", cfg, "--out", str(blocker)]) == 2
+        assert f"--out {blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_subset_rrqr_leaves_random_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SWEEP)

@@ -16,6 +16,7 @@ from shiftrc.linalg import (
     qr_column_pivot,
     ridge_fit,
     ridge_solve,
+    tsqr,
 )
 
 from oracles import covariance_rank, r22_bound_check
@@ -359,6 +360,29 @@ class TestRidgeSolve:
         x[0, 3, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             ridge_solve(x, rng.normal(size=(1, 5, 1)), 1.0)
+
+
+class TestTsqr:
+    def test_matches_one_qr_up_to_row_signs(self, rng):
+        # a batch of 3 matrices in blocks of 9, 2 (shorter than k), 7, 1 and
+        # 11 rows: every merge depth, and a factor left over at the end
+        a = rng.normal(size=(3, 30, 6))
+        edges = np.cumsum([0, 9, 2, 7, 1, 11])
+        got = tsqr(a[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
+        want = np.linalg.qr(a, mode="r")
+        assert got.shape == want.shape == (3, 6, 6)
+        signs = np.sign(np.diagonal(want, axis1=1, axis2=2) * np.diagonal(got, axis1=1, axis2=2))
+        np.testing.assert_allclose(signs[..., None] * got, want, rtol=0.0, atol=1e-13)
+
+    def test_fewer_rows_than_columns_give_a_trapezoid(self, rng):
+        a = rng.normal(size=(4, 6))
+        got = tsqr([a[:1], a[1:]])
+        assert got.shape == (4, 6)
+        np.testing.assert_allclose(got.T @ got, a.T @ a, rtol=0.0, atol=1e-13)
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="row block"):
+            tsqr(iter([]))
 
 
 class TestPredict:

@@ -1,6 +1,7 @@
 """End-to-end pipeline: scoring, leakage control, sweeps, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,17 @@ from scipy.linalg import lstsq
 
 from shiftrc import analysis, dynamics, pipeline, reservoir, series_cache, shifts
 from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
-from shiftrc.errors import ConfigError, DivergenceError, SingularMatrixError
+from shiftrc.errors import (
+    ConfigError,
+    DegenerateTargetError,
+    DivergenceError,
+    SingularMatrixError,
+)
 from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
 
-from conftest import mask_context, score_columns
+from conftest import mask_context, score_columns, tall_matrices
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -91,8 +97,9 @@ class TestScoreSelection:
 def direct_score(ctx, cols, ridge_lambda, include_bias=False,
                  mode=NrmseMode.GLOBAL):
     """Reference: copy the selected columns and fit the tall system."""
-    train = ctx.shifted_train[:, cols]
-    test = ctx.shifted_test[:, cols]
+    shifted_train, shifted_test = tall_matrices(ctx)
+    train = shifted_train[:, cols]
+    test = shifted_test[:, cols]
     readout = ridge_fit(train, ctx.target_train, ridge_lambda, include_bias)
     return (nrmse(ctx.target_train, predict(train, readout), mode),
             nrmse(ctx.target_test, predict(test, readout), mode))
@@ -144,7 +151,7 @@ class TestCompressedReadout:
             if cell.method == "rrqr":
                 cols = ranked[: cell.m_red]
             elif cell.method == "random":
-                cols = random_select(ctx.shifted_train.shape[1], cell.m_red,
+                cols = random_select(tall_matrices(ctx)[0].shape[1], cell.m_red,
                                      cell.subset_seed)
             else:
                 cols = np.arange(cfg.n_nodes)  # the shift-0 columns
@@ -237,13 +244,122 @@ class TestFitGroup:
     def test_ranked_prefixes_equal_per_prefix_fits(self, bias):
         cfg = tiny_config(n_masks=1, include_bias=bias)
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        order = rrqr_select(ctx.shifted_train)[0]
-        sizes = list(range(1, ctx.shifted_train.shape[1] + 1))
+        shifted_train = tall_matrices(ctx)[0]
+        order = rrqr_select(shifted_train)[0]
+        sizes = list(range(1, shifted_train.shape[1] + 1))
         w = pipeline._fit_group(ctx, [order], cfg.ridge_lambda, bias, sizes)
         got = pipeline._score_weights(ctx, w, NrmseMode.GLOBAL)
         for j, p in enumerate(sizes):
             want = direct_score(ctx, order[:p], cfg.ridge_lambda, bias)
             np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0.0)
+
+
+def reference_nrmse(g, h, mode):
+    """NRMSE of one output over a whole split, written out in full."""
+    if mode is NrmseMode.GLOBAL:
+        return np.sqrt(np.sum((g - h) ** 2) / np.sum(g * g))
+    keep = np.abs(g) >= 1e-9
+    return np.sqrt(np.mean(((g[keep] - h[keep]) / g[keep]) ** 2))
+
+
+class TestRowBlocks:
+    """Compression and scoring over row blocks against the tall matrices."""
+
+    NODES, TAU = 3, 2  # C = 9 columns, so [X | 1 | g] has C + 2 = 11
+
+    def states(self, rng, n_rows):
+        """Train and test states whose shifted matrices have ``n_rows`` rows,
+        with targets that have zero samples in the first and last blocks."""
+        x = rng.normal(size=(2, n_rows + self.TAU, self.NODES))
+        g = rng.normal(size=(2, n_rows + self.TAU))
+        g[:, [self.TAU + 3, -2]] = 0.0  # skipped by PAPER_LITERAL
+        return x[0], x[1], g[0], g[1]
+
+    # (BLOCK_ROWS, shifted rows): k blocks, k blocks and one row, a last
+    # block shorter than C + 2 rows, and the shipped rule (2048 rows here)
+    SHAPES = [(50, 150), (50, 151), (50, 155), (None, 2 * 2048 + 1)]
+
+    @pytest.mark.parametrize("block_rows,n_rows", SHAPES)
+    def test_compression_matches_one_qr(self, rng, monkeypatch, block_rows, n_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
+        train, test, g_train, g_test = self.states(rng, n_rows)
+        ctx = pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+        x = build_shifted_matrix(train, self.TAU)
+        n = x.shape[1]
+        want = np.linalg.qr(np.column_stack([x, np.ones(n_rows), g_train[self.TAU:]]),
+                            mode="r")[: n + 1]
+        signs = np.sign(np.diag(want)) * np.sign(np.diag(ctx.r))
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(signs[:, None] * ctx.r, want[:, : n + 1],
+                                   rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(signs * ctx.c, want[:, n + 1], rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("block_rows,n_rows", SHAPES)
+    @pytest.mark.parametrize("mode", list(NrmseMode))
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_cells_match_tall_scores(self, rng, monkeypatch, block_rows, n_rows, mode, bias):
+        if block_rows is not None:
+            monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
+        train, test, g_train, g_test = self.states(rng, n_rows)
+        ctx = pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+        sets = [rng.choice(9, size=4, replace=False) for _ in range(5)]
+        w = pipeline._fit_group(ctx, sets, 1e-6, bias)
+        got = pipeline._score_weights(ctx, w, mode)
+        tall = tall_matrices(ctx)
+        assert len(got) == len(sets)
+        for cell, (train_err, test_err) in enumerate(got):
+            want = [reference_nrmse(g, x @ w[:-1, cell] + w[-1, cell], mode)
+                    for x, g in zip(tall, (ctx.target_train, ctx.target_test))]
+            np.testing.assert_allclose((train_err, test_err), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("nodes,tau_max,heights", [
+        (3, 2, [2048, 2048, 1]),  # C = 9: BLOCK_ROWS
+        (50, 10, [2208, 2208, 65]),  # C = 550: 4 * (C + 2) rows
+    ])
+    def test_block_height_follows_the_column_count(self, nodes, tau_max, heights):
+        states = np.zeros((sum(heights) + tau_max, nodes))
+        got = [(rows.stop - rows.start, x.shape) for rows, x in
+               pipeline._row_blocks(states, tau_max)]
+        assert got == [(h, (h, nodes * (tau_max + 1))) for h in heights]
+
+    @pytest.mark.parametrize("where", ["states", "target"])
+    def test_non_finite_entry_in_a_late_block_rejected(self, rng, monkeypatch, where):
+        monkeypatch.setattr(pipeline, "BLOCK_ROWS", 50)
+        train, test, g_train, g_test = self.states(rng, 155)
+        (train[-3] if where == "states" else g_train[-3:])[1] = np.nan  # the 5-row last block
+        with pytest.raises(ValueError, match="training matrix or target contains non-finite"):
+            pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+
+    @pytest.mark.parametrize("mode", list(NrmseMode))
+    def test_zero_test_target_is_degenerate(self, rng, monkeypatch, mode):
+        monkeypatch.setattr(pipeline, "BLOCK_ROWS", 50)
+        train, test, g_train, g_test = self.states(rng, 151)
+        ctx = pipeline._mask_context(self.TAU, train, test, g_train, np.zeros_like(g_test))
+        w = pipeline._fit_group(ctx, [[0, 4, 8]], 1e-6, False)
+        with pytest.raises(DegenerateTargetError):
+            pipeline._score_weights(ctx, w, mode)
+
+    def test_one_mask_holds_no_tall_matrix(self, rng):
+        # tracemalloc counts numpy's buffers: compressing and scoring a mask
+        # must stay well below the bytes of its tall shifted training matrix
+        cfg = tiny_config(reservoir={**tiny_config().reservoir, "nodes": 6}, tau_max=9,
+                          m_red_grid=(10, 30, 60))
+        n_rows = 20000
+        tall_bytes = n_rows * cfg.n_nodes * (cfg.tau_max + 1) * 8
+        assert tall_bytes >= 8 * 2**20
+        train = rng.normal(size=(n_rows + cfg.tau_max, cfg.n_nodes))
+        test = rng.normal(size=(5000, cfg.n_nodes))
+        g_train, g_test = rng.normal(size=train.shape[0]), rng.normal(size=test.shape[0])
+        tracemalloc.start()
+        try:
+            ctx = pipeline._mask_context(cfg.tau_max, train, test, g_train, g_test)
+            cells, _ = pipeline._sweep_one_mask(cfg, 0, ctx, "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == len(cfg.m_red_grid) * (1 + cfg.n_random_subsets) + 1
+        assert peak < tall_bytes / 2
 
 
 class TestRunSingle:
@@ -263,8 +379,9 @@ class TestRunSingle:
     def test_rrqr_and_random_converge_at_full_width(self):
         cfg = tiny_config()
         ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", 0))
-        full = ctx.shifted_train.shape[1]
-        ranked = rrqr_select(ctx.shifted_train)[0]
+        shifted_train = tall_matrices(ctx)[0]
+        full = shifted_train.shape[1]
+        ranked = rrqr_select(shifted_train)[0]
         drawn = random_select(full, full, seed=9)
         _, e1 = score_columns(ctx, ranked, cfg.ridge_lambda)
         _, e2 = score_columns(ctx, drawn, cfg.ridge_lambda)
@@ -277,16 +394,17 @@ class TestRunSingle:
         ctx_a = mask_context(cfg, seed)
         ctx_b = mask_context(cfg, seed)
         rng = np.random.default_rng(0)
-        ctx_b.shifted_test[:] = rng.normal(size=ctx_b.shifted_test.shape)
+        ctx_b.test[:] = rng.normal(size=ctx_b.test.shape)
         ctx_b.target_test = rng.normal(size=ctx_b.target_test.shape)
+        train_a, train_b = tall_matrices(ctx_a)[0], tall_matrices(ctx_b)[0]
 
-        order_a = rrqr_select(ctx_a.shifted_train)[0]
-        order_b = rrqr_select(ctx_b.shifted_train)[0]
+        order_a = rrqr_select(train_a)[0]
+        order_b = rrqr_select(train_b)[0]
         np.testing.assert_array_equal(order_a, order_b)
 
-        w_a = ridge_fit(ctx_a.shifted_train[:, order_a[:8]],
+        w_a = ridge_fit(train_a[:, order_a[:8]],
                         ctx_a.target_train, cfg.ridge_lambda).w
-        w_b = ridge_fit(ctx_b.shifted_train[:, order_b[:8]],
+        w_b = ridge_fit(train_b[:, order_b[:8]],
                         ctx_b.target_train, cfg.ridge_lambda).w
         np.testing.assert_array_equal(w_a, w_b)
 
@@ -320,9 +438,10 @@ class TestSweep:
         assert len(pivots) == 3
         for mask_id, (order, r_diag) in enumerate(pivots):
             ctx = mask_context(cfg, derive_seed(cfg.master_seed, "trial", mask_id))
-            tall = qr_column_pivot(ctx.shifted_train)
+            shifted_train = tall_matrices(ctx)[0]
+            tall = qr_column_pivot(shifted_train)
             np.testing.assert_array_equal(order, tall.perm)
-            np.testing.assert_array_equal(rrqr_select(ctx.shifted_train)[0], order)
+            np.testing.assert_array_equal(rrqr_select(shifted_train)[0], order)
             np.testing.assert_allclose(r_diag, tall.r_diag,
                                        rtol=0.0, atol=1e-14 * tall.r_diag[0])
 
