@@ -324,33 +324,21 @@ class ExperimentConfig:
         return self.reservoir["nodes"]
 
 
+def _fields(section: dict) -> dict:
+    """A section's fields as keyword arguments; lists become tuples."""
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in section.items()}
+
+
 def experiment_from_dict(resolved: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a resolved (validated) config dict."""
-    data = DataConfig(
-        system=resolved["task"]["system"],
-        task=resolved["task"]["kind"],
-        train_steps=resolved["data"]["train_steps"],
-        test_steps=resolved["data"]["test_steps"],
-        dt_internal=resolved["data"]["dt_internal"],
-        sample_interval=resolved["data"]["sample_interval"],
-        transient_samples=resolved["data"]["transient_samples"],
-        initial_state=tuple(resolved["data"]["initial_state"]),
-        standardize_drive=resolved["data"]["standardize_drive"],
-    )
-    return ExperimentConfig(
-        data=data,
-        reservoir=dict(resolved["reservoir"]),
-        tau_max=resolved["shifts"]["tau_max"],
-        m_red_grid=tuple(resolved["selection"]["m_red_grid"]),
-        ridge_lambda=resolved["readout"]["ridge_lambda"],
-        include_bias=resolved["readout"]["include_bias"],
-        n_masks=resolved["selection"]["n_masks"],
-        n_random_subsets=resolved["selection"]["n_random_subsets"],
-        master_seed=resolved["master_seed"],
-        nrmse_mode=resolved["nrmse_mode"],
-        washout=resolved["washout"],
-        continuation=resolved["continuation"],
-    )
+    """Build an ExperimentConfig from a resolved (validated) config dict.
+    Each field is passed under its own name; only the task's are renamed."""
+    task, rest = resolved["task"], {}
+    for key, value in resolved.items():
+        if key not in ("task", "data", "reservoir", "analysis"):
+            rest.update(value if isinstance(value, dict) else {key: value})
+    data = DataConfig(system=task["system"], task=task["kind"], **_fields(resolved["data"]))
+    return ExperimentConfig(data=data, reservoir=dict(resolved["reservoir"]), **_fields(rest))
 
 
 @dataclass(frozen=True)
@@ -370,11 +358,4 @@ def analysis_from_dict(resolved: dict) -> AnalysisConfig:
             "invalid config field 'reservoir.kind': the sparseness analysis "
             "grid runs on the tanh reservoir"
         )
-    section = resolved["analysis"]
-    return AnalysisConfig(
-        base=experiment_from_dict(resolved),
-        f_w_values=tuple(section["f_w_values"]),
-        f_a_values=tuple(section["f_a_values"]),
-        n_trials=section["n_trials"],
-        window=section["window"],
-    )
+    return AnalysisConfig(base=experiment_from_dict(resolved), **_fields(resolved["analysis"]))

@@ -94,28 +94,15 @@ def build_dataset(data: DataConfig, task: str | None = None) -> dynamics.TaskDat
 
 def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
     """Instantiate one trial's reservoir (mask or adjacency realization);
-    ``seed(role)`` seeds each draw, ``overrides`` replace reservoir fields."""
+    ``seed(role)`` seeds each draw, ``overrides`` replace reservoir fields.
+    The fields go to the factory by name, ``nodes`` as ``m``: one left out
+    takes its default, an unknown one raises TypeError."""
     params = {**cfg.reservoir, **overrides}
-    if params["kind"] == "oeo":
-        return reservoir.make_oeo_config(
-            m=params["nodes"],
-            theta=params["theta"],
-            beta=params["beta"],
-            phi=params["phi"],
-            rho=params["rho"],
-            f_w=params["f_w"],
-            sample_offset=params.get("sample_offset"),
-            mask_seed=seed("mask"),
-        )
-    return reservoir.make_tanh_config(
-        m=params["nodes"],
-        alpha=params["alpha"],
-        f_a=params["f_a"],
-        f_w=params["f_w"],
-        spectral_radius=params["spectral_radius"],
-        adjacency_seed=seed("adjacency"),
-        input_seed=seed("input-weights"),
-    )
+    kind, m = params.pop("kind"), params.pop("nodes")
+    if kind == "oeo":
+        return reservoir.make_oeo_config(m=m, **params, mask_seed=seed("mask"))
+    return reservoir.make_tanh_config(m=m, **params, adjacency_seed=seed("adjacency"),
+                                      input_seed=seed("input-weights"))
 
 
 def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,

@@ -4,13 +4,17 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftrc
 from shiftrc.cli import main
@@ -736,6 +740,78 @@ def test_series_cache_is_shared_across_processes(tmp_path, series_cache_dir):
         del manifest["wall_time_seconds"]
     assert manifests[0] == manifests[1]
     assert (stats[1].st_ino, stats[1].st_mtime_ns) == (stats[0].st_ino, stats[0].st_mtime_ns)
+
+
+@st.composite
+def tiny_runs(draw, command: str, kind: str):
+    """A command line and a tiny config for it: every readout and error
+    setting the CLI offers, and a reservoir input fraction that may reach
+    no node (a config error)."""
+    nodes, tau_max = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    fractions = st.sampled_from([1.0, 0.5, 0.3])  # each reaches a node of two
+    reservoir = {"kind": kind, "nodes": nodes,
+                 "f_w": draw(st.sampled_from([1.0, 0.5, 0.3, 0.1]))}
+    if kind == "oeo":
+        reservoir["theta"] = draw(st.integers(1, 4))
+    config = {
+        "task": {"system": draw(st.sampled_from(["lorenz", "rossler"])),
+                 "kind": draw(st.sampled_from(["prediction", "observer"]))},
+        "data": {"train_steps": draw(st.sampled_from([80, 120])), "test_steps": 60,
+                 "transient_samples": 20},
+        "reservoir": reservoir,
+        "shifts": {"tau_max": tau_max},
+        "selection": {"m_red_grid": draw(st.lists(st.integers(1, nodes * (tau_max + 1)),
+                                                  min_size=1, max_size=3)),
+                      "n_masks": draw(st.integers(1, 2)),
+                      "n_random_subsets": draw(st.integers(1, 2))},
+        "readout": {"ridge_lambda": draw(st.sampled_from([0.0, 1e-6, 1.0])),
+                    "include_bias": draw(st.booleans())},
+        "nrmse_mode": draw(st.sampled_from(["global", "paper-literal"])),
+        "washout": draw(st.integers(0, 20)),
+        "continuation": draw(st.booleans()),
+        "master_seed": draw(st.integers(0, 1000)),
+        "analysis": {"f_w_values": draw(st.lists(fractions, min_size=1, max_size=2)),
+                     "f_a_values": draw(st.lists(fractions, min_size=1, max_size=2)),
+                     "n_trials": draw(st.integers(1, 2)), "window": draw(st.integers(2, 4))},
+    }
+    if command == "sweep":
+        return [command, "--subset", draw(st.sampled_from(["both", "rrqr", "random"]))], config
+    return [command], config
+
+
+def assert_no_nan_written(out: Path) -> None:
+    """No output under ``out`` holds a NaN or an infinity, except the
+    mean_correlation of analysis.csv, which is NaN for a constant node."""
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            def reject(token, name=path.name):
+                raise AssertionError(f"{name} holds {token}")
+            json.loads(text, parse_constant=reject)
+            continue
+        header, *rows = (line.split(",") for line in text.splitlines())
+        for row in rows:
+            for name, value in zip(header, row, strict=True):
+                if value and (path.name, name) != ("analysis.csv", "mean_correlation"):
+                    assert math.isfinite(float(value)), (path.name, name, row)
+
+
+@pytest.mark.parametrize("command,kind", [("generate", "oeo"), ("generate", "tanh"),
+                                          ("sweep", "oeo"), ("sweep", "tanh"),
+                                          ("analyze", "tanh")])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tiny_config_fuzz(command, kind, data):
+    # every run ends with a documented exit code, none with a traceback,
+    # and a successful one writes only finite numbers
+    argv, config = data.draw(tiny_runs(command, kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        code = main([*argv, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert_no_nan_written(out)
 
 
 WRITE_CALLS = {"write_text", "write_bytes", "dump", "save", "savez", "savetxt", "tofile"}

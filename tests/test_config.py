@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from shiftrc import analysis
+from shiftrc import analysis, pipeline, reservoir
 from shiftrc.config import (
     BOUNDS,
+    CHOICES,
     DEFAULT_CONFIG,
     TANH_RESERVOIR_DEFAULTS,
     ExperimentConfig,
+    analysis_from_dict,
     config_hash,
     experiment_from_dict,
     resolve_config,
@@ -190,3 +192,76 @@ def test_library_defaults_are_the_config_defaults():
     resolved = experiment_from_dict(resolve_config(OEO))
     assert defaults(ExperimentConfig) == {
         name: getattr(resolved, name) for name in defaults(ExperimentConfig)}
+
+
+class _Built(Exception):
+    """Raised by the recording reservoir factories once they hold a call."""
+
+
+def other_value(path: str, value):
+    """A valid value for the field at ``path`` other than its default
+    ``value``: the other text choice, a flipped bool, an integer one larger,
+    a number halved, 1 for a null sample_offset, and a list of numbers
+    halved or of integers one item shorter (m_red + 1 would pass the
+    nodes*(tau_max+1) columns)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return next(choice for choice in CHOICES[path] if choice != value)
+    if value is None:
+        return 1
+    if isinstance(value, list):
+        return value[:-1] if isinstance(value[0], int) else [v / 2 for v in value]
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+def leaves(table: dict, prefix: str = ""):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+# every field but the task's (renamed: no default) and the reservoir's kind
+FIELDS = [(OEO, path, value) for path, value in leaves(DEFAULT_CONFIG)
+          if path != "reservoir.kind"]
+FIELDS += [(TANH, f"reservoir.{key}", value) for key, value in TANH_RESERVOIR_DEFAULTS.items()
+           if key != "kind"]
+
+
+@pytest.mark.parametrize("base,path,default", FIELDS,
+                         ids=[f"{'tanh' if b is TANH else 'oeo'}-{p}" for b, p, _ in FIELDS])
+def test_every_field_reaches_its_consumer(monkeypatch, base, path, default):
+    # config names are the config objects' field names and the reservoir
+    # factories' parameter names (nodes is m); a field that lost its way
+    # would be dropped or left at its default without a word
+    value = other_value(path, default)
+    assert value != default
+    resolved = resolve_config(with_field(TANH if path.startswith("analysis.") else base,
+                                         path, value))
+    want = tuple(value) if isinstance(value, list) else value
+    section, _, name = path.rpartition(".")
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        raise _Built
+
+    monkeypatch.setattr(reservoir, "make_oeo_config", record)
+    monkeypatch.setattr(reservoir, "make_tanh_config", record)
+    monkeypatch.setattr(pipeline, "build_dataset", lambda data, task=None: None)
+    if section == "reservoir":
+        with pytest.raises(_Built):
+            pipeline.sweep(experiment_from_dict(resolved))
+        assert calls[0]["m" if name == "nodes" else name] == want
+    elif section == "analysis":
+        acfg = analysis_from_dict(resolved)
+        assert getattr(acfg, name) == want
+        if name in ("f_w_values", "f_a_values"):
+            with pytest.raises(_Built):
+                pipeline.analysis_sweep(acfg)
+            assert calls[0][name[:3]] == want[0]
+    else:
+        cfg = experiment_from_dict(resolved)
+        assert getattr(cfg.data if section == "data" else cfg, name) == want

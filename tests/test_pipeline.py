@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
 from shiftrc import analysis, dynamics, pipeline, reservoir, series_cache, shifts
-from shiftrc.config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
+from shiftrc.config import (
+    DEFAULT_CONFIG,
+    TANH_RESERVOIR_DEFAULTS,
+    AnalysisConfig,
+    DataConfig,
+    ExperimentConfig,
+    derive_seed,
+)
 from shiftrc.errors import (
     ConfigError,
     DegenerateTargetError,
@@ -618,6 +626,30 @@ class TestAnalysisCell:
         acfg = dataclasses.replace(acfg, base=dataclasses.replace(acfg.base, data=data))
         with pytest.raises(ValueError, match="rows"):
             pipeline.analysis_sweep(acfg)
+
+
+class TestBuildTrialReservoir:
+    """A library ExperimentConfig's reservoir dict reaches the factory by name."""
+
+    TABLES = [DEFAULT_CONFIG["reservoir"], TANH_RESERVOIR_DEFAULTS]
+
+    @staticmethod
+    def build(table):
+        return pipeline.build_trial_reservoir(tiny_config(reservoir=dict(table)),
+                                              partial(derive_seed, 7))
+
+    @pytest.mark.parametrize("table", TABLES, ids=["oeo", "tanh"])
+    def test_unknown_field_rejected(self, table):
+        # a misspelt beta must not leave the reservoir at the default gain
+        with pytest.raises(TypeError, match="bta"):
+            self.build({**table, "bta": 0.9})
+
+    @pytest.mark.parametrize("table", TABLES, ids=["oeo", "tanh"])
+    def test_left_out_fields_take_the_config_defaults(self, table):
+        got = self.build({"kind": table["kind"], "nodes": table["nodes"]})
+        want = self.build(table)
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
 
 
 class TestSeedDerivation:
