@@ -198,6 +198,16 @@ def _check(value, default, path: str, kind: str) -> None:
             _check_limits(item, limits, where)
 
 
+def check_m_red_grid(grid, nodes: int, tau_max: int) -> None:
+    """Raise ConfigError unless every m_red of ``grid`` is a width of the
+    shifted matrix, 1..nodes*(tau_max+1)."""
+    n_columns = nodes * (tau_max + 1)
+    for m_red in grid:
+        if not 1 <= m_red <= n_columns:
+            raise _invalid("selection.m_red_grid", f"{m_red} is outside "
+                           f"1..nodes*(tau_max+1) = 1..{n_columns}")
+
+
 def resolve_config(raw: dict) -> dict:
     """Merge a user config over the defaults and validate the result.
 
@@ -230,13 +240,7 @@ def resolve_config(raw: dict) -> dict:
 
     nodes = resolved["reservoir"]["nodes"]
     tau_max = resolved["shifts"]["tau_max"]
-    max_cols = nodes * (tau_max + 1)
-    for m_red in resolved["selection"]["m_red_grid"]:
-        if m_red > max_cols:
-            raise ConfigError(
-                f"invalid config field 'selection.m_red_grid': {m_red} exceeds "
-                f"nodes*(tau_max+1) = {max_cols}"
-            )
+    check_m_red_grid(resolved["selection"]["m_red_grid"], nodes, tau_max)
     # Only a tanh reservoir runs the analysis grid, so only its fields count.
     fractions = [("reservoir.f_w", resolved["reservoir"]["f_w"])]
     if resolved["reservoir"]["kind"] == "tanh":
@@ -353,9 +357,4 @@ class AnalysisConfig:
 
 
 def analysis_from_dict(resolved: dict) -> AnalysisConfig:
-    if resolved["reservoir"]["kind"] != "tanh":
-        raise ConfigError(
-            "invalid config field 'reservoir.kind': the sparseness analysis "
-            "grid runs on the tanh reservoir"
-        )
     return AnalysisConfig(base=experiment_from_dict(resolved), **_fields(resolved["analysis"]))

@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import analysis, dynamics, linalg, reservoir, series_cache, shifts
-from .config import AnalysisConfig, DataConfig, ExperimentConfig, derive_seed
+from .config import AnalysisConfig, DataConfig, ExperimentConfig, check_m_red_grid, derive_seed
 from .errors import ConfigError
 from .linalg import NrmseMode
 
@@ -270,12 +270,11 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
     pivot = None
     if subset_mode in ("both", "rrqr"):
         pivot = shifts.rrqr_select(ctx.r[:n, :n])  # (order, r_diag)
-        sizes = [min(m_red, n) for m_red in cfg.m_red_grid]
-        ranked = fit([pivot[0]], sizes)
+        ranked = fit([pivot[0]], cfg.m_red_grid)
     for j, m_red in enumerate(cfg.m_red_grid):
         if pivot is not None:
             weights.append(ranked[:, j : j + 1])
-            labels.append(("rrqr", sizes[j], None))
+            labels.append(("rrqr", m_red, None))
         if subset_mode in ("both", "random"):
             seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
                      for subset_id in range(cfg.n_random_subsets)]
@@ -297,10 +296,12 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     so no tall shifted matrix is held.
 
     Raises:
-        ConfigError: fewer training rows than the columns of ``[X | 1]``.
+        ConfigError: fewer training rows than the columns of ``[X | 1]``,
+            or an m_red of the grid outside 1..nodes*(tau_max+1).
     """
     if subset_mode not in ("both", "rrqr", "random"):
         raise ValueError(f"subset_mode must be both|rrqr|random, got {subset_mode}")
+    check_m_red_grid(cfg.m_red_grid, cfg.n_nodes, cfg.tau_max)
     rows = cfg.data.train_steps - cfg.washout - cfg.tau_max
     columns = cfg.n_nodes * (cfg.tau_max + 1) + 1
     if rows < columns:
@@ -488,8 +489,12 @@ def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,
 
 def analysis_sweep(acfg: AnalysisConfig) -> list[AnalysisRow]:
     """Entropy, node-target correlation, and unshifted-readout errors over
-    the (f_w, f_a) sparseness grid, averaged over seeded trials."""
+    the (f_w, f_a) sparseness grid, averaged over seeded trials. Raises
+    ConfigError if the base reservoir is not a tanh network."""
     base = acfg.base
+    if base.reservoir["kind"] != "tanh":
+        raise ConfigError("invalid config field 'reservoir.kind': the sparseness "
+                          "analysis grid runs on the tanh reservoir")
     datasets = (build_dataset(base.data, "observer"), build_dataset(base.data, "prediction"))
     return [
         _analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets)

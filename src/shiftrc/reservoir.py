@@ -11,7 +11,7 @@ loaded by :mod:`shiftrc._kernels` without importing ``scipy.signal``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,14 @@ def _batch(cfg, kind, drive, washout: int, shape, what: str):
     if drive.shape[0] <= washout:
         raise ValueError(f"drive length {drive.shape[0]} must exceed washout {washout}")
     return single, cfgs, drive
+
+
+def _divergence(bad, step0: int, what: str, single: bool) -> DivergenceError:
+    """The error for the first true entry of ``bad``, non-finite states by
+    ``(member, step)`` from step ``step0``: its step and, in a batch, member."""
+    k = int(np.argmax(bad.any(axis=0)))
+    member = int(np.argmax(bad[:, k]))
+    return DivergenceError(step0 + k, what if single else f"{what} of config {member}")
 
 
 def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
@@ -121,24 +129,27 @@ def generate_adjacency(
 
 @dataclass
 class TanhReservoirConfig:
-    """Leaky-tanh recurrent network: state, adjacency and input weights."""
+    """Leaky-tanh recurrent network: leak rate, adjacency and input weights."""
 
-    m: int
     alpha: float
     a: np.ndarray
     w_in: np.ndarray
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
         self.w_in = np.asarray(self.w_in, dtype=float)
+        if self.w_in.ndim != 1 or self.w_in.size == 0:
+            raise ValueError(f"w_in must be a non-empty vector, got shape {self.w_in.shape}")
+        self.a = np.asarray(self.a, dtype=float)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.a.shape != (self.m, self.m):
-            raise ValueError(f"adjacency shape {self.a.shape} != ({self.m}, {self.m})")
-        if self.w_in.shape != (self.m,):
-            raise ValueError(f"w_in shape {self.w_in.shape} != ({self.m},)")
+            raise ValueError(f"adjacency shape {self.a.shape} does not fit {self.m} nodes")
         if np.any(np.diag(self.a) != 0.0):
             raise ValueError("adjacency diagonal must be zero")
+
+    @property
+    def m(self) -> int:
+        return len(self.w_in)
 
 
 def make_tanh_config(
@@ -154,7 +165,7 @@ def make_tanh_config(
     """Generate a random tanh reservoir with the default operating point."""
     a = generate_adjacency(m, f_a, spectral_radius, adjacency_seed)
     w_in = generate_input_weights(m, f_w, input_seed)
-    return TanhReservoirConfig(m=m, alpha=alpha, a=a, w_in=w_in)
+    return TanhReservoirConfig(alpha=alpha, a=a, w_in=w_in)
 
 
 def run_tanh_reservoir(
@@ -214,10 +225,7 @@ def run_tanh_reservoir(
         out[:, i] = chi
     bad = ~np.isfinite(out).all(axis=2)
     if bad.any():
-        row = int(np.argmax(bad.any(axis=0)))
-        member = int(np.argmax(bad[:, row]))
-        what = "tanh reservoir state" if single else f"tanh reservoir state of config {member}"
-        raise DivergenceError(row, what)
+        raise _divergence(bad, 0, "tanh reservoir state", single)
     return StateMatrix(out[0, washout:]) if single else out[:, washout:]
 
 
@@ -232,38 +240,30 @@ class OEOConfig:
     which the node state is read (default: the interval's last step).
     """
 
-    m: int
-    theta: int = 40
-    beta: float = 0.8
-    phi: float = 0.2
-    rho: float = 0.4
-    f_w: float = 0.4
-    mask: np.ndarray = field(default=None)
+    mask: np.ndarray
+    theta: int
+    beta: float
+    phi: float
+    rho: float
     sample_offset: int | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        self.mask = np.asarray(self.mask, dtype=float)
+        if self.mask.ndim != 1 or self.mask.size == 0:
+            raise ValueError(f"mask must be a non-empty vector, got shape {self.mask.shape}")
+        if not np.all(np.abs(self.mask) <= 1.0):
+            raise ValueError("mask entries must lie in [-1, 1]")
         if self.theta < 1 or self.theta != int(self.theta):
             raise ValueError(f"theta must be a positive integer, got {self.theta}")
         self.theta = int(self.theta)
-        if self.mask is None:
-            raise ValueError("mask is required; use generate_input_weights")
-        self.mask = np.asarray(self.mask, dtype=float)
-        if self.mask.shape != (self.m,):
-            raise ValueError(f"mask shape {self.mask.shape} != ({self.m},)")
-        nz = self.mask[self.mask != 0.0]
-        if nz.size != round(self.f_w * self.m):
-            raise ValueError(
-                f"mask has {nz.size} nonzero entries, expected "
-                f"round(f_w * m) = {round(self.f_w * self.m)}"
-            )
-        if nz.size and np.max(np.abs(nz)) > 1.0:
-            raise ValueError("nonzero mask entries must lie in [-1, 1]")
         if self.sample_offset is not None and not 1 <= self.sample_offset <= self.theta:
             raise ValueError(
                 f"sample_offset must be in 1..{self.theta}, got {self.sample_offset}"
             )
+
+    @property
+    def m(self) -> int:
+        return len(self.mask)
 
     @property
     def tau_l(self) -> int:
@@ -285,12 +285,10 @@ def make_oeo_config(
     *,
     mask_seed: int,
 ) -> OEOConfig:
-    """Generate a delay-oscillator reservoir with a fresh random mask."""
+    """Generate a delay-oscillator reservoir; ``m`` and ``f_w`` draw its mask."""
     mask = generate_input_weights(m, f_w, mask_seed)
-    return OEOConfig(
-        m=m, theta=theta, beta=beta, phi=phi, rho=rho, f_w=f_w,
-        mask=mask, sample_offset=sample_offset,
-    )
+    return OEOConfig(mask=mask, theta=theta, beta=beta, phi=phi, rho=rho,
+                     sample_offset=sample_offset)
 
 
 # Input steps per chunk of the oscillator loop: its forcing, finiteness
@@ -404,12 +402,8 @@ def run_oeo_reservoir(
         finite = np.isfinite(v[:, 2 * tau_d : (size + 1) * tau_d + 1 : tau_d])
         if not finite.all():
             j = int(np.argmax(~finite.all(axis=0)))
-            bad = ~np.isfinite(periods[j + 1])
-            k = int(np.argmax(bad.any(axis=0)))
-            member = int(np.argmax(bad[:, k]))
-            what = ("delay oscillator state" if single
-                    else f"delay oscillator state of config {member}")
-            raise DivergenceError((n0 + j) * tau_d + k, what)
+            raise _divergence(~np.isfinite(periods[j + 1]), (n0 + j) * tau_d,
+                              "delay oscillator state", single)
         # node i of step n0 + j is v at (n0 + j)*tau_d + i*theta + offset
         nodes = v[:, tau_d + 1 : (size + 1) * tau_d + 1]
         out[:, n0 : n0 + size] = nodes.reshape(b, size, m, theta)[:, :, :, offset - 1]

@@ -177,9 +177,8 @@ def test_library_defaults_are_the_config_defaults():
     # point out again; each copy must agree with DEFAULT_CONFIG and BOUNDS
     oeo, tanh = ({("m" if k == "nodes" else k): v for k, v in table.items() if k != "kind"}
                  for table in (DEFAULT_CONFIG["reservoir"], TANH_RESERVOIR_DEFAULTS))
-    oeo_fields = {k: v for k, v in oeo.items() if k != "m"}
     assert defaults(make_oeo_config) == oeo
-    assert defaults(OEOConfig) == {**oeo_fields, "mask": None}
+    assert defaults(OEOConfig) == {"sample_offset": None}  # the factory holds the rest
     assert defaults(make_tanh_config) == tanh
     data = DEFAULT_CONFIG["data"]
     assert defaults(ChaoticParams) == {

@@ -426,6 +426,20 @@ class TestSweep:
                 sweep(cfg, subset_mode)
             assert "16 training rows" in str(exc.value)
 
+    @pytest.mark.parametrize("grid", [(4, 20, 30), (0, 8)])
+    def test_grid_outside_the_columns_rejected(self, monkeypatch, grid):
+        # C = 4 * (3 + 1) = 16 columns: a width past C, or of none, is a
+        # config error in every arm, raised before any state is simulated
+        def simulate(*args, **kwargs):
+            raise AssertionError("reservoir states were simulated")
+
+        monkeypatch.setattr(reservoir, "run_oeo_reservoir", simulate)
+        monkeypatch.setattr(reservoir, "run_tanh_reservoir", simulate)
+        cfg = tiny_config(m_red_grid=grid)
+        for subset_mode in ("both", "rrqr", "random"):
+            with pytest.raises(ConfigError, match="'selection.m_red_grid'.*= 1..16"):
+                sweep(cfg, subset_mode)
+
     def test_deterministic_repeat(self):
         cfg = tiny_config()
         a = sweep(cfg)
@@ -619,6 +633,17 @@ class TestAnalysisCell:
         for name in ("nrmse_observer", "nrmse_prediction"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
             assert getattr(got, name) != getattr(unbiased, name)
+
+    def test_oscillator_base_rejected_before_any_data(self, monkeypatch):
+        # the grid varies the tanh network's f_a, which a delay oscillator
+        # has not; the kind is checked before the source is even loaded
+        def load(*args, **kwargs):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(pipeline, "build_dataset", load)
+        acfg = dataclasses.replace(tiny_analysis(), base=tiny_config())
+        with pytest.raises(ConfigError, match="'reservoir.kind'.*tanh"):
+            pipeline.analysis_sweep(acfg)
 
     def test_training_rows_shorter_than_window_rejected(self):
         acfg = dataclasses.replace(tiny_analysis(), window=20)

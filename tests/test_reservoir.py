@@ -92,14 +92,12 @@ class TestTanhReservoir:
         assert sm.values.shape == (len(lorenz_drive_short) - 100, 50)
 
     def test_constant_collapse(self):
-        cfg = TanhReservoirConfig(
-            m=3, alpha=1.0, a=np.zeros((3, 3)), w_in=np.zeros(3)
-        )
+        cfg = TanhReservoirConfig(alpha=1.0, a=np.zeros((3, 3)), w_in=np.zeros(3))
         sm = run_tanh_reservoir(cfg, np.linspace(-1, 1, 20), washout=0)
         np.testing.assert_allclose(sm.values, np.tanh(1.0), atol=1e-15)
 
     def test_single_step_hand_value(self):
-        cfg = TanhReservoirConfig(m=1, alpha=0.5, a=np.zeros((1, 1)), w_in=np.ones(1))
+        cfg = TanhReservoirConfig(alpha=0.5, a=np.zeros((1, 1)), w_in=np.ones(1))
         sm = run_tanh_reservoir(cfg, np.array([0.2]), washout=0)
         assert sm.values[0, 0] == pytest.approx(0.5 * np.tanh(1.2), abs=1e-15)
 
@@ -118,7 +116,7 @@ class TestTanhReservoir:
         assert diff <= 1e-10
 
     def test_washout_validation(self):
-        cfg = TanhReservoirConfig(m=1, alpha=0.5, a=np.zeros((1, 1)), w_in=np.ones(1))
+        cfg = TanhReservoirConfig(alpha=0.5, a=np.zeros((1, 1)), w_in=np.ones(1))
         with pytest.raises(ValueError, match="washout"):
             run_tanh_reservoir(cfg, np.zeros(5), washout=5)
 
@@ -210,8 +208,7 @@ class TestOEOReservoir:
         assert sm.values.shape == (300, 10)
 
     def test_zero_gain_exponential_decay(self):
-        cfg = OEOConfig(m=4, theta=5, beta=0.0, phi=0.0, rho=0.0, f_w=1.0,
-                        mask=np.full(4, 0.5))
+        cfg = OEOConfig(mask=np.full(4, 0.5), theta=5, beta=0.0, phi=0.0, rho=0.0)
         sm = run_oeo_reservoir(cfg, np.zeros(40), washout=0, v0=1.0)
         flat = sm.values.ravel()
         assert np.all(np.diff(flat) < 0.0)
@@ -227,8 +224,7 @@ class TestOEOReservoir:
 
     def test_constant_drive_reaches_fixed_point(self):
         m0, s0 = 0.5, 0.8
-        cfg = OEOConfig(m=3, theta=5, beta=0.8, phi=0.2, rho=0.4, f_w=1.0,
-                        mask=np.full(3, m0))
+        cfg = OEOConfig(mask=np.full(3, m0), theta=5, beta=0.8, phi=0.2, rho=0.4)
         sm = run_oeo_reservoir(cfg, np.full(3000, s0), washout=0)
         terminal = sm.values[-1, -1]
         # independent oracle: bisection on v = beta sin^2(v + phi + rho m s)
@@ -402,14 +398,40 @@ class TestConfigs:
         assert cfg.tau_l == 160
         assert cfg.tau_d == 400
 
-    def test_oeo_mask_count_validated(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            OEOConfig(m=4, theta=5, f_w=0.5, mask=np.array([1.0, 1.0, 1.0, 0.0]))
-
     def test_oeo_mask_range_validated(self):
-        with pytest.raises(ValueError, match="-1, 1"):
-            OEOConfig(m=2, theta=5, f_w=1.0, mask=np.array([1.5, 0.5]))
+        for entry in (1.5, np.nan):
+            with pytest.raises(ValueError, match="-1, 1"):
+                OEOConfig(mask=np.array([entry, 0.5]), theta=5, beta=0.8, phi=0.2, rho=0.4)
 
     def test_tanh_diagonal_validated(self):
         with pytest.raises(ValueError, match="diagonal"):
-            TanhReservoirConfig(m=2, alpha=0.5, a=np.eye(2), w_in=np.ones(2))
+            TanhReservoirConfig(alpha=0.5, a=np.eye(2), w_in=np.ones(2))
+
+    def test_node_count_is_the_input_vector_length(self):
+        # a config is its arrays: m is read from mask / w_in, and how the
+        # mask was drawn (f_w) is not part of it
+        oeo = make_oeo_config(m=6, f_w=0.5, mask_seed=3)
+        assert oeo.m == len(oeo.mask) == 6 and oeo.tau_d == 6 * oeo.theta
+        assert not hasattr(oeo, "f_w")
+        tanh = make_tanh_config(m=5, adjacency_seed=1, input_seed=2)
+        assert tanh.m == len(tanh.w_in) == 5
+        with pytest.raises(AttributeError):
+            oeo.m = 7
+
+    @pytest.mark.parametrize("mask", [np.linspace(-1.0, 1.0, 5), [0.0, 0.0, -0.3]])
+    def test_any_mask_in_range_accepted(self, mask):
+        # a dense mask and one with a single nonzero entry: no draw rule
+        cfg = OEOConfig(mask=mask, theta=5, beta=0.8, phi=0.2, rho=0.4)
+        assert cfg.m == len(mask)
+        assert run_oeo_reservoir(cfg, np.linspace(-1.0, 1.0, 8), 0).values.shape == (8, cfg.m)
+
+    @pytest.mark.parametrize("mask", [np.full((2, 3), 0.5), np.zeros(0)])
+    def test_oeo_mask_must_be_a_nonempty_vector(self, mask):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            OEOConfig(mask=mask, theta=5, beta=0.8, phi=0.2, rho=0.4)
+
+    def test_tanh_input_weights_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            TanhReservoirConfig(alpha=0.5, a=np.zeros((2, 2)), w_in=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="adjacency shape"):
+            TanhReservoirConfig(alpha=0.5, a=np.zeros((3, 3)), w_in=np.ones(2))
