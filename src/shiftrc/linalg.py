@@ -54,23 +54,18 @@ class NrmseMode(Enum):
 class PivotedQR:
     """QR factorization with column pivoting: ``B[:, perm] == Q @ R``.
 
-    Q is held implicitly as LAPACK ``dgeqp3`` leaves it, a sequence of
-    Householder reflectors ``H_k = I - taus[k] v v^T``. ``packed`` is
-    LAPACK's factor transposed (shape ``(M, T)``): entry ``packed[j, i]``
-    with ``i <= j < M`` is ``R[i, j]`` and ``packed[k, k+1:]`` holds the tail
-    of the k-th reflector ``v`` (its leading component is an implicit 1).
+    Only R is kept, as the ``M x M`` upper triangle ``r``: the selection
+    reads the pivot order and ``|R_kk|``, and the rank and row-dominance
+    checks read R alone.
     """
 
-    packed: np.ndarray
-    taus: np.ndarray
     perm: np.ndarray
-    r_diag: np.ndarray
+    r: np.ndarray
 
     @property
-    def r(self) -> np.ndarray:
-        """The upper-triangular factor, trimmed to its nonzero M x M block."""
-        m = self.packed.shape[0]
-        return np.triu(self.packed[:, :m].T)
+    def r_diag(self) -> np.ndarray:
+        """``|R_kk|``, non-increasing by the pivoting."""
+        return np.abs(np.diag(self.r))
 
 
 def qr_column_pivot(b: np.ndarray) -> PivotedQR:
@@ -94,13 +89,8 @@ def qr_column_pivot(b: np.ndarray) -> PivotedQR:
         raise ValueError(f"need at least as many rows as columns, got {t}x{m}")
     if not np.all(np.isfinite(b)):
         raise ValueError("matrix contains non-finite entries")
-    factor, jpvt, taus, _, _ = _dgeqp3(b)
-    return PivotedQR(
-        packed=factor.T,
-        taus=taus,
-        perm=jpvt - 1,
-        r_diag=np.abs(np.diag(factor)),
-    )
+    factor, jpvt, _, _, _ = _dgeqp3(b)
+    return PivotedQR(perm=jpvt - 1, r=np.triu(factor[:m]))
 
 
 def log_row_dominance(qr: PivotedQR) -> None:
@@ -110,17 +100,13 @@ def log_row_dominance(qr: PivotedQR) -> None:
     arithmetic; rounding can break this by ~eps, which is logged rather
     than raised.
     """
-    r = qr.r
-    if r.shape[0] < 2 or qr.r_diag[0] == 0.0:
+    diag = qr.r_diag
+    if diag.size < 2 or diag[0] == 0.0:
         return
-    tail_max = np.abs(np.triu(r, 1)).max(axis=1)
-    excess = tail_max - qr.r_diag
-    worst = float(np.max(excess))
+    worst = float(np.max(np.abs(np.triu(qr.r, 1)).max(axis=1) - diag))
     if worst > 0.0:
         logger.warning(
-            "pivoted QR row-dominance violated by %.3e (relative %.3e)",
-            worst,
-            worst / qr.r_diag[0],
+            "pivoted QR row-dominance violated by %.3e (relative %.3e)", worst, worst / diag[0]
         )
 
 

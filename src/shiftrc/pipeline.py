@@ -163,11 +163,10 @@ class MaskContext:
     shifted matrices themselves are never held whole; they are rebuilt
     block by block (:func:`_row_blocks`) where they are needed.
 
-    ``r`` and ``c`` hold one QR of the training system,
-    ``[X | 1 | g] = Q R`` for the shifted training matrix ``X`` (C columns),
-    a ones column and the training target: ``r`` is the leading
-    ``(C + 1) x (C + 1)`` triangle and ``c = Q^T g`` its right-hand side,
-    so for any column set S
+    ``r`` holds one QR of the training system, ``[X | 1 | g] = Q R`` for
+    the shifted training matrix ``X`` (C columns), a ones column and the
+    training target: its leading C + 1 rows, ``(C + 1) x (C + 2)``, whose
+    last column ``c = Q^T g`` is the right-hand side, so for any column set S
 
         ||X_S w - g||^2 = ||r[:, S] w - c||^2 + rho^2,
 
@@ -182,7 +181,6 @@ class MaskContext:
     target_train: np.ndarray
     target_test: np.ndarray
     r: np.ndarray
-    c: np.ndarray
 
 
 def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
@@ -203,9 +201,8 @@ def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
             yield block
 
     n = train.shape[1] * (tau_max + 1)
-    r = linalg.tsqr(systems())
     return MaskContext(train, test, tau_max, target_train, g_test[tau_max:],
-                       r=r[: n + 1, : n + 1], c=r[: n + 1, n + 1])
+                       r=linalg.tsqr(systems())[: n + 1])
 
 
 def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
@@ -225,7 +222,7 @@ def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
         sizes = None if sizes is None else [p + 1 for p in sizes]
     rows = n + include_bias
     x = ctx.r[:rows, cols].transpose(1, 0, 2)
-    g = np.broadcast_to(ctx.c[:rows, None], (cols.shape[0], rows, 1))
+    g = np.broadcast_to(ctx.r[:rows, n + 1 :], (cols.shape[0], rows, 1))
     w = linalg.ridge_solve(x, g, ridge_lambda, sizes)[..., 0]
     b, s, k = w.shape
     out = np.zeros((n + 1, b * s))

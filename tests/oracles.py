@@ -18,7 +18,7 @@ def r22_bound_check(qr: PivotedQR, ell: int) -> tuple[float, float]:
     and the permutation is unitary. Callers assert ``sigma <= r22_norm``
     (up to roundoff): a small trailing block certifies rank deficiency.
     """
-    m = qr.packed.shape[0]
+    m = qr.r.shape[0]
     if not 1 <= ell <= m:
         raise IndexError(f"ell must be in 1..{m}, got {ell}")
     r = qr.r

@@ -74,7 +74,7 @@ def test_criterion_01_qr_property_suite():
         for _ in range(100):
             b = rng.normal(size=(200, 50))
             qr = qr_column_pivot(b)
-            q = thin_q(qr)
+            q = thin_q(qr, b)
             rel = np.linalg.norm(b[:, qr.perm] - q @ qr.r) / np.linalg.norm(b)
             assert rel <= 1e-12
             assert np.max(np.abs(q.T @ q - np.eye(50))) <= 1e-12

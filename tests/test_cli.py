@@ -1,6 +1,7 @@
 """Command-line interface: files, manifests, replay, exit codes."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -582,6 +583,46 @@ class TestErrors:
         assert main([command, "--config", write_config(tmp_path, payload),
                      "--out", str(out)]) == 3
         assert "shiftrc: error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rank_deficient_design_at_zero_lambda(self, tmp_path, capsys, monkeypatch):
+        # node 1 repeats node 0, so 3 of the 12 shifted columns are copies;
+        # at lambda = 0 the rank check of the fits refuses the run. The
+        # pivot's row-dominance warning may reach stderr too, so only the
+        # error line is looked for.
+        run = shiftrc.reservoir.run_oeo_reservoir
+
+        def repeat_node_0(*args, **kwargs):
+            states = np.array(run(*args, **kwargs))
+            states[..., 1] = states[..., 0]
+            return states
+
+        monkeypatch.setattr(shiftrc.reservoir, "run_oeo_reservoir", repeat_node_0)
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["shifts"]["tau_max"] = 2
+        payload["selection"]["m_red_grid"] = [2, 6, 12]
+        payload["readout"] = {"ridge_lambda": 0}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+        assert ("shiftrc: error: design matrix is rank deficient (estimated rank 9 of "
+                "12 columns)") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_drive_sample(self, tmp_path, capsys, monkeypatch):
+        make_task = shiftrc.dynamics.make_task
+
+        def with_nan(*args, **kwargs):
+            task = make_task(*args, **kwargs)
+            drive = task.drive_train.copy()
+            drive[50] = np.nan
+            return dataclasses.replace(task, drive_train=drive)
+
+        monkeypatch.setattr(shiftrc.dynamics, "make_task", with_nan)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP),
+                     "--out", str(out)]) == 3
+        assert "became non-finite at step" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_root_not_an_object(self, tmp_path, capsys):

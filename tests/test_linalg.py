@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lstsq
+from scipy.linalg import lapack, lstsq
 
 from shiftrc.cli import _r_diag_csv
 from shiftrc.errors import DegenerateTargetError, SingularMatrixError
@@ -47,18 +47,25 @@ def jacobi_gram_eigenvalues(b, sweeps=100, tol=1e-14):
     return np.sort(np.diag(g))[::-1]
 
 
-def apply_qt(qr, y):
+def apply_qt(qr, b, y):
     """``Q.T @ y`` for a length-T vector or ``(T, n)`` matrix, applying the
-    packed Householder reflectors of ``qr`` one by one."""
-    m, t = qr.packed.shape
+    Householder reflectors of ``b[:, qr.perm] = Q R`` one by one.
+
+    The kernel keeps only R, so the reflectors come from a ``dgeqp3`` call
+    of the tests' own, whose permutation and R must equal the kernel's
+    bitwise."""
+    factor, jpvt, taus, _, _ = lapack.dgeqp3(np.asarray(b, dtype=float))
+    t, m = factor.shape
+    np.testing.assert_array_equal(jpvt - 1, qr.perm)
+    np.testing.assert_array_equal(np.triu(factor[:m]), qr.r)
     out = np.array(y, dtype=float)
     if out.shape[0] != t:
         raise ValueError(f"expected leading dimension {t}, got {out.shape[0]}")
     for k in range(m):
-        tau = qr.taus[k]
+        tau = taus[k]
         if tau == 0.0:
             continue
-        tail = qr.packed[k, k + 1 :]
+        tail = factor[k + 1 :, k]
         s = out[k] + tail @ out[k + 1 :]
         out[k] -= tau * s
         if tail.size:
@@ -66,19 +73,19 @@ def apply_qt(qr, y):
     return out
 
 
-def full_q(qr):
+def full_q(qr, b):
     """The orthogonal factor Q, T x T, as the transpose of ``Q.T @ I``."""
-    return apply_qt(qr, np.eye(qr.packed.shape[1])).T
+    return apply_qt(qr, b, np.eye(b.shape[0])).T
 
 
-def thin_q(qr):
+def thin_q(qr, b):
     """The first M columns of Q (the economy factor)."""
-    return full_q(qr)[:, : qr.packed.shape[0]]
+    return full_q(qr, b)[:, : b.shape[1]]
 
 
-def reconstruct(qr):
-    """``Q @ R``, i.e. the factored matrix with permuted columns."""
-    return thin_q(qr) @ qr.r
+def reconstruct(qr, b):
+    """``Q @ R``, i.e. the factored matrix ``b`` with permuted columns."""
+    return thin_q(qr, b) @ qr.r
 
 
 def assert_greedy(b, qr, steps=None):
@@ -118,7 +125,8 @@ class TestPivotedQR:
         qr = qr_column_pivot(np.eye(3))
         assert sorted(qr.perm.tolist()) == [0, 1, 2]
         np.testing.assert_allclose(qr.r_diag, 1.0)
-        np.testing.assert_allclose(reconstruct(qr), np.eye(3)[:, qr.perm], atol=1e-14)
+        np.testing.assert_allclose(reconstruct(qr, np.eye(3)), np.eye(3)[:, qr.perm],
+                                   atol=1e-14)
 
     def test_two_column_hand_case(self):
         # Column 0 has norm 2 > 1, so it pivots first; column 1 is parallel,
@@ -131,7 +139,7 @@ class TestPivotedQR:
     def test_random_reconstruction_and_orthogonality(self, rng):
         b = rng.normal(size=(200, 50))
         qr = qr_column_pivot(b)
-        q = thin_q(qr)
+        q = thin_q(qr, b)
         rel = np.linalg.norm(b[:, qr.perm] - q @ qr.r) / np.linalg.norm(b)
         assert rel <= 1e-12
         assert np.max(np.abs(q.T @ q - np.eye(50))) <= 1e-12
@@ -165,9 +173,10 @@ class TestPivotedQR:
             qr_column_pivot(np.ones((3, 5)))
 
     def test_zero_matrix_valid(self):
-        qr = qr_column_pivot(np.zeros((4, 3)))
+        b = np.zeros((4, 3))
+        qr = qr_column_pivot(b)
         np.testing.assert_array_equal(qr.r_diag, 0.0)
-        np.testing.assert_allclose(reconstruct(qr), 0.0)
+        np.testing.assert_allclose(reconstruct(qr, b), 0.0)
 
     def test_nonfinite_rejected(self):
         b = np.ones((4, 2))
@@ -179,7 +188,7 @@ class TestPivotedQR:
         b = rng.normal(size=(30, 8))
         qr = qr_column_pivot(b)
         y = rng.normal(size=30)
-        np.testing.assert_allclose(apply_qt(qr, full_q(qr) @ y), y, atol=1e-12)
+        np.testing.assert_allclose(apply_qt(qr, b, full_q(qr, b) @ y), y, atol=1e-12)
 
 
 class TestEstimateRank:

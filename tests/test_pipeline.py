@@ -54,6 +54,17 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+# The tanh variant of tiny_config's 4-node delay oscillator.
+TINY_TANH = {"kind": "tanh", "nodes": 8, "alpha": 0.35, "spectral_radius": 0.5,
+             "f_a": 0.5, "f_w": 1.0}
+RESERVOIRS = pytest.mark.parametrize("res", [None, TINY_TANH], ids=["oeo", "tanh"])
+
+
+def tiny_variant(res, **overrides) -> ExperimentConfig:
+    """``tiny_config``, with the reservoir section ``res`` if one is given."""
+    return tiny_config(**overrides, **({} if res is None else {"reservoir": res}))
+
+
 class TestPercentImprovement:
     def test_equal_errors(self):
         assert percent_improvement(0.5, 0.5) == 0.0
@@ -225,7 +236,7 @@ class TestFitGroup:
             for j, p in enumerate(prefixes):
                 fitted = [c] * bias + cols[:p]  # column c of the triangle is the ones column
                 a = np.vstack([ctx.r[:rows, fitted], np.sqrt(lam) * np.eye(len(fitted))])
-                b = np.concatenate([ctx.c[:rows], np.zeros(len(fitted))])
+                b = np.concatenate([ctx.r[:rows, c + 1], np.zeros(len(fitted))])
                 want = np.zeros(c + 1)
                 np.add.at(want, fitted, lstsq(a, b, lapack_driver="gelsd")[0])
                 np.testing.assert_allclose(got[:, i * len(prefixes) + j], want,
@@ -299,9 +310,10 @@ class TestRowBlocks:
                             mode="r")[: n + 1]
         signs = np.sign(np.diag(want)) * np.sign(np.diag(ctx.r))
         scale = np.abs(want).max()
-        np.testing.assert_allclose(signs[:, None] * ctx.r, want[:, : n + 1],
+        np.testing.assert_allclose(signs[:, None] * ctx.r[:, : n + 1], want[:, : n + 1],
                                    rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(signs * ctx.c, want[:, n + 1], rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(signs * ctx.r[:, n + 1], want[:, n + 1],
+                                   rtol=0.0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("block_rows,n_rows", SHAPES)
     @pytest.mark.parametrize("mode", list(NrmseMode))
@@ -467,16 +479,12 @@ class TestSweep:
             np.testing.assert_allclose(r_diag, tall.r_diag,
                                        rtol=0.0, atol=1e-14 * tall.r_diag[0])
 
-    @pytest.mark.parametrize("res", [
-        None,  # the tiny delay oscillator, 4 nodes
-        {"kind": "tanh", "nodes": 8, "alpha": 0.35, "spectral_radius": 0.5,
-         "f_a": 0.5, "f_w": 1.0},
-    ], ids=["oeo", "tanh"])
+    @RESERVOIRS
     def test_ranking_is_task_independent(self, res):
         # the pivot sees only the reservoir states: the target column and the
         # ones column come after the state columns in the compressed system,
         # so neither the task nor the bias can move the ranking
-        base = tiny_config(n_masks=3, **({} if res is None else {"reservoir": res}))
+        base = tiny_variant(res, n_masks=3)
         runs = [
             sweep(dataclasses.replace(base, include_bias=bias,
                                       data=dataclasses.replace(base.data, task=task)),
@@ -544,6 +552,67 @@ class TestSweep:
         cfg = tiny_config(continuation=False, m_red_grid=(8,), n_masks=1)
         res = sweep(cfg)
         assert np.isfinite(res.rows[0].nrmse_rrqr_mean)
+
+
+def scaled_cells(cfg, states=1.0, targets=1.0) -> list[tuple[float, float]]:
+    """``(train, test)`` NRMSE of every cell of a sweep whose reservoir
+    states and targets are multiplied by ``states`` and ``targets`` before
+    each mask is compressed and scored."""
+    res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
+                for seed in (derive_seed(cfg.master_seed, "trial", i)
+                             for i in range(cfg.n_masks))]
+    splits = pipeline.run_split_states(res_cfgs, build_dataset(cfg.data), cfg.washout,
+                                       cfg.continuation)
+    cells = []
+    for mask_id, (train, test, g_train, g_test) in enumerate(splits):
+        ctx = pipeline._mask_context(cfg.tau_max, states * train, states * test,
+                                     targets * g_train, targets * g_test)
+        cells += pipeline._sweep_one_mask(cfg, mask_id, ctx, "both")[0]
+    return [(cell.nrmse_train, cell.nrmse_test) for cell in cells]
+
+
+
+class TestInvariances:
+    """Changes to a sweep that must leave its results equal bit for bit.
+
+    Each one runs the same floating-point operations as the original, on
+    operands scaled by powers of two where any are scaled, so results are
+    compared with ``==`` and any difference is a fault, not rounding."""
+
+    @RESERVOIRS
+    def test_leading_masks_of_a_larger_sweep(self, res):
+        few = sweep(tiny_variant(res, n_masks=3))
+        more = sweep(tiny_variant(res, n_masks=5))
+        assert [c for c in more.cells if c.mask_id < 3] == few.cells
+        assert [order.tolist() for order, _ in more.pivots[:3]] == [
+            order.tolist() for order, _ in few.pivots]
+
+    @RESERVOIRS
+    def test_one_value_grid_gives_its_cells_of_the_full_grid(self, res):
+        # a one-value grid still scores at least the ranked, random and
+        # baseline cells of a mask together: one cell alone would take
+        # numpy's gemv path, which rounds differently
+        cfg = tiny_variant(res)
+        full = sweep(cfg)
+        for m_red in cfg.m_red_grid:
+            alone = sweep(dataclasses.replace(cfg, m_red_grid=(m_red,)))
+            assert alone.cells == [c for c in full.cells
+                                   if c.m_red == m_red or c.method == "baseline"]
+            assert [order.tolist() for order, _ in alone.pivots] == [
+                order.tolist() for order, _ in full.pivots]
+
+    @RESERVOIRS
+    @pytest.mark.parametrize("states,targets,lam", [
+        (1.0, 8.0, 1.0),  # the fits scale with the targets
+        (4.0, 4.0, 16.0),  # the whole stacked ridge system scales by 4
+        (0.25, 1.0, 1 / 16),  # the weights scale by 4, the outputs not
+    ], ids=["targets-x8", "states-targets-x4", "states-quarter"])
+    def test_scaling_leaves_every_nrmse(self, res, states, targets, lam):
+        cfg = tiny_variant(res)
+        want = scaled_cells(cfg)
+        assert want == [(c.nrmse_train, c.nrmse_test) for c in sweep(cfg).cells]
+        scaled = dataclasses.replace(cfg, ridge_lambda=cfg.ridge_lambda * lam)
+        assert scaled_cells(scaled, states, targets) == want
 
 
 def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
