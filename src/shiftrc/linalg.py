@@ -26,7 +26,6 @@ and :func:`nrmse_sums` scores outputs block by block.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,8 +33,6 @@ import numpy as np
 
 from ._kernels import load_scipy_extension
 from .errors import DegenerateTargetError, SingularMatrixError
-
-logger = logging.getLogger(__name__)
 
 _dgeqp3 = load_scipy_extension("scipy.linalg._flapack").dgeqp3
 
@@ -55,8 +52,7 @@ class PivotedQR:
     """QR factorization with column pivoting: ``B[:, perm] == Q @ R``.
 
     Only R is kept, as the ``M x M`` upper triangle ``r``: the selection
-    reads the pivot order and ``|R_kk|``, and the rank and row-dominance
-    checks read R alone.
+    reads the pivot order and ``|R_kk|``, and the rank check reads R alone.
     """
 
     perm: np.ndarray
@@ -91,23 +87,6 @@ def qr_column_pivot(b: np.ndarray) -> PivotedQR:
         raise ValueError("matrix contains non-finite entries")
     factor, jpvt, _, _, _ = _dgeqp3(b)
     return PivotedQR(perm=jpvt - 1, r=np.triu(factor[:m]))
-
-
-def log_row_dominance(qr: PivotedQR) -> None:
-    """Warn when some ``|R_kj|`` (j > k) exceeds ``|R_kk|``.
-
-    Pivoting makes ``|R_kk|`` the largest entry of row k in exact
-    arithmetic; rounding can break this by ~eps, which is logged rather
-    than raised.
-    """
-    diag = qr.r_diag
-    if diag.size < 2 or diag[0] == 0.0:
-        return
-    worst = float(np.max(np.abs(np.triu(qr.r, 1)).max(axis=1) - diag))
-    if worst > 0.0:
-        logger.warning(
-            "pivoted QR row-dominance violated by %.3e (relative %.3e)", worst, worst / diag[0]
-        )
 
 
 def estimate_rank(qr: PivotedQR, tol_rel: float = RANK_TOL_DEFAULT) -> int:

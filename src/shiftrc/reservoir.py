@@ -78,10 +78,6 @@ def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
     return values
 
 
-# Sparse draws of zero spectral radius that generate_adjacency retries.
-ADJACENCY_ATTEMPTS = 100
-
-
 def generate_adjacency(
     m: int,
     f_a: float,
@@ -93,11 +89,13 @@ def generate_adjacency(
     Off-diagonal entries are uniform in [-1, 1] with a fraction ``f_a``
     nonzero and the diagonal zero; any all-zero row gets one extra entry so
     every node receives at least one input, and the matrix is rescaled so
-    its spectral radius equals the request.
+    its spectral radius equals the request. Every node having an input
+    makes the pattern contain a cycle, whose product is a term of the
+    characteristic polynomial, so a zero spectral radius has probability
+    zero.
 
     Raises:
-        ValueError: the raw draw had spectral radius zero in
-            ``ADJACENCY_ATTEMPTS`` consecutive attempts.
+        ValueError: the draw had spectral radius zero.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -108,23 +106,20 @@ def generate_adjacency(
     rng = np.random.default_rng(rng_seed)
     n_offdiag = m * (m - 1)
     n_nonzero = round(f_a * n_offdiag)
-    for _ in range(ADJACENCY_ATTEMPTS):
-        a = np.zeros((m, m))
-        flat = rng.choice(n_offdiag, size=n_nonzero, replace=False)
-        rows = flat // (m - 1)
-        rem = flat % (m - 1)
-        cols = np.where(rem < rows, rem, rem + 1)
-        a[rows, cols] = rng.uniform(-1.0, 1.0, size=n_nonzero)
-        for i in np.nonzero(~a.any(axis=1))[0]:
-            j = int(rng.integers(m - 1))
-            j = j if j < i else j + 1
-            a[i, j] = rng.uniform(-1.0, 1.0)
-        rho = float(np.max(np.abs(np.linalg.eigvals(a))))
-        if rho > 0.0:
-            return a * (spectral_radius / rho)
-    raise ValueError(
-        f"spectral radius of the sparse draw was zero in {ADJACENCY_ATTEMPTS} attempts"
-    )
+    a = np.zeros((m, m))
+    flat = rng.choice(n_offdiag, size=n_nonzero, replace=False)
+    rows = flat // (m - 1)
+    rem = flat % (m - 1)
+    cols = np.where(rem < rows, rem, rem + 1)
+    a[rows, cols] = rng.uniform(-1.0, 1.0, size=n_nonzero)
+    for i in np.nonzero(~a.any(axis=1))[0]:
+        j = int(rng.integers(m - 1))
+        j = j if j < i else j + 1
+        a[i, j] = rng.uniform(-1.0, 1.0)
+    rho = float(np.max(np.abs(np.linalg.eigvals(a))))
+    if rho == 0.0:
+        raise ValueError("spectral radius of the sparse draw is zero")
+    return a * (spectral_radius / rho)
 
 
 @dataclass

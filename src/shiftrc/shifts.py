@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import log_row_dominance, qr_column_pivot
+from .linalg import qr_column_pivot
 
 
 def build_shifted_matrix(source: np.ndarray, tau_max: int) -> np.ndarray:
@@ -54,14 +54,12 @@ def rrqr_select(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``R`` of a tall ``X = Q R`` ranks the columns of ``X`` in the same
     order, with ``r_diag`` equal to rounding (about eps * |R_00|), and
     costs far less to pivot; a sweep passes the triangle that compresses
-    its training system. A row-dominance violation of the factorization is
-    logged as a warning.
+    its training system.
 
     Raises:
         ValueError: ``b`` has fewer rows than columns or non-finite entries.
     """
     qr = qr_column_pivot(b)
-    log_row_dominance(qr)
     return qr.perm, qr.r_diag
 
 

@@ -28,6 +28,20 @@ def r22_bound_check(qr: PivotedQR, ell: int) -> tuple[float, float]:
     return sigma, r22_norm
 
 
+def row_dominance_excess(qr: PivotedQR) -> float:
+    """The largest ``|R_kj| - |R_kk|`` over j > k and all rows, floored at 0.
+
+    Pivoting makes ``|R_kk|`` the largest entry of row k in exact
+    arithmetic, so the excess is zero up to rounding. It is 0.0 when there
+    are fewer than 2 columns or ``R_00 = 0``.
+    """
+    diag = qr.r_diag
+    if diag.size < 2 or diag[0] == 0.0:
+        return 0.0
+    worst = float(np.max(np.abs(np.triu(qr.r, 1)).max(axis=1) - diag))
+    return max(worst, 0.0)
+
+
 def covariance_rank(states, tol_rel: float = RANK_TOL_DEFAULT) -> int:
     """Rank of the state covariance, counted on squared singular values.
 

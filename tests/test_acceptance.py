@@ -20,7 +20,7 @@ from shiftrc.cli import main as cli_main
 from shiftrc.linalg import estimate_rank, qr_column_pivot, ridge_fit
 
 from conftest import record_criterion
-from oracles import covariance_rank, r22_bound_check
+from oracles import covariance_rank, r22_bound_check, row_dominance_excess
 from test_linalg import gram_schmidt_lstsq, thin_q
 
 
@@ -79,6 +79,7 @@ def test_criterion_01_qr_property_suite():
             assert rel <= 1e-12
             assert np.max(np.abs(q.T @ q - np.eye(50))) <= 1e-12
             assert np.all(np.diff(qr.r_diag) <= 0.0)
+            assert row_dominance_excess(qr) <= 4 * np.finfo(float).eps * qr.r_diag[0]
         elapsed = time.perf_counter() - start
         info["detail"] = f"{elapsed:.1f} s for 100 factorizations"
         assert elapsed < 10.0

@@ -5,11 +5,13 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +251,13 @@ class TestSweep:
         assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
         assert "tool_version" in capsys.readouterr().err
         assert not replay_out.exists()
+
+    def test_packaged_version_is_the_recorded_one(self):
+        # replay refuses a manifest whose tool_version is not __version__,
+        # so the packaged version and the recorded one move together
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            assert tomllib.load(f)["project"]["version"] == shiftrc.__version__
 
     def test_replay_rejects_unknown_subset_mode_or_command(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -585,11 +594,10 @@ class TestErrors:
         assert "shiftrc: error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rank_deficient_design_at_zero_lambda(self, tmp_path, capsys, monkeypatch):
+    def test_rank_deficient_design_at_zero_lambda(self, tmp_path, capsys, caplog,
+                                                  monkeypatch):
         # node 1 repeats node 0, so 3 of the 12 shifted columns are copies;
-        # at lambda = 0 the rank check of the fits refuses the run. The
-        # pivot's row-dominance warning may reach stderr too, so only the
-        # error line is looked for.
+        # at lambda = 0 the rank check of the fits refuses the run.
         run = shiftrc.reservoir.run_oeo_reservoir
 
         def repeat_node_0(*args, **kwargs):
@@ -603,10 +611,13 @@ class TestErrors:
         payload["selection"]["m_red_grid"] = [2, 6, 12]
         payload["readout"] = {"ridge_lambda": 0}
         out = tmp_path / "out"
-        assert main(["sweep", "--config", write_config(tmp_path, payload),
-                     "--out", str(out)]) == 3
-        assert ("shiftrc: error: design matrix is rank deficient (estimated rank 9 of "
-                "12 columns)") in capsys.readouterr().err
+        with caplog.at_level(logging.DEBUG):
+            assert main(["sweep", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 3
+        assert not caplog.records
+        assert capsys.readouterr().err == (
+            "shiftrc: error: design matrix is rank deficient (estimated rank 9 of "
+            "12 columns); use a positive ridge parameter\n")
         assert not out.exists()
 
     def test_non_finite_drive_sample(self, tmp_path, capsys, monkeypatch):
@@ -883,6 +894,34 @@ def test_only_the_cli_writes_files():
                                        and _opens_for_writing(node)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found
+
+
+def _talks_to_terminal(node) -> bool:
+    """Whether an AST node imports logging or warnings, calls print, or
+    names sys.stdout or sys.stderr."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in ("logging", "warnings") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.split(".")[0] in ("logging", "warnings") or (
+            module == "sys" and any(alias.name in ("stdout", "stderr") for alias in node.names))
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "print"
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "sys" and node.attr in ("stdout", "stderr"))
+
+
+def test_only_the_cli_talks_to_the_terminal():
+    # messages reach the user through the CLI alone: no other module of the
+    # package logs, warns, prints or names the standard streams
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(shiftrc.__file__).parent.glob("*.py"))
+             if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _talks_to_terminal(node)]
+    assert not found
+    assert _talks_to_terminal(ast.parse("import logging.handlers").body[0])
+    assert _talks_to_terminal(ast.parse("sys.stderr.write('x')").body[0].value.func.value)
 
 
 def test_cli_writes_files_in_one_place():

@@ -577,7 +577,9 @@ class TestInvariances:
 
     Each one runs the same floating-point operations as the original, on
     operands scaled by powers of two where any are scaled, so results are
-    compared with ``==`` and any difference is a fault, not rounding."""
+    compared with ``==`` and any difference is a fault, not rounding. The
+    tanh node permutation is the one exception: it reorders sums, so its
+    values agree to rounding and only its pivot order is compared exactly."""
 
     @RESERVOIRS
     def test_leading_masks_of_a_larger_sweep(self, res):
@@ -613,6 +615,36 @@ class TestInvariances:
         assert want == [(c.nrmse_train, c.nrmse_test) for c in sweep(cfg).cells]
         scaled = dataclasses.replace(cfg, ridge_lambda=cfg.ridge_lambda * lam)
         assert scaled_cells(scaled, states, targets) == want
+
+    def test_tanh_node_permutation_permutes_states_and_ranking(self):
+        # new node perm[i] is old node i: P A P^T and P w_in permute the
+        # states, so shifted column s*m + i becomes s*m + perm[i]
+        cfg = tiny_variant(TINY_TANH, n_masks=1)
+        seed = partial(derive_seed, derive_seed(cfg.master_seed, "trial", 0))
+        res_cfg = pipeline.build_trial_reservoir(cfg, seed)
+        m = res_cfg.m
+        perm = np.random.default_rng(3).permutation(m)
+        inv = np.argsort(perm)
+        permuted = dataclasses.replace(res_cfg, a=res_cfg.a[np.ix_(inv, inv)],
+                                       w_in=res_cfg.w_in[inv])
+        dataset = build_dataset(cfg.data)
+        runs = []
+        for res in (res_cfg, permuted):
+            split = pipeline.run_split_states([res], dataset, cfg.washout, cfg.continuation)[0]
+            ctx = pipeline._mask_context(cfg.tau_max, *split)
+            runs.append((split, pipeline._sweep_one_mask(cfg, 0, ctx, "both")))
+        (split, (cells, pivot)), (split_p, (cells_p, pivot_p)) = runs
+        for x, x_p in zip(split[:2], split_p[:2]):
+            np.testing.assert_allclose(x_p[:, perm], x, rtol=0, atol=1e-12)
+        column = np.arange(m * (cfg.tau_max + 1))
+        mapped = column // m * m + perm[column % m]
+        assert pivot_p[0].tolist() == mapped[pivot[0]].tolist()
+        kept = [(c, c_p) for c, c_p in zip(cells, cells_p) if c.method != "random"]
+        assert len(kept) == len(cfg.m_red_grid) + 1
+        for c, c_p in kept:
+            assert (c_p.method, c_p.m_red) == (c.method, c.m_red)
+            assert c_p.nrmse_train == pytest.approx(c.nrmse_train, rel=1e-10)
+            assert c_p.nrmse_test == pytest.approx(c.nrmse_test, rel=1e-10)
 
 
 def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):

@@ -46,7 +46,7 @@ class TestAdjacency:
 
     def test_zero_radius_draw_errors_out(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[0]))
-        with pytest.raises(ValueError, match="100 attempts"):
+        with pytest.raises(ValueError, match="spectral radius of the sparse draw is zero"):
             generate_adjacency(5, 0.5, 0.5, rng_seed=1)
 
     def test_parameter_validation(self):

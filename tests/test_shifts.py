@@ -17,7 +17,7 @@ from shiftrc.shifts import (
     rrqr_select,
 )
 
-from oracles import covariance_rank
+from oracles import covariance_rank, row_dominance_excess
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +90,19 @@ class TestRRQRSelect:
         reduced = reduce_columns(oeo_shifted, rrqr_select(oeo_shifted)[0][:30])
         assert covariance_rank(reduced, 1e-10) == min(30, full_rank)
 
-    def test_row_dominance_warned_by_ranking_only(self, caplog):
+    def test_row_dominance_excess_is_measured_not_logged(self, caplog):
         # columns 1 and 2 are equal and tie in exact arithmetic; LAPACK's
         # rounding leaves |R_02| one ulp above |R_00|. The matrix is upper
         # triangular, so the LAPACK triangle that the ranking pivots is the
         # matrix itself.
         values = np.array([[2.0, 4.0, 4.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]) / 4.0
         assert np.array_equal(np.linalg.qr(values, mode="r"), values)
-        with caplog.at_level(logging.WARNING, logger="shiftrc.linalg"):
-            qr_column_pivot(values)
-            assert not caplog.records
+        with caplog.at_level(logging.DEBUG):
             rrqr_select(values)
-        assert len(caplog.records) == 1
-        assert "row-dominance" in caplog.records[0].getMessage()
+        assert not caplog.records
+        assert row_dominance_excess(qr_column_pivot(values)) == 2.0**-52
+        dominant = np.array([[4.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, 0.0, 1.0]])
+        assert row_dominance_excess(qr_column_pivot(dominant)) == 0.0
 
 
 class TestRandomSelect:
