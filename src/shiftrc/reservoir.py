@@ -11,7 +11,7 @@ loaded by :mod:`shiftrc._kernels` without importing ``scipy.signal``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,37 +24,38 @@ _linear_filter = load_scipy_extension("scipy.signal._sigtools")._linear_filter
 @dataclass
 class StateMatrix:
     """Node time series of a single-config run, one row per input step after
-    the washout, one column per node. Batched runs return a plain array; a
-    single run keeps this wrapper because the checks in ``perfbench/`` read
-    its ``values``."""
+    the washout, one column per node: slice 0 of the batch of one. Batched
+    runs return a plain array; a single run keeps this wrapper because the
+    checks in ``perfbench/`` read its ``values``."""
 
     values: np.ndarray
 
 
-def _batch(cfg, kind, drive, washout: int, shape, what: str):
-    """``(single, cfgs, drive)`` of a runner's arguments: ``cfg`` as a list
-    of configs of ``kind`` that agree on ``shape(c)``, and ``drive`` as a
-    1-D float array longer than ``washout``."""
-    single = isinstance(cfg, kind)
-    cfgs = [cfg] if single else list(cfg)
+def _batch(cfgs, drive, washout: int):
+    """``(cfgs, drive)`` of a runner's arguments: ``cfgs`` as a list of draws
+    of one operating point, equal in ``m`` and in every field that is not an
+    array, and ``drive`` as a 1-D float array longer than ``washout``."""
+    cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one config")
-    if any(shape(c) != shape(cfgs[0]) for c in cfgs):
-        raise ValueError(f"configs of a batch must have equal {what}")
+    first = cfgs[0]
+    for name in ["m"] + [f.name for f in fields(first) if np.ndim(getattr(first, f.name)) == 0]:
+        if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
+            raise ValueError(f"configs of a batch must have equal {name}")
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1:
         raise ValueError("drive must be 1-D")
     if drive.shape[0] <= washout:
         raise ValueError(f"drive length {drive.shape[0]} must exceed washout {washout}")
-    return single, cfgs, drive
+    return cfgs, drive
 
 
-def _divergence(bad, step0: int, what: str, single: bool) -> DivergenceError:
+def _divergence(bad, step0: int, what: str) -> DivergenceError:
     """The error for the first true entry of ``bad``, non-finite states by
-    ``(member, step)`` from step ``step0``: its step and, in a batch, member."""
+    ``(member, step)`` from step ``step0``: its step and member."""
     k = int(np.argmax(bad.any(axis=0)))
     member = int(np.argmax(bad[:, k]))
-    return DivergenceError(step0 + k, what if single else f"{what} of config {member}")
+    return DivergenceError(step0 + k, f"{what} of config {member}")
 
 
 def generate_input_weights(m: int, f_w: float, rng_seed: int) -> np.ndarray:
@@ -176,34 +177,32 @@ def run_tanh_reservoir(
     rows from ``washout`` on are returned as a view of that buffer. The +1
     bias inside the tanh is part of the node model.
 
-    ``cfg`` may also be a sequence of configs with equal ``m``, all driven
-    by the same ``drive``. They advance together, one stacked product
-    ``np.matmul(A_stack, chi)`` per step, so the per-step interpreter cost
-    is paid once per batch. ``initial_state`` then has one row per config,
-    and the states come back as one ``(n_configs, rows, m)`` array, each
-    slice bitwise equal to the config's own run. A single config is the
-    batch of one. A run split into pieces, each started from the previous
-    piece's last row with no washout, gives the same states bitwise as one
-    run.
+    ``cfg`` is a sequence of draws of one operating point (equal ``m`` and
+    ``alpha``; adjacencies and input weights differ), driven by one
+    ``drive``. They advance together, one stacked product
+    ``np.matmul(A_stack, chi)`` per step, from ``initial_state`` of one row
+    per config, into one ``(n_configs, rows, m)`` array. A single config is
+    the batch of one, returned as a ``StateMatrix``; each slice of a batch
+    is bitwise equal to its config's own run. A run split into pieces, each
+    started from the previous piece's last row with no washout, gives the
+    same states bitwise as one run.
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
-            drive index, washout included, at which any batch member did.
+            drive index, washout included, at which a member did, and the
+            message names it (``config 0`` for a single config).
     """
-    single, cfgs, drive = _batch(cfg, TanhReservoirConfig, drive, washout,
-                                 lambda c: c.m, "m")
+    if isinstance(cfg, TanhReservoirConfig):
+        return StateMatrix(run_tanh_reservoir(
+            [cfg], drive, washout, None if initial_state is None else [initial_state])[0])
+    cfgs, drive = _batch(cfg, drive, washout)
     m, n, b = cfgs[0].m, drive.shape[0], len(cfgs)
-    if initial_state is None:
-        chi = np.zeros((b, m))
-    else:
-        chi = np.array(initial_state, dtype=float)
-        expected = (m,) if single else (b, m)
-        if chi.shape != expected:
-            raise ValueError(f"initial_state shape {chi.shape} != {expected}")
-        chi = chi.reshape(b, m)
+    chi = np.zeros((b, m)) if initial_state is None else np.array(initial_state, dtype=float)
+    if chi.shape != (b, m):
+        raise ValueError(f"initial_state shape {chi.shape} != {(b, m)}")
     a = np.stack([c.a for c in cfgs])
     w_in = np.stack([c.w_in for c in cfgs])
-    alpha = np.array([[c.alpha] for c in cfgs])
+    alpha = float(cfgs[0].alpha)
     keep = 1.0 - alpha
     product = np.empty((b, m, 1))
     net = product[:, :, 0]
@@ -220,8 +219,8 @@ def run_tanh_reservoir(
         out[:, i] = chi
     bad = ~np.isfinite(out).all(axis=2)
     if bad.any():
-        raise _divergence(bad, 0, "tanh reservoir state", single)
-    return StateMatrix(out[0, washout:]) if single else out[:, washout:]
+        raise _divergence(bad, 0, "tanh reservoir state")
+    return out[:, washout:]
 
 
 @dataclass
@@ -248,6 +247,9 @@ class OEOConfig:
             raise ValueError(f"mask must be a non-empty vector, got shape {self.mask.shape}")
         if not np.all(np.abs(self.mask) <= 1.0):
             raise ValueError("mask entries must lie in [-1, 1]")
+        for name in ("beta", "phi", "rho"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.theta < 1 or self.theta != int(self.theta):
             raise ValueError(f"theta must be a positive integer, got {self.theta}")
         self.theta = int(self.theta)
@@ -311,25 +313,25 @@ def run_oeo_reservoir(
     One row is kept per input step, and the rows from ``washout`` on are
     returned as a view of that buffer.
 
-    ``cfg`` may also be a sequence of configs with equal ``m``, ``theta``
-    and ``sample_offset`` (masks, gains and phases may differ), all driven
-    by the same ``drive``. They advance together, one ``(n_configs,
-    tau_d + 1)`` forcing block and one IIR filter call per input step, and
-    the states come back as one ``(n_configs, rows, m)`` array, each slice
-    bitwise equal to the config's own run. A single config is the batch of
-    one. The loop runs in chunks of ``OEO_CHUNK`` input steps: the drive
-    part of the forcing is computed for a whole chunk at once, the chunk's
-    delay periods (and the one before it) are held, and the chunk is
+    ``cfg`` is a sequence of draws of one operating point (equal ``m``,
+    ``theta``, ``beta``, ``phi``, ``rho`` and ``sample_offset``; masks
+    differ), driven by one ``drive``. They advance together, one
+    ``(n_configs, tau_d + 1)`` forcing block and one IIR filter call per
+    input step, into one ``(n_configs, rows, m)`` array. A single config is
+    the batch of one, returned as a ``StateMatrix``; each slice of a batch
+    is bitwise equal to its config's own run. The loop runs in chunks of
+    ``OEO_CHUNK`` input steps: each chunk's drive forcing is computed at
+    once, its delay periods (and the one before) are held, and it is
     checked for non-finite states and sampled at its end.
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
-            integration step (``n * tau_d + k``) at which any batch member
-            did.
+            integration step (``n * tau_d + k``) at which a member did, and
+            the message names it (``config 0`` for a single config).
     """
-    single, cfgs, drive = _batch(cfg, OEOConfig, drive, washout,
-                                 lambda c: (c.m, c.theta, c.sample_offset),
-                                 "m, theta and sample_offset")
+    if isinstance(cfg, OEOConfig):
+        return StateMatrix(run_oeo_reservoir([cfg], drive, washout, v0)[0])
+    cfgs, drive = _batch(cfg, drive, washout)
     first, n_in = cfgs[0], drive.shape[0]
     m, theta, tau_d = first.m, first.theta, first.tau_d
     tau_l = float(first.tau_l)
@@ -342,17 +344,13 @@ def run_oeo_reservoir(
     numer = np.array([1.0])
 
     b = len(cfgs)
-    # beta as full rows: same-shape operands are faster than broadcast
-    # columns in the step loop.
-    beta = np.repeat([[float(c.beta)] for c in cfgs], tau_d + 1, axis=1)
-    phi = np.array([[[float(c.phi)]] for c in cfgs])
-    rho = np.array([[float(c.rho)] for c in cfgs])
+    beta, phi, rho = float(first.beta), float(first.phi), float(first.rho)
     mask = np.stack([c.mask for c in cfgs])
     mask_period = np.repeat(mask, theta, axis=1)[:, None, :]
     rho_drive = rho * drive
     # The last forcing entry of a period reads the next input sample (the
     # last sample again at the end of the drive) at the first mask entry.
-    edge = np.concatenate([rho_drive[:, 1:], rho_drive[:, -1:]], axis=1) * mask[:, :1]
+    edge = np.concatenate([rho_drive[1:], rho_drive[-1:]]) * mask[:, :1]
     offset = first.sample_offset if first.sample_offset is not None else theta
 
     # For the chunk that starts at input step n0, v[:, k] = v(n0*tau_d -
@@ -376,7 +374,7 @@ def run_oeo_reservoir(
     for n0 in range(0, n_in, OEO_CHUNK):
         size = min(OEO_CHUNK, n_in - n0)
         part = driven[:, :size]
-        np.multiply(rho_drive[:, n0 : n0 + size, None], mask_period, out=part[:, :, :tau_d])
+        np.multiply(rho_drive[n0 : n0 + size, None], mask_period, out=part[:, :, :tau_d])
         part[:, :, tau_d] = edge[:, n0 : n0 + size]
         part += phi
         for j in range(size):
@@ -398,9 +396,9 @@ def run_oeo_reservoir(
         if not finite.all():
             j = int(np.argmax(~finite.all(axis=0)))
             raise _divergence(~np.isfinite(periods[j + 1]), (n0 + j) * tau_d,
-                              "delay oscillator state", single)
+                              "delay oscillator state")
         # node i of step n0 + j is v at (n0 + j)*tau_d + i*theta + offset
         nodes = v[:, tau_d + 1 : (size + 1) * tau_d + 1]
         out[:, n0 : n0 + size] = nodes.reshape(b, size, m, theta)[:, :, :, offset - 1]
         v[:, : tau_d + 1] = periods[size]
-    return StateMatrix(out[0, washout:]) if single else out[:, washout:]
+    return out[:, washout:]

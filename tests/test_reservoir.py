@@ -1,5 +1,7 @@
 """Reservoir back-ends: adjacency/mask generation and both simulators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -132,24 +134,28 @@ def reference_tanh_run(cfg, drive, washout, initial_state=None):
     return out
 
 
-def batch_configs():
+# Leak rates of the tanh batches: a batch shares one, and its draws differ.
+TANH_ALPHAS = (0.35, 0.2, 0.9)
+
+
+def batch_configs(alpha=TANH_ALPHAS[0]):
     return [
         make_tanh_config(m=20, alpha=alpha, f_a=f_a, f_w=f_w,
                          adjacency_seed=10 + k, input_seed=20 + k)
-        for k, (alpha, f_a, f_w) in enumerate(
-            [(0.35, 0.5, 1.0), (0.2, 0.1, 0.3), (0.9, 0.9, 0.6)]
-        )
+        for k, (f_a, f_w) in enumerate([(0.5, 1.0), (0.1, 0.3), (0.9, 0.6)])
     ]
 
 
 class TestTanhBatch:
     def test_batch_equals_per_config_runs(self, lorenz_drive_short):
-        cfgs = batch_configs()
-        batch = run_tanh_reservoir(cfgs, lorenz_drive_short, washout=50)
-        assert batch.shape == (len(cfgs), len(lorenz_drive_short) - 50, 20)
-        for cfg, x in zip(cfgs, batch):
-            single = run_tanh_reservoir(cfg, lorenz_drive_short, washout=50)
-            np.testing.assert_array_equal(x, single.values)
+        for alpha in TANH_ALPHAS:
+            cfgs = batch_configs(alpha)
+            batch = run_tanh_reservoir(cfgs, lorenz_drive_short, washout=50)
+            assert batch.shape == (len(cfgs), len(lorenz_drive_short) - 50, 20)
+            for cfg, x in zip(cfgs, batch):
+                single = run_tanh_reservoir(cfg, lorenz_drive_short, washout=50)
+                np.testing.assert_array_equal(x, single.values)
+                np.testing.assert_array_equal(x, reference_tanh_run(cfg, lorenz_drive_short, 50))
 
     def test_pieces_restarted_from_last_state_equal_one_run(self, lorenz_drive_short):
         cfgs = batch_configs()
@@ -161,7 +167,7 @@ class TestTanhBatch:
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
 
     def test_batch_of_one_equals_reference_loop(self, lorenz_drive_short, rng):
-        cfg = batch_configs()[1]
+        cfg = batch_configs(TANH_ALPHAS[1])[1]
         x0 = rng.uniform(-1, 1, size=cfg.m)
         expected = reference_tanh_run(cfg, lorenz_drive_short, 30, x0)
         single = run_tanh_reservoir(cfg, lorenz_drive_short, 30, initial_state=x0)
@@ -186,9 +192,10 @@ class TestTanhBatch:
         cfgs = batch_configs()
         drive = np.linspace(-1.0, 1.0, 60)
         drive[5] = np.nan
-        assert divergence_step(lambda: run_tanh_reservoir(cfgs[0], drive, 20)).step == 5
-        err = divergence_step(lambda: run_tanh_reservoir(cfgs, drive, washout=20))
-        assert err.step == 5 and "config 0" in str(err)
+        # a single config is the batch of one, so its error names config 0
+        for run in (cfgs[0], cfgs):
+            err = divergence_step(lambda: run_tanh_reservoir(run, drive, washout=20))
+            assert err.step == 5 and "config 0" in str(err)
 
     def test_batch_validation(self):
         small, large = (make_tanh_config(m=m, adjacency_seed=1, input_seed=2) for m in (4, 5))
@@ -198,6 +205,13 @@ class TestTanhBatch:
             run_tanh_reservoir([], np.zeros(5), washout=0)
         with pytest.raises(ValueError, match="initial_state"):
             run_tanh_reservoir([small, small], np.zeros(5), 0, initial_state=np.zeros(4))
+
+    def test_batch_of_two_leak_rates_rejected_before_any_step(self):
+        # the NaN drive sample would raise DivergenceError at step 0
+        base = batch_configs()[0]
+        other = dataclasses.replace(base, alpha=0.2)
+        with pytest.raises(ValueError, match="must have equal alpha$"):
+            run_tanh_reservoir([base, other], np.array([np.nan, 0.0, 0.0]), washout=0)
 
 
 class TestOEOReservoir:
@@ -303,13 +317,17 @@ def reference_oeo_run(cfg, drive, washout, v0=0.0):
     return v_full[tau_d + sample_t][washout:]
 
 
-def oeo_batch_configs(sample_offset=None):
+# Operating points (beta, phi, rho) of the oscillator batches: a batch
+# shares one, and its masks differ.
+OEO_GAINS = ((0.8, 0.2, 0.4), (1.1, -0.3, 0.9), (0.5, 0.7, 0.2))
+
+
+def oeo_batch_configs(sample_offset=None, gains=OEO_GAINS[0]):
+    beta, phi, rho = gains
     return [
         make_oeo_config(m=6, theta=8, beta=beta, phi=phi, rho=rho, f_w=f_w,
                         sample_offset=sample_offset, mask_seed=40 + k)
-        for k, (beta, phi, rho, f_w) in enumerate(
-            [(0.8, 0.2, 0.4, 0.5), (1.1, -0.3, 0.9, 1.0), (0.5, 0.7, 0.2, 0.34)]
-        )
+        for k, f_w in enumerate([0.5, 1.0, 0.34])
     ]
 
 
@@ -323,15 +341,16 @@ class TestOEOBatch:
     @pytest.mark.parametrize("sample_offset", [None, 3])
     def test_batch_equals_per_config_runs_and_reference(self, lorenz_drive_short,
                                                         sample_offset):
-        cfgs = oeo_batch_configs(sample_offset)
         drive = lorenz_drive_short[:300]
-        batch = run_oeo_reservoir(cfgs, drive, washout=30, v0=0.3)
-        assert batch.shape == (len(cfgs), 270, 6)
-        for cfg, x in zip(cfgs, batch):
-            single = run_oeo_reservoir(cfg, drive, washout=30, v0=0.3)
-            assert isinstance(single, StateMatrix)
-            np.testing.assert_array_equal(x, single.values)
-            np.testing.assert_array_equal(x, reference_oeo_run(cfg, drive, 30, 0.3))
+        for gains in OEO_GAINS:
+            cfgs = oeo_batch_configs(sample_offset, gains)
+            batch = run_oeo_reservoir(cfgs, drive, washout=30, v0=0.3)
+            assert batch.shape == (len(cfgs), 270, 6)
+            for cfg, x in zip(cfgs, batch):
+                single = run_oeo_reservoir(cfg, drive, washout=30, v0=0.3)
+                assert isinstance(single, StateMatrix)
+                np.testing.assert_array_equal(x, single.values)
+                np.testing.assert_array_equal(x, reference_oeo_run(cfg, drive, 30, 0.3))
 
     @pytest.mark.parametrize("n_in,washout", [
         (OEO_CHUNK // 2, 5),                     # shorter than one chunk
@@ -355,13 +374,15 @@ class TestOEOBatch:
         drive = np.linspace(-1.0, 1.0, 300)
         drive[bad_index] = np.nan
         want = divergence_step(lambda: reference_oeo_run(cfgs[1], drive, 0)).step
-        assert divergence_step(lambda: run_oeo_reservoir(cfgs[1], drive, 0)).step == want
-        err = divergence_step(lambda: run_oeo_reservoir(cfgs, drive, 0))
-        assert err.step == want and "config 0" in str(err)
+        # a single config is the batch of one, so its error names config 0
+        for run in (cfgs[1], cfgs):
+            err = divergence_step(lambda: run_oeo_reservoir(run, drive, 0))
+            assert err.step == want and "config 0" in str(err)
 
     def test_diverging_member_raises_with_its_step(self):
         good, bad = oeo_batch_configs()[:2]
-        bad.phi = np.nan
+        # set past the config's range check, so only this member diverges
+        bad.mask[2] = np.nan
         # longer than one chunk: the whole chunk runs before its check
         drive = np.linspace(-1.0, 1.0, OEO_CHUNK + 50)
         want = divergence_step(lambda: reference_oeo_run(bad, drive, 0)).step
@@ -383,13 +404,35 @@ class TestOEOBatch:
 
     def test_batch_validation(self):
         base = make_oeo_config(m=4, theta=5, f_w=0.5, mask_seed=1)
-        for other in (make_oeo_config(m=6, theta=5, f_w=0.5, mask_seed=1),
-                      make_oeo_config(m=4, theta=6, f_w=0.5, mask_seed=1),
-                      make_oeo_config(m=4, theta=5, f_w=0.5, sample_offset=2, mask_seed=1)):
-            with pytest.raises(ValueError, match="equal m, theta and sample_offset"):
+        for field, other in (
+                ("m", make_oeo_config(m=6, theta=6, f_w=0.5, mask_seed=1)),
+                ("theta", make_oeo_config(m=4, theta=6, f_w=0.5, mask_seed=1)),
+                ("sample_offset",
+                 make_oeo_config(m=4, theta=5, f_w=0.5, sample_offset=2, mask_seed=1))):
+            with pytest.raises(ValueError, match=f"must have equal {field}$"):
                 run_oeo_reservoir([base, other], np.zeros(5), washout=0)
         with pytest.raises(ValueError, match="at least one"):
             run_oeo_reservoir([], np.zeros(5), washout=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("theta", 6), ("beta", 0.9), ("phi", -0.2), ("rho", 0.5), ("sample_offset", 2),
+    ])
+    def test_batch_of_two_operating_points_rejected_before_any_step(self, field, value):
+        # the configs differ in this field alone, and the NaN drive sample
+        # would raise DivergenceError at step 0
+        base = make_oeo_config(m=4, theta=5, f_w=0.5, mask_seed=1)
+        other = dataclasses.replace(base, **{field: value})
+        with pytest.raises(ValueError, match=f"must have equal {field}$"):
+            run_oeo_reservoir([base, other], np.array([np.nan, 0.0, 0.0]), washout=0)
+
+    @pytest.mark.parametrize("sample_offset", [None, 3])
+    def test_single_config_is_the_batch_of_one(self, lorenz_drive_short, sample_offset):
+        cfg = oeo_batch_configs(sample_offset, OEO_GAINS[1])[2]
+        drive = lorenz_drive_short[:OEO_CHUNK + 20]
+        single = run_oeo_reservoir(cfg, drive, washout=7, v0=0.3)
+        (listed,) = run_oeo_reservoir([cfg], drive, washout=7, v0=0.3)
+        assert isinstance(single, StateMatrix)
+        np.testing.assert_array_equal(single.values, listed)
 
 
 class TestConfigs:
@@ -402,6 +445,13 @@ class TestConfigs:
         for entry in (1.5, np.nan):
             with pytest.raises(ValueError, match="-1, 1"):
                 OEOConfig(mask=np.array([entry, 0.5]), theta=5, beta=0.8, phi=0.2, rho=0.4)
+
+    @pytest.mark.parametrize("field", ["beta", "phi", "rho"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_oeo_gains_must_be_finite(self, field, value):
+        gains = {"beta": 0.8, "phi": 0.2, "rho": 0.4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OEOConfig(mask=np.full(3, 0.5), theta=5, **gains)
 
     def test_tanh_diagonal_validated(self):
         with pytest.raises(ValueError, match="diagonal"):
