@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -149,7 +148,6 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
         if any(out_dir.iterdir()):
             raise ConfigError(f"--out {out_dir} is not empty")
     cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
-    start = time.monotonic()
     if command == "generate":
         outputs = _run_generate(cfg)
     elif command == "sweep":
@@ -165,7 +163,6 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
         "config_hash": config_hash(resolved),
         "config_echo": resolved,
         "output_paths": list(outputs),  # taken before the manifest is added
-        "wall_time_seconds": time.monotonic() - start,
     }, sort_keys=True)
     for name, text in outputs.items():
         path = out_dir / name

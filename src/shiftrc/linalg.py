@@ -10,9 +10,9 @@ without importing ``scipy.linalg``.
 
 The fits themselves are LAPACK Householder QRs of stacked ridge systems,
 many at once: :func:`ridge_solve` factors a batch of equal-shape designs in
-one call, and since the QR of a column prefix is the prefix of the QR, one
-factorization also fits every prefix of a ranked column order. No normal
-equations are formed.
+a few calls, and since the QR of a column prefix is the prefix of the QR,
+one factorization also fits every prefix of a ranked column order. No
+normal equations are formed.
 
 A sweep fits many readouts to column subsets of one training matrix. The
 pipeline therefore compresses each mask once: an unpivoted QR of
@@ -38,6 +38,11 @@ _dgeqp3 = load_scipy_extension("scipy.linalg._flapack").dgeqp3
 
 # Default relative tolerance for numerical-rank decisions.
 RANK_TOL_DEFAULT = 1e-10
+
+# ridge_solve factors a batch in slices whose stacked systems take at most
+# this many bytes (or one member), and the sweep gathers designs by the same
+# budget. LAPACK factors each member on its own, so slicing moves no bit.
+RIDGE_SLICE_BYTES = 2**20
 
 
 class NrmseMode(Enum):
@@ -110,15 +115,15 @@ class Readout:
 
 
 def ridge_solve(x, g, ridge_lambda: float, sizes=None) -> np.ndarray:
-    """Ridge weights for a batch of designs, from one stacked LAPACK QR.
+    """Ridge weights for a batch of designs, from stacked LAPACK QRs.
 
     ``x`` is ``(b, rows, k)`` and ``g`` is ``(b, rows, t)``: member i fits
     each target ``g[i, :, j]`` on ``x[i]``, minimizing
-    ``||x[i] w - g[i, :, j]||^2 + lambda ||w||^2``. The Householder QR of
-    every stacked system ``[x[i]; sqrt(lambda) I | g[i]; 0]`` is one
-    ``np.linalg.qr`` call, and its last t columns hold ``Q^T g``. The QR of
-    a column prefix is the prefix of the QR, so the fit on the first p
-    columns solves ``R[:p, :p] z = R[:p, k:]``. The result is
+    ``||x[i] w - g[i, :, j]||^2 + lambda ||w||^2``. The Householder QRs of
+    the stacked systems ``[x[i]; sqrt(lambda) I | g[i]; 0]``, one call per
+    ``RIDGE_SLICE_BYTES`` of them, hold ``Q^T g`` in their last t columns.
+    The QR of a column prefix is the prefix of the QR, so the fit on the
+    first p columns solves ``R[:p, :p] z = R[:p, k:]``. The result is
     ``(b, len(sizes), k, t)``: for each prefix size p in ``sizes`` (default
     k alone), the weights of the first p columns, zero after them.
 
@@ -141,23 +146,26 @@ def ridge_solve(x, g, ridge_lambda: float, sizes=None) -> np.ndarray:
     if ridge_lambda < 0.0:
         raise ValueError(f"ridge parameter must be >= 0, got {ridge_lambda}")
     b, rows, k = x.shape
+    t = g.shape[2]
     sizes = (k,) if sizes is None else tuple(sizes)
-    system = np.zeros((b, rows + k, k + g.shape[2]))
-    system[:, :rows, :k] = x
-    system[:, :rows, k:] = g
-    system[:, rows:, :k] = np.sqrt(ridge_lambda) * np.eye(k)
-    if not np.all(np.isfinite(system)):
-        raise ValueError("matrix contains non-finite entries")
-    if ridge_lambda == 0.0:
-        for member in system:
-            for p in sizes:
-                rank = estimate_rank(qr_column_pivot(member[:, :p]), RANK_TOL_DEFAULT)
-                if rank < p:
-                    raise SingularMatrixError(rank, p)
-    r = np.linalg.qr(system, mode="r")
-    w = np.zeros((b, len(sizes), k, g.shape[2]))
-    for j, p in enumerate(sizes):
-        w[:, j, :p] = np.linalg.solve(r[:, :p, :p], r[:, :p, k:])
+    w = np.zeros((b, len(sizes), k, t))
+    step = max(1, RIDGE_SLICE_BYTES // ((rows + k) * (k + t) * 8))
+    for i in range(0, b, step):
+        system = np.zeros((min(step, b - i), rows + k, k + t))
+        system[:, :rows, :k] = x[i : i + step]
+        system[:, :rows, k:] = g[i : i + step]
+        system[:, rows:, :k] = np.sqrt(ridge_lambda) * np.eye(k)
+        if not np.all(np.isfinite(system)):
+            raise ValueError("matrix contains non-finite entries")
+        if ridge_lambda == 0.0:
+            for member in system:
+                for p in sizes:
+                    rank = estimate_rank(qr_column_pivot(member[:, :p]), RANK_TOL_DEFAULT)
+                    if rank < p:
+                        raise SingularMatrixError(rank, p)
+        r = np.linalg.qr(system, mode="r")
+        for j, p in enumerate(sizes):
+            w[i : i + step, j, :p] = np.linalg.solve(r[:, :p, :p], r[:, :p, k:])
     return w
 
 
@@ -238,13 +246,18 @@ def nrmse_sums(g: np.ndarray, h: np.ndarray, mode: NrmseMode) -> tuple[np.ndarra
     squared errors and the target energy, for PAPER_LITERAL the summed
     squared relative errors over the samples with ``|g| >= 1e-9`` and their
     count. Added up over the blocks of a series, they give its NRMSE
-    through :func:`nrmse_from_sums`.
+    through :func:`nrmse_from_sums`. ``h`` is consumed: GLOBAL overwrites
+    it with its errors, PAPER_LITERAL a copy of its kept samples.
     """
     if mode is NrmseMode.GLOBAL:
-        return np.sum((h - g) ** 2, axis=-1), float(np.sum(g * g))
-    keep = np.abs(g) >= 1e-9
-    ratios = (h[..., keep] - g[keep]) / g[keep]
-    return np.sum(ratios**2, axis=-1), int(np.count_nonzero(keep))
+        target = float(np.sum(g * g))
+        h -= g
+    else:
+        keep = np.abs(g) >= 1e-9
+        g, h, target = g[keep], h[..., keep], int(np.count_nonzero(keep))
+        np.divide(np.subtract(h, g, out=h), g, out=h)
+    np.square(h, out=h)
+    return np.sum(h, axis=-1), target
 
 
 def nrmse_from_sums(errors, target, mode: NrmseMode) -> np.ndarray:
@@ -275,7 +288,7 @@ def nrmse(g: np.ndarray, h: np.ndarray, mode: NrmseMode = NrmseMode.GLOBAL) -> f
     targets bounded away from zero.
     """
     g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
+    h = np.array(h, dtype=float)  # a copy: nrmse_sums overwrites it
     if g.shape != h.shape or g.ndim != 1 or g.size < 1:
         raise ValueError(f"need equal-length 1-D sequences, got {g.shape} and {h.shape}")
     mode = NrmseMode(mode)

@@ -130,7 +130,7 @@ def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int
 
 
 # Shifted matrices are built, factored and scored in blocks of rows, so a
-# mask holds a few blocks at a time instead of its tall train and test
+# mask holds one block at a time instead of its tall train and test
 # matrices. A block has at least BLOCK_ROWS rows, and at least four times
 # the columns of [X | 1 | g]. Measured on one thread for 7890 rows (medians
 # of 15): at 112 columns the TSQR tree took 26 ms with blocks of 1024 or
@@ -140,17 +140,23 @@ def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int
 BLOCK_ROWS = 2048
 
 
-def _row_blocks(states: np.ndarray, tau_max: int):
+def _row_blocks(states: np.ndarray, tau_max: int, extra: int = 0):
     """Yield ``(rows, x)`` for consecutive row blocks ``x`` of the shifted
     matrix of ``states``, ``rows`` the slice of that matrix each one holds;
-    each block is built from the ``tau_max`` state rows before it as well."""
+    each block is built from the ``tau_max`` state rows before it as well.
+    ``x`` has ``extra`` more columns for the caller to fill. Every block is
+    a view of one buffer, which the next block overwrites."""
     n_rows = states.shape[0] - tau_max
     if n_rows < 1:
         raise ValueError(f"need more than tau_max={tau_max} rows, have {states.shape[0]}")
-    step = max(BLOCK_ROWS, 4 * (states.shape[1] * (tau_max + 1) + 2))
+    n = states.shape[1] * (tau_max + 1)
+    step = max(BLOCK_ROWS, 4 * (n + 2))
+    buffer = np.empty((min(step, n_rows), n + extra))
     for start in range(0, n_rows, step):
         rows = slice(start, min(start + step, n_rows))
-        yield rows, shifts.build_shifted_matrix(states[start : rows.stop + tau_max], tau_max)
+        x = buffer[: rows.stop - start]
+        shifts.build_shifted_matrix(states[start : rows.stop + tau_max], tau_max, out=x[:, :n])
+        yield rows, x
 
 
 @dataclass
@@ -186,7 +192,7 @@ class MaskContext:
 def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
     """Compress the training system of one mask's states: a TSQR tree
     (:func:`linalg.tsqr`, unpivoted LAPACK QRs; no normal equations are
-    formed) over the row blocks of ``[X | 1 | g]``.
+    formed) over the row blocks of ``[X | 1 | g]``, each built in one buffer.
 
     Raises:
         ValueError: a block of the training system holds a non-finite entry.
@@ -194,8 +200,9 @@ def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
     target_train = g_train[tau_max:]
 
     def systems():
-        for rows, x in _row_blocks(train, tau_max):
-            block = np.column_stack([x, np.ones(x.shape[0]), target_train[rows]])
+        for rows, block in _row_blocks(train, tau_max, extra=2):
+            block[:, -2] = 1.0
+            block[:, -1] = target_train[rows]
             if not np.all(np.isfinite(block)):
                 raise ValueError("training matrix or target contains non-finite entries")
             yield block
@@ -209,11 +216,12 @@ def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
     """Weights ``(C + 1, cells)`` of a group of equal-size column sets
     ``cols`` (``(b, k)`` state-column indices), row C holding the bias.
 
-    One :func:`linalg.ridge_solve` fits every set on the compressed
-    triangle, or with ``sizes`` each of its prefixes of those sizes; by the
-    residual identity of :class:`MaskContext` each fit has the tall
-    problem's solution. The bias column, if included, comes first, so every
-    prefix holds it; it is penalised like the others.
+    :func:`linalg.ridge_solve` fits every set on the compressed triangle,
+    or with ``sizes`` each of its prefixes of those sizes; by the residual
+    identity of :class:`MaskContext` each fit has the tall problem's
+    solution. The sets' columns are gathered at most
+    ``linalg.RIDGE_SLICE_BYTES`` at a time. The bias column, if included,
+    comes first, so every prefix holds it; it is penalised like the others.
     """
     n = ctx.r.shape[0] - 1
     cols = np.asarray(cols, dtype=int)
@@ -221,9 +229,11 @@ def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
         cols = np.column_stack([np.full(cols.shape[0], n), cols])  # ones column
         sizes = None if sizes is None else [p + 1 for p in sizes]
     rows = n + include_bias
-    x = ctx.r[:rows, cols].transpose(1, 0, 2)
     g = np.broadcast_to(ctx.r[:rows, n + 1 :], (cols.shape[0], rows, 1))
-    w = linalg.ridge_solve(x, g, ridge_lambda, sizes)[..., 0]
+    step = max(1, linalg.RIDGE_SLICE_BYTES // (rows * cols.shape[1] * 8))
+    w = np.concatenate([linalg.ridge_solve(ctx.r[:rows, cols[i : i + step]].transpose(1, 0, 2),
+                                           g[i : i + step], ridge_lambda, sizes)
+                        for i in range(0, cols.shape[0], step)])[..., 0]
     b, s, k = w.shape
     out = np.zeros((n + 1, b * s))
     cell = np.arange(b * s).reshape(b, s, 1)
@@ -235,14 +245,17 @@ def _score_weights(ctx: MaskContext, w, mode: NrmseMode) -> list[tuple[float, fl
     """``(train, test)`` NRMSE of each column of full-width weights ``w``,
     from one pass over the row blocks of each split: one product per block
     predicts every cell, and the block's target sums are taken once for all
-    cells (:func:`linalg.nrmse_sums`)."""
+    cells (:func:`linalg.nrmse_sums`), in the product's one buffer. The
+    product is not split by cells or rows: BLAS rounds by its shape."""
     n = w.shape[0] - 1
     errs = []
     for states, g in ((ctx.train, ctx.target_train), (ctx.test, ctx.target_test)):
         errors, target = 0.0, 0
         for rows, x in _row_blocks(states, ctx.tau_max):
-            h = w[:n].T @ x.T + w[n][:, None]  # (cells, rows)
+            h = w[:n].T @ x.T  # (cells, rows)
+            h += w[n][:, None]
             block_errors, block_target = linalg.nrmse_sums(g[rows], h, mode)
+            del x, h  # frees the product now, and the buffer after the last block
             errors, target = errors + block_errors, target + block_target
         errs.append(linalg.nrmse_from_sums(errors, target, mode).tolist())
     return list(zip(*errs))

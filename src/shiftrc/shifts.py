@@ -14,10 +14,11 @@ import numpy as np
 from .linalg import qr_column_pivot
 
 
-def build_shifted_matrix(source: np.ndarray, tau_max: int) -> np.ndarray:
+def build_shifted_matrix(source: np.ndarray, tau_max: int, out=None) -> np.ndarray:
     """Stack lagged copies of every column of a ``(rows, nodes)`` state
     array, shifts 0..tau_max inclusive, into a
-    ``(rows - tau_max, (tau_max + 1) * nodes)`` array.
+    ``(rows - tau_max, (tau_max + 1) * nodes)`` array, new or ``out``
+    (of that shape, e.g. the leading columns of a wider buffer).
 
     Column order is shift-major: column ``shift * nodes + node`` is the
     shift-``shift`` copy of node ``node``. Row t of a shift-s column holds
@@ -31,7 +32,7 @@ def build_shifted_matrix(source: np.ndarray, tau_max: int) -> np.ndarray:
     if t <= tau_max:
         raise ValueError(f"need more than tau_max={tau_max} rows, have {t}")
     t_out = t - tau_max
-    values = np.empty((t_out, m * (tau_max + 1)))
+    values = np.empty((t_out, m * (tau_max + 1))) if out is None else out
     for shift in range(tau_max + 1):
         start = tau_max - shift
         values[:, shift * m : (shift + 1) * m] = source[start : start + t_out]

@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance-criteria summary reporter."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -92,3 +93,15 @@ def score_columns(ctx, cols, ridge_lambda: float, include_bias: bool = False,
     rounding differs from the gemm that a pass over many cells takes."""
     w = pipeline._fit_group(ctx, [cols], ridge_lambda, include_bias)
     return pipeline._score_weights(ctx, np.column_stack([w, np.zeros_like(w)]), mode)[0]
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes allocated at the peak of ``fn(*args)`` over the level at the
+    call, as tracemalloc counts them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -271,7 +271,7 @@ def test_criterion_10_replay_determinism(tmp_path):
             return {
                 str(p.relative_to(base)): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(base.rglob("*"))
-                if p.is_file() and p.name != "manifest.json"
+                if p.is_file()
             }
 
         h_out, h_rep = hashes(out), hashes(replayed)

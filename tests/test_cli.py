@@ -89,10 +89,11 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def file_hashes(directory, skip=("manifest.json",)):
+def file_hashes(directory):
+    """Every file's hash, the manifest included: it is deterministic too."""
     out = {}
     for path in sorted(directory.rglob("*")):
-        if path.is_file() and path.name not in skip:
+        if path.is_file():
             out[str(path.relative_to(directory))] = hashlib.sha256(
                 path.read_bytes()
             ).hexdigest()
@@ -281,7 +282,7 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", write_config(tmp_path, payload),
                      "--out", str(out)]) == 0
-        before = file_hashes(out, skip=())
+        before = file_hashes(out)
         assert "diagnostics/mask_0002_selection.json" in before
         payload["selection"]["n_masks"] = 1
         one_mask = write_config(tmp_path, payload, "one_mask.json")
@@ -296,7 +297,7 @@ class TestSweep:
         assert main(["replay", "--manifest", str(out / "manifest.json"),
                      "--out", str(out)]) == 2
         assert f"--out {out} is not empty" in capsys.readouterr().err
-        assert file_hashes(out, skip=()) == before
+        assert file_hashes(out) == before
 
     def test_empty_out_directory_accepted(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -787,9 +788,7 @@ def test_series_cache_is_shared_across_processes(tmp_path, series_cache_dir):
         assert len(files) == 1
         stats.append(files[0].stat())
     assert file_hashes(outs[0]) == file_hashes(outs[1])
-    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
-    for manifest in manifests:
-        del manifest["wall_time_seconds"]
+    manifests = [(out / "manifest.json").read_bytes() for out in outs]
     assert manifests[0] == manifests[1]
     assert (stats[1].st_ino, stats[1].st_mtime_ns) == (stats[0].st_ino, stats[0].st_mtime_ns)
 

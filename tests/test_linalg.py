@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack, lstsq
 
+from shiftrc import linalg
 from shiftrc.cli import _r_diag_csv
 from shiftrc.errors import DegenerateTargetError, SingularMatrixError
 from shiftrc.linalg import (
     NrmseMode,
     estimate_rank,
     nrmse,
+    nrmse_sums,
     predict,
     qr_column_pivot,
     ridge_fit,
@@ -19,6 +21,7 @@ from shiftrc.linalg import (
     tsqr,
 )
 
+from conftest import traced_peak
 from oracles import covariance_rank, r22_bound_check
 
 
@@ -358,6 +361,40 @@ class TestRidgeSolve:
             ridge_solve(x, g, 0.0, (1, 2, 3, 4))
         assert (info.value.estimated_rank, info.value.n_cols) == (3, 4)
 
+    @pytest.mark.parametrize("sizes", [None, (2, 4, 6)])
+    def test_slices_equal_members_solved_alone(self, rng, monkeypatch, sizes):
+        # 7 members, 3 to a slice: slices of 3, 3 and 1 give every member's
+        # weights bit for bit as its own fit and as one factorization of all 7
+        x = rng.normal(size=(7, 30, 6))
+        g = rng.normal(size=(7, 30, 2))
+        alone = np.concatenate([ridge_solve(x[i : i + 1], g[i : i + 1], 1e-6, sizes)
+                                for i in range(7)])
+        whole = ridge_solve(x, g, 1e-6, sizes)
+        monkeypatch.setattr(linalg, "RIDGE_SLICE_BYTES", 3 * (30 + 6) * (6 + 2) * 8)
+        sliced = ridge_solve(x, g, 1e-6, sizes)
+        assert np.array_equal(sliced, alone)
+        assert np.array_equal(sliced, whole)
+
+    def test_rank_deficient_member_in_a_later_slice(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "RIDGE_SLICE_BYTES", 1)  # one member per slice
+        x = rng.normal(size=(3, 20, 4))
+        x[2, :, 3] = x[2, :, 0] + x[2, :, 1]
+        g = rng.normal(size=(3, 20, 1))
+        ridge_solve(x[:2], g[:2], 0.0)
+        with pytest.raises(SingularMatrixError) as info:
+            ridge_solve(x, g, 0.0)
+        assert (info.value.estimated_rank, info.value.n_cols) == (3, 4)
+
+    def test_batch_holds_a_slice_not_the_stack(self, rng):
+        # tracemalloc counts numpy's buffers: the stacked systems of 20
+        # members take 10 times the slice budget, and a fit holds about two
+        # slices of them (one system and its QR copy) at a time
+        b, rows, k = 20, 560, 100
+        stack_bytes = b * (rows + k) * (k + 1) * 8
+        assert stack_bytes >= 8 * linalg.RIDGE_SLICE_BYTES
+        x, g = rng.normal(size=(b, rows, k)), rng.normal(size=(b, rows, 1))
+        assert traced_peak(ridge_solve, x, g, 1e-6) < stack_bytes / 4
+
     def test_shape_and_input_checks(self, rng):
         with pytest.raises(ValueError, match="designs"):
             ridge_solve(rng.normal(size=(5, 2)), rng.normal(size=(5, 1)), 1.0)
@@ -446,6 +483,22 @@ class TestNrmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nrmse([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("mode", list(NrmseMode))
+    def test_output_left_unchanged(self, rng, mode):
+        g, h = rng.normal(size=(2, 50))
+        g[3] = 0.0  # skipped by PAPER_LITERAL
+        before = h.copy()
+        nrmse(g, h, mode)
+        assert np.array_equal(h, before)
+
+    def test_sums_overwrite_the_outputs_with_their_errors(self, rng):
+        g, h = rng.normal(size=50), rng.normal(size=(3, 50))
+        consumed = h.copy()
+        errors, target = nrmse_sums(g, consumed, NrmseMode.GLOBAL)
+        assert np.array_equal(consumed, (h - g) ** 2)
+        assert np.array_equal(errors, np.sum((h - g) ** 2, axis=-1))
+        assert target == float(np.sum(g * g))
 
 
 sample_values = st.floats(-1e3, 1e3)

@@ -29,7 +29,7 @@ from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
 
-from conftest import mask_context, score_columns, tall_matrices
+from conftest import mask_context, score_columns, tall_matrices, traced_peak
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -359,6 +359,28 @@ class TestRowBlocks:
         w = pipeline._fit_group(ctx, [[0, 4, 8]], 1e-6, False)
         with pytest.raises(DegenerateTargetError):
             pipeline._score_weights(ctx, w, mode)
+
+    def test_compression_holds_one_block_and_its_qr_copy(self, rng):
+        # each [X | 1 | g] block is one allocation, and only the QR's copy
+        # of it is held beside it (three blocks when it was stacked anew)
+        train, test, g_train, g_test = self.states(rng, 4 * pipeline.BLOCK_ROWS)
+        columns = self.NODES * (self.TAU + 1) + 2  # [X | 1 | g]
+        block = pipeline.BLOCK_ROWS * columns * 8
+        factors = 8 * columns**2 * 8  # the TSQR tree's R factors and merges
+        peak = traced_peak(pipeline._mask_context, self.TAU, train, test, g_train, g_test)
+        assert peak < 2.5 * block + factors
+
+    def test_scoring_holds_one_product_buffer(self, rng):
+        # the (cells, rows) product takes the bias and becomes its errors in
+        # place (three such buffers when each step allocated its own)
+        train, test, g_train, g_test = self.states(rng, 3 * pipeline.BLOCK_ROWS)
+        ctx = pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+        cells = 96
+        w = rng.normal(size=(self.NODES * (self.TAU + 1) + 1, cells))
+        product = cells * pipeline.BLOCK_ROWS * 8  # (cells, block rows)
+        block = pipeline.BLOCK_ROWS * self.NODES * (self.TAU + 1) * 8
+        peak = traced_peak(pipeline._score_weights, ctx, w, NrmseMode.GLOBAL)
+        assert peak < 1.5 * product + 2 * block
 
     def test_one_mask_holds_no_tall_matrix(self, rng):
         # tracemalloc counts numpy's buffers: compressing and scoring a mask

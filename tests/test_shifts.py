@@ -64,6 +64,15 @@ class TestBuild:
             for t in range(extra_rows):
                 assert shifted[t, col] == source[t + tau_max - shift, node]
 
+    def test_writes_into_out_and_nothing_else(self, random_states):
+        fresh = build_shifted_matrix(random_states, 4)
+        n = fresh.shape[1]
+        buffer = np.full((fresh.shape[0], n + 2), 7.0)
+        got = build_shifted_matrix(random_states, 4, out=buffer[:, :n])
+        assert np.shares_memory(got, buffer)
+        assert np.array_equal(buffer[:, :n], fresh)
+        assert np.all(buffer[:, n:] == 7.0)
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="rows"):
             build_shifted_matrix(np.zeros((3, 1)), 3)
