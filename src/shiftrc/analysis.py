@@ -43,15 +43,25 @@ def ordinal_symbols(series, window: int = DEFAULT_WINDOW) -> np.ndarray:
         raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {window}")
     if x.shape[0] < window:
         raise ValueError(f"series length {x.shape[0]} shorter than window {window}")
-    n = x.shape[0] - window + 1
     # Accumulate in the narrowest unsigned type that holds the codes.
-    small = key_dtype(window).newbyteorder("=")
-    codes = np.zeros((n,) + x.shape[1:], dtype=small)
+    codes = np.empty((x.shape[0] - window + 1,) + x.shape[1:],
+                     dtype=key_dtype(window).newbyteorder("="))
+    return code_windows(x, window, codes).astype(np.int64)
+
+
+def code_windows(x, window: int, out) -> np.ndarray:
+    """Write the codes of :func:`ordinal_symbols` of ``x`` into ``out`` and
+    return it. ``out`` is an unsigned integer array (e.g. of
+    :func:`key_dtype`) with the shape of the codes, ``len(x) - window + 1``
+    rows (none if ``x`` is shorter than a window); it may be a strided
+    view. Arguments are not checked."""
+    n = out.shape[0]
+    out[...] = 0
     for i in range(window - 1):
-        weight = small.type(math.factorial(window - 1 - i))
+        weight = out.dtype.type(math.factorial(window - 1 - i))
         for j in range(i + 1, window):
-            codes += (x[j : j + n] < x[i : i + n]) * weight
-    return codes.astype(np.int64)
+            out += (x[j : j + n] < x[i : i + n]) * weight
+    return out
 
 
 def key_dtype(window: int) -> np.dtype:

@@ -225,6 +225,7 @@ def tsqr(blocks) -> np.ndarray:
     factors = []  # (depth, R) of merged blocks, depths strictly decreasing
     for block in blocks:
         depth, r = 0, np.linalg.qr(block, mode="r")
+        del block  # before the next block is pulled
         while factors and factors[-1][0] == depth:
             r = np.linalg.qr(np.concatenate([factors.pop()[1], r], axis=-2), mode="r")
             depth += 1
@@ -254,7 +255,9 @@ def nrmse_sums(g: np.ndarray, h: np.ndarray, mode: NrmseMode) -> tuple[np.ndarra
         h -= g
     else:
         keep = np.abs(g) >= 1e-9
-        g, h, target = g[keep], h[..., keep], int(np.count_nonzero(keep))
+        # compress copies in C order, so each output's kept errors are
+        # summed pairwise as GLOBAL sums them (h[..., keep] is column-major)
+        g, h, target = g[keep], np.compress(keep, h, axis=-1), int(np.count_nonzero(keep))
         np.divide(np.subtract(h, g, out=h), g, out=h)
     np.square(h, out=h)
     return np.sum(h, axis=-1), target

@@ -362,10 +362,10 @@ class AnalysisRow:
 # The trials of an analysis cell advance together, at most ANALYSIS_BATCH at
 # a time, through pieces of ANALYSIS_SEGMENT drive steps. Each piece is
 # folded into per-trial running state (ordinal codes, node ranges, QR
-# factors) before the next one is simulated, so the states held at once are
-# bounded by these two constants rather than by n_trials or the run length;
-# over the whole run only the codes (one small integer per node and step)
-# and the two test predictions per step are kept.
+# factors) and dropped before the next one is simulated, so the states held
+# at once are bounded by these two constants rather than by n_trials or the
+# run length; over the whole run only the codes (one small integer per node
+# and step) and the two test predictions per step are kept.
 ANALYSIS_BATCH = 20
 ANALYSIS_SEGMENT = 250
 
@@ -373,13 +373,17 @@ ANALYSIS_SEGMENT = 250
 def _tanh_pieces(res_cfgs, drive, washout, state=None):
     """Yield the ``(trials, rows, nodes)`` states of one batched run over
     ``drive``, piece by piece; the first piece also runs the washout and
-    each later one restarts from the previous piece's last row."""
+    each later one restarts from a copy of the previous piece's last row.
+    The generator lets go of a piece before it simulates the next, so a
+    consumer that drops its own reference first holds one piece at a time.
+    """
     start, skip = 0, washout
     while start < drive.shape[0]:
         stop = min(start + skip + ANALYSIS_SEGMENT, drive.shape[0])
         x = reservoir.run_tanh_reservoir(res_cfgs, drive[start:stop], skip, state)
         yield x
-        start, skip, state = stop, 0, x[:, -1]
+        start, skip, state = stop, 0, x[:, -1].copy()
+        del x
 
 
 def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
@@ -395,6 +399,14 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     ``m + 1`` rows of R. Unlike the sweep's factor, the ones column comes
     first, so the Pearson correlation with ``g_obs`` is read from R as well.
     The test split is predicted piece by piece.
+
+    Besides the batch's ordinal codes (one :func:`analysis.key_dtype`
+    integer per trial, node and window) and the small per-trial state, the
+    training pass holds at once one piece, one training block and that
+    block's QR copy: each piece is coded straight into the codes, its
+    windows that straddle into the next piece from a copy of its last
+    ``window - 1`` rows. The entropies are taken, and the codes freed,
+    before the test pass, which holds one piece at a time.
     """
     obs, pred = datasets
     washout = cfg.washout
@@ -412,33 +424,39 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     codes = np.empty((n_trials, n_rows - window + 1, m), dtype=analysis.key_dtype(window))
     last = None  # the last training state, where a continued test run starts
 
+    def code(seq, first):
+        """Code the windows of ``(trials, rows, nodes)`` states ``seq``,
+        the first of which starts at training row ``first``."""
+        n_win = max(seq.shape[1] - window + 1, 0)
+        analysis.code_windows(seq.transpose(1, 0, 2), window,
+                              codes[:, first : first + n_win].transpose(1, 0, 2))
+
     def systems():
         nonlocal last
-        tail = np.empty((n_trials, 0, m))  # rows whose windows reach into the next piece
+        carried = np.empty((n_trials, 0, m))  # rows whose windows reach into the next piece
         row = 0
         for x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
             rows = x.shape[1]
-            # Every piece completes at least one window: the first has
-            # min(ANALYSIS_SEGMENT, n_rows) >= window rows, and each later one
-            # adds at least one row to the window - 1 carried over.
-            seq = np.concatenate([tail, x], axis=1)
-            n_win = seq.shape[1] - window + 1
-            first = row - tail.shape[1]
-            codes[:, first : first + n_win] = analysis.ordinal_symbols(
-                seq.transpose(1, 0, 2), window
-            ).transpose(1, 0, 2)
-            tail = seq[:, n_win:]
+            code(np.concatenate([carried, x[:, : window - 1]], axis=1), row - carried.shape[1])
+            code(x, row)
+            carried = np.concatenate([carried[:, rows:], x[:, max(rows - window + 1, 0) :]],
+                                     axis=1)
             np.minimum(lo, x.min(axis=1), out=lo)
             np.maximum(hi, x.max(axis=1), out=hi)
+            last = x[:, -1].copy()
             block = np.empty((n_trials, rows, m + 3))
             block[:, :, 0] = 1.0
             block[:, :, 1 : m + 1] = x
             block[:, :, m + 1 :] = g_train[row : row + rows]
+            del x
             yield block
+            del block
             row += rows
-        last = x[:, -1]
 
     r = linalg.tsqr(systems())
+    entropies = [analysis.key_entropy(analysis.joint_keys(codes[t], window))
+                 for t in range(n_trials)]
+    del codes
 
     # Both readouts of every trial: one stacked solve, the two targets
     # sharing each trial's design. A bias fit takes the ones column too,
@@ -453,16 +471,18 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     h = np.empty((n_trials, g_test.shape[0], 2))
     row = 0
     for x in pieces:
-        h[:, row : row + x.shape[1]] = np.matmul(x, w[:, bias:])
+        rows = x.shape[1]
+        h[:, row : row + rows] = np.matmul(x, w[:, bias:])
         if bias:
-            h[:, row : row + x.shape[1]] += w[:, :1]
-        row += x.shape[1]
+            h[:, row : row + rows] += w[:, :1]
+        del x
+        row += rows
 
     mode = NrmseMode(cfg.nrmse_mode)
     constant = (lo == hi) | (g_train[:, 0].min() == g_train[:, 0].max())
     return [
         (
-            analysis.key_entropy(analysis.joint_keys(codes[t], window)),
+            entropies[t],
             analysis.correlation_from_r(r[t, : m + 2, : m + 2], constant[t]),
             linalg.nrmse(g_test[:, 0], h[t, :, 0], mode),
             linalg.nrmse(g_test[:, 1], h[t, :, 1], mode),

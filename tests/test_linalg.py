@@ -1,5 +1,7 @@
 """Pivoted QR kernel, rank estimation, ridge readout and error metric."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -430,6 +432,24 @@ class TestTsqr:
         with pytest.raises(ValueError, match="row block"):
             tsqr(iter([]))
 
+    def test_each_block_is_released_before_the_next_is_pulled(self, rng):
+        # a streamed caller holds one block at a time only if tsqr lets go
+        # of each block once it is factored
+        a = rng.normal(size=(40, 5))
+        previous = None
+
+        def blocks():
+            nonlocal previous
+            for lo in range(0, 40, 8):
+                assert previous is None or previous() is None, "previous block still held"
+                block = a[lo : lo + 8].copy()
+                previous = weakref.ref(block)
+                yield block
+                del block
+
+        got = tsqr(blocks())
+        np.testing.assert_allclose(got.T @ got, a.T @ a, rtol=0.0, atol=1e-12)
+
 
 class TestPredict:
     def test_zero_weights(self, rng):
@@ -491,6 +511,18 @@ class TestNrmse:
         before = h.copy()
         nrmse(g, h, mode)
         assert np.array_equal(h, before)
+
+    def test_literal_sums_each_output_in_c_order(self, rng):
+        # the kept errors of each output are summed as np.sum sums a
+        # C-contiguous row, pairwise, not one after another down a
+        # column-major copy of the kept samples
+        g, h = rng.normal(size=1000), rng.normal(size=(5, 1000))
+        g[::7] = 0.0  # skipped
+        keep = np.abs(g) >= 1e-9
+        relative = np.ascontiguousarray(((h[:, keep] - g[keep]) / g[keep]) ** 2)
+        errors, count = nrmse_sums(g, h.copy(), NrmseMode.PAPER_LITERAL)
+        assert count == np.count_nonzero(keep)
+        assert errors.tobytes() == np.sum(relative, axis=-1).tobytes()
 
     def test_sums_overwrite_the_outputs_with_their_errors(self, rng):
         g, h = rng.normal(size=50), rng.normal(size=(3, 50))

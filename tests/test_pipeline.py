@@ -728,10 +728,12 @@ def tiny_analysis(**overrides) -> AnalysisConfig:
 
 class TestAnalysisCell:
     @pytest.mark.parametrize("continuation", [True, False])
-    @pytest.mark.parametrize("batch,segment", [(20, 250), (2, 64)])
+    @pytest.mark.parametrize("batch,segment", [(20, 250), (2, 64), (3, 429)])
     def test_matches_per_trial_reference(self, monkeypatch, continuation, batch, segment):
         # (2, 64): several batches, and entropy windows spanning many piece
-        # boundaries; the test split then starts inside a piece's span
+        # boundaries; the test split then starts inside a piece's span.
+        # (3, 429): the 860 training rows end in a piece of 2 rows, fewer
+        # than the window - 1 = 3 carried over from the piece before
         monkeypatch.setattr(pipeline, "ANALYSIS_BATCH", batch)
         monkeypatch.setattr(pipeline, "ANALYSIS_SEGMENT", segment)
         acfg = tiny_analysis(continuation=continuation)
@@ -756,6 +758,26 @@ class TestAnalysisCell:
         for name in ("nrmse_observer", "nrmse_prediction"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
             assert getattr(got, name) != getattr(unbiased, name)
+
+    def test_batch_holds_one_piece(self):
+        # beside the batch's ordinal codes, the training pass holds at most
+        # one piece, one training block, that block's QR copy and the TSQR
+        # factors, and the codes are freed before the test pass (over 6
+        # blocks' worth when pieces, blocks and codes outlived their use)
+        acfg = tiny_analysis()
+        base = acfg.base
+        cfg = dataclasses.replace(base, reservoir={**base.reservoir, "nodes": 30},
+                                  data=dataclasses.replace(base.data, train_steps=3000))
+        datasets = (build_dataset(cfg.data, "observer"), build_dataset(cfg.data, "prediction"))
+        trials, m = pipeline.ANALYSIS_BATCH, cfg.n_nodes
+        res_cfgs = [pipeline.build_trial_reservoir(
+            cfg, lambda role, t=trial: derive_seed(cfg.master_seed, role, t))
+            for trial in range(trials)]
+        n_windows = cfg.data.train_steps - cfg.washout - acfg.window + 1
+        codes = trials * n_windows * m * analysis.key_dtype(acfg.window).itemsize
+        block = trials * pipeline.ANALYSIS_SEGMENT * (m + 3) * 8  # [1 | X | g_obs | g_pred]
+        peak = traced_peak(pipeline._analysis_batch, cfg, res_cfgs, datasets, acfg.window)
+        assert peak < codes + 4 * block
 
     def test_oscillator_base_rejected_before_any_data(self, monkeypatch):
         # the grid varies the tanh network's f_a, which a delay oscillator
