@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     node_target_correlation,
-    ordinal_symbols,
     reservoir_entropy,
 )
 from .config import (

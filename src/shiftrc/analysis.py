@@ -4,12 +4,12 @@ These explain when column selection pays off: high-entropy reservoirs have
 diverse node signals, so picking the right columns matters; low correlation
 with the target signals an underdriven reservoir.
 
-The entropy is built from three steps that the analysis grid also runs
-piece by piece on streamed states: :func:`ordinal_symbols` codes every
-node's windows, :func:`joint_keys` packs each window position's codes into
-one byte-string key, and :func:`key_entropy` counts the keys. The
+The entropy is built from three steps, which :class:`OrdinalCodes` runs
+over a batch of series streamed piece by piece: :func:`code_windows` codes
+every node's windows, :func:`joint_keys` packs each window position's codes
+into one byte-string key, and :func:`key_entropy` counts the keys. The
 correlation is read from the triangular factor of ``[1 | X | g]`` by
-:func:`correlation_from_r`, which a running QR can update block by block.
+:func:`correlation_from_r`, which a TSQR tree can build block by block.
 """
 
 from __future__ import annotations
@@ -23,37 +23,13 @@ DEFAULT_WINDOW = 4
 MAX_WINDOW = 20
 
 
-def ordinal_symbols(series, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Encode each window's rank pattern as an integer in 0..window!-1.
-
-    Points inside a window are ranked by value with ties broken in favor of
-    the earlier index; the rank pattern is encoded by its Lehmer code (its
-    position in the lexicographic order of permutations), computed from
-    pairwise comparisons as ``sum_i #{j > i: x_j < x_i} (window-1-i)!``.
-    Windows overlap fully, so a series of length n gives n - window + 1
-    codes. Time runs along the first axis: a 2-D input is coded column by
-    column (and an input with more axes at every trailing index), giving
-    codes of the same trailing shape. Codes are int64, which holds every
-    code up to ``MAX_WINDOW``.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim < 1:
-        raise ValueError("series must have a time axis")
-    if not 1 <= window <= MAX_WINDOW:
-        raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {window}")
-    if x.shape[0] < window:
-        raise ValueError(f"series length {x.shape[0]} shorter than window {window}")
-    # Accumulate in the narrowest unsigned type that holds the codes.
-    codes = np.empty((x.shape[0] - window + 1,) + x.shape[1:],
-                     dtype=key_dtype(window).newbyteorder("="))
-    return code_windows(x, window, codes).astype(np.int64)
-
-
 def code_windows(x, window: int, out) -> np.ndarray:
-    """Write the codes of :func:`ordinal_symbols` of ``x`` into ``out`` and
-    return it. ``out`` is an unsigned integer array (e.g. of
-    :func:`key_dtype`) with the shape of the codes, ``len(x) - window + 1``
-    rows (none if ``x`` is shorter than a window); it may be a strided
+    """Write the ordinal code of each window of ``x`` (along its first axis,
+    every trailing index on its own) into ``out`` and return it: the Lehmer
+    code ``sum_i #{j > i: x_j < x_i} (window-1-i)!`` of the window's rank
+    pattern, with ties ranked in favor of the earlier index. ``out`` is an
+    unsigned integer array (e.g. of :func:`key_dtype`) of ``len(x) - window
+    + 1`` rows (none if ``x`` is shorter than a window); it may be a strided
     view. Arguments are not checked."""
     n = out.shape[0]
     out[...] = 0
@@ -66,6 +42,8 @@ def code_windows(x, window: int, out) -> np.ndarray:
 
 def key_dtype(window: int) -> np.dtype:
     """Smallest big-endian unsigned integer type that holds ``window! - 1``."""
+    if not 1 <= window <= MAX_WINDOW:
+        raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {window}")
     top = math.factorial(window) - 1
     size = next(s for s in (1, 2, 4, 8) if top < 256**s)
     return np.dtype(f">u{size}")
@@ -96,6 +74,39 @@ def key_entropy(keys) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+class OrdinalCodes:
+    """Joint ordinal codes of a batch of ``(rows, nodes)`` series, fed in
+    consecutive pieces of rows: ``codes`` holds one :func:`key_dtype` code
+    per series, window and node, and a piece's windows that reach into the
+    next piece are coded from a copy of its last ``window - 1`` rows. Any
+    split into pieces gives the same codes."""
+
+    def __init__(self, batch: int, rows: int, nodes: int, window: int = DEFAULT_WINDOW):
+        if rows < window:
+            raise ValueError(f"need at least {window} rows, have {rows}")
+        self.codes = np.empty((batch, rows - window + 1, nodes), dtype=key_dtype(window))
+        self.window, self.rows, self.fed = window, rows, 0
+        self._carried = np.empty((batch, 0, nodes))
+
+    def add(self, piece) -> None:
+        """Code the next ``(batch, piece rows, nodes)`` piece of the series."""
+        n, carried, w = piece.shape[1], self._carried, self.window
+        joined = np.concatenate([carried, piece[:, : w - 1]], axis=1)
+        for seq, first in ((joined, self.fed - carried.shape[1]), (piece, self.fed)):
+            n_win = max(seq.shape[1] - w + 1, 0)
+            code_windows(seq.transpose(1, 0, 2), w,
+                         self.codes[:, first : first + n_win].transpose(1, 0, 2))
+        self._carried = np.concatenate([carried, piece[:, max(n - w + 1, 0) :]],
+                                       axis=1)[:, 1 - w :]
+        self.fed += n
+
+    def entropies(self) -> list[float]:
+        """The joint permutation entropy (bits) of each series of the batch."""
+        if self.fed != self.rows:
+            raise ValueError(f"fed {self.fed} of {self.rows} rows")
+        return [key_entropy(joint_keys(codes, self.window)) for codes in self.codes]
+
+
 def reservoir_entropy(states, window: int = DEFAULT_WINDOW) -> float:
     """Shannon entropy (bits) of the joint all-node ordinal symbol of a
     ``(rows, nodes)`` state array.
@@ -104,9 +115,11 @@ def reservoir_entropy(states, window: int = DEFAULT_WINDOW) -> float:
     the entropy is taken over the empirical distribution of those tuples.
     """
     values = np.asarray(states, dtype=float)
-    if values.shape[0] < window:
-        raise ValueError(f"need at least {window} rows, have {values.shape[0]}")
-    return key_entropy(joint_keys(ordinal_symbols(values, window), window))
+    if values.ndim != 2:
+        raise ValueError("states must be 2-D")
+    coder = OrdinalCodes(1, *values.shape, window)
+    coder.add(values[None])
+    return coder.entropies()[0]
 
 
 def correlation_from_r(r, constant) -> float:

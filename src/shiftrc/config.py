@@ -17,6 +17,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 
+from .analysis import MAX_WINDOW
 from .dynamics import sampling_problem
 from .errors import ConfigError
 
@@ -107,7 +108,7 @@ BOUNDS = {
     "analysis.f_w_values": {"len": {">=": 1}, ">": 0, "<=": 1},
     "analysis.f_a_values": {"len": {">=": 1}, ">": 0, "<=": 1},
     "analysis.n_trials": {">=": 1},
-    "analysis.window": {">=": 2, "<=": 20},
+    "analysis.window": {">=": 2, "<=": MAX_WINDOW},
 }
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le, "==": operator.eq}
@@ -199,13 +200,15 @@ def _check(value, default, path: str, kind: str) -> None:
 
 
 def check_m_red_grid(grid, nodes: int, tau_max: int) -> None:
-    """Raise ConfigError unless every m_red of ``grid`` is a width of the
-    shifted matrix, 1..nodes*(tau_max+1)."""
+    """Raise ConfigError unless the m_red of ``grid`` are distinct widths of
+    the shifted matrix, 1..nodes*(tau_max+1)."""
     n_columns = nodes * (tau_max + 1)
-    for m_red in grid:
+    for i, m_red in enumerate(grid):
         if not 1 <= m_red <= n_columns:
             raise _invalid("selection.m_red_grid", f"{m_red} is outside "
                            f"1..nodes*(tau_max+1) = 1..{n_columns}")
+        if m_red in grid[:i]:
+            raise _invalid("selection.m_red_grid", f"{m_red} is repeated")
 
 
 def resolve_config(raw: dict) -> dict:

@@ -307,7 +307,7 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
 
     Raises:
         ConfigError: fewer training rows than the columns of ``[X | 1]``,
-            or an m_red of the grid outside 1..nodes*(tau_max+1).
+            or an m_red of the grid outside 1..nodes*(tau_max+1) or repeated.
     """
     if subset_mode not in ("both", "rrqr", "random"):
         raise ValueError(f"subset_mode must be both|rrqr|random, got {subset_mode}")
@@ -400,13 +400,12 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     first, so the Pearson correlation with ``g_obs`` is read from R as well.
     The test split is predicted piece by piece.
 
-    Besides the batch's ordinal codes (one :func:`analysis.key_dtype`
-    integer per trial, node and window) and the small per-trial state, the
-    training pass holds at once one piece, one training block and that
-    block's QR copy: each piece is coded straight into the codes, its
-    windows that straddle into the next piece from a copy of its last
-    ``window - 1`` rows. The entropies are taken, and the codes freed,
-    before the test pass, which holds one piece at a time.
+    Besides the batch's :class:`analysis.OrdinalCodes` (one small integer
+    per trial, node and window, and a copy of the last ``window - 1`` rows)
+    and the small per-trial state, the training pass holds at once one
+    piece, one training block and that block's QR copy. The entropies are
+    taken, and the coder dropped, before the test pass, which holds one
+    piece at a time.
     """
     obs, pred = datasets
     washout = cfg.washout
@@ -415,32 +414,17 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     g_test = np.column_stack([obs.target_test, pred.target_test])
     if not cfg.continuation:
         g_test = g_test[washout:]
-    n_rows = g_train.shape[0]
-    if n_rows < window:
-        raise ValueError(f"need at least {window} rows, have {n_rows}")
-
+    coder = analysis.OrdinalCodes(n_trials, g_train.shape[0], m, window)
     lo = np.full((n_trials, m), np.inf)
     hi = np.full((n_trials, m), -np.inf)
-    codes = np.empty((n_trials, n_rows - window + 1, m), dtype=analysis.key_dtype(window))
     last = None  # the last training state, where a continued test run starts
-
-    def code(seq, first):
-        """Code the windows of ``(trials, rows, nodes)`` states ``seq``,
-        the first of which starts at training row ``first``."""
-        n_win = max(seq.shape[1] - window + 1, 0)
-        analysis.code_windows(seq.transpose(1, 0, 2), window,
-                              codes[:, first : first + n_win].transpose(1, 0, 2))
 
     def systems():
         nonlocal last
-        carried = np.empty((n_trials, 0, m))  # rows whose windows reach into the next piece
         row = 0
         for x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
             rows = x.shape[1]
-            code(np.concatenate([carried, x[:, : window - 1]], axis=1), row - carried.shape[1])
-            code(x, row)
-            carried = np.concatenate([carried[:, rows:], x[:, max(rows - window + 1, 0) :]],
-                                     axis=1)
+            coder.add(x)
             np.minimum(lo, x.min(axis=1), out=lo)
             np.maximum(hi, x.max(axis=1), out=hi)
             last = x[:, -1].copy()
@@ -454,9 +438,8 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
             row += rows
 
     r = linalg.tsqr(systems())
-    entropies = [analysis.key_entropy(analysis.joint_keys(codes[t], window))
-                 for t in range(n_trials)]
-    del codes
+    entropies = coder.entropies()
+    del coder
 
     # Both readouts of every trial: one stacked solve, the two targets
     # sharing each trial's design. A bias fit takes the ones column too,

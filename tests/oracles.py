@@ -1,12 +1,14 @@
-"""Acceptance oracles on a pivoted QR and on a state matrix.
+"""Acceptance oracles on a pivoted QR and on a state matrix, and a
+per-series view of the package's ordinal coder for the Lehmer-code tests.
 
-They certify the kernel's results by separate routes (an SVD of R, an SVD
-of the matrix itself), so they live with the tests rather than in the
-package.
+The oracles certify the kernel's results by separate routes (an SVD of R,
+an SVD of the matrix itself), so they live with the tests rather than in
+the package.
 """
 
 import numpy as np
 
+from shiftrc import analysis
 from shiftrc.linalg import RANK_TOL_DEFAULT, PivotedQR
 
 
@@ -56,3 +58,16 @@ def covariance_rank(states, tol_rel: float = RANK_TOL_DEFAULT) -> int:
         return 0
     sq = s**2
     return int(np.count_nonzero(sq > tol_rel * sq[0]))
+
+
+def ordinal_symbols(series, window: int) -> np.ndarray:
+    """The codes that :func:`shiftrc.analysis.code_windows` writes for
+    ``series``, as int64: ``len(series) - window + 1`` rows, one code per
+    window and trailing index. The window is checked by
+    :func:`shiftrc.analysis.key_dtype`, the series length here."""
+    x = np.asarray(series, dtype=float)
+    dtype = analysis.key_dtype(window)
+    if x.shape[0] < window:
+        raise ValueError(f"series length {x.shape[0]} shorter than window {window}")
+    codes = np.empty((x.shape[0] - window + 1,) + x.shape[1:], dtype=dtype)
+    return analysis.code_windows(x, window, codes).astype(np.int64)

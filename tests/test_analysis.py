@@ -2,19 +2,23 @@
 
 import itertools
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from shiftrc.analysis import (
     MAX_WINDOW,
+    OrdinalCodes,
     joint_keys,
     key_dtype,
     node_target_correlation,
-    ordinal_symbols,
     reservoir_entropy,
 )
 from shiftrc.reservoir import make_tanh_config, run_tanh_reservoir
+
+from oracles import ordinal_symbols
 
 
 def lexicographic_code(ranks):
@@ -80,6 +84,45 @@ class TestOrdinalSymbols:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="window"):
             ordinal_symbols(np.zeros(3), window=4)
+
+
+class TestOrdinalCodes:
+    @pytest.mark.parametrize("window", [2, 4, 6, 9, MAX_WINDOW])
+    def test_any_split_into_pieces_gives_the_one_piece_codes(self, rng, window):
+        # windows 2 and 4 hold their codes in 1 byte, 6 in 2, 9 in 4 and 20
+        # in 8; the split has 1-row pieces, and pieces shorter than the
+        # window - 1 rows carried over, in the middle of the stream
+        x = np.round(rng.normal(size=(3, 300, 4)), 1)  # rounding makes ties
+        sizes = [7, 1, 1, max(window - 2, 1), 1]
+        while sum(sizes) < x.shape[1]:
+            sizes.append(int(rng.integers(1, 3 * window)))
+        whole = OrdinalCodes(3, 300, 4, window)
+        whole.add(x)
+        split = OrdinalCodes(3, 300, 4, window)
+        for piece in np.split(x, np.cumsum(sizes)[:-1], axis=1):
+            piece = piece.copy()
+            split.add(piece)
+            piece[...] = np.nan  # the coder keeps no view of a piece
+        assert whole.codes.dtype == key_dtype(window)
+        np.testing.assert_array_equal(whole.codes, [ordinal_symbols(s, window) for s in x])
+        np.testing.assert_array_equal(split.codes, whole.codes)
+        assert split.entropies() == whole.entropies()
+        assert whole.entropies() == [reservoir_entropy(s, window) for s in x]
+
+    def test_entropies_need_every_row(self, rng):
+        coder = OrdinalCodes(2, 50, 3)
+        coder.add(rng.normal(size=(2, 30, 3)))
+        with pytest.raises(ValueError, match="fed 30 of 50 rows"):
+            coder.entropies()
+
+    @pytest.mark.parametrize("window", [0, MAX_WINDOW + 1])
+    def test_window_out_of_range_rejected(self, rng, window):
+        message = re.escape(f"window must be in 1..{MAX_WINDOW}, got {window}")
+        codes = rng.integers(0, 24, size=(30, 3))
+        for call in (partial(key_dtype, window), partial(joint_keys, codes, window),
+                     partial(reservoir_entropy, rng.normal(size=(30, 3)), window)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestReservoirEntropy:

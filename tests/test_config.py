@@ -118,6 +118,8 @@ REJECTED = [
     (TANH, "reservoir.f_w", 0.0, "reservoir.f_w"),
     (OEO, "analysis.f_w_values", [0.0], "analysis.f_w_values.0"),
     (OEO, "analysis.f_a_values", [0.5, 0], "analysis.f_a_values.1"),
+    # a repeated m_red
+    (OEO, "selection.m_red_grid", [10, 20, 10], "selection.m_red_grid"),
     # list lengths
     (OEO, "data.initial_state", [1.0, 1.0], "data.initial_state"),
     (OEO, "data.initial_state", [1.0, 1.0, 1.0, 1.0], "data.initial_state"),

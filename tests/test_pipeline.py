@@ -474,6 +474,16 @@ class TestSweep:
             with pytest.raises(ConfigError, match="'selection.m_red_grid'.*= 1..16"):
                 sweep(cfg, subset_mode)
 
+    def test_repeated_m_red_rejected(self, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("reservoir states were simulated")
+
+        monkeypatch.setattr(reservoir, "run_oeo_reservoir", simulate)
+        cfg = tiny_config(m_red_grid=(4, 8, 4))
+        for subset_mode in ("both", "rrqr", "random"):
+            with pytest.raises(ConfigError, match="'selection.m_red_grid': 4 is repeated"):
+                sweep(cfg, subset_mode)
+
     def test_deterministic_repeat(self):
         cfg = tiny_config()
         a = sweep(cfg)
@@ -519,6 +529,18 @@ class TestSweep:
             for (got, got_r), (want, want_r) in zip(pivots, first, strict=True):
                 np.testing.assert_array_equal(got, want)
                 assert got_r.tobytes() == want_r.tobytes()
+
+    @RESERVOIRS
+    def test_ranking_is_independent_of_the_row_blocks(self, monkeypatch, res):
+        # BLOCK_ROWS 1 gives the floor of 4 * (C + 2) rows per block, several
+        # TSQR leaves; 2048 gives a single block of the 377 training rows
+        cfg = tiny_variant(res, n_masks=6)
+        orders = []
+        for block_rows in (1, 128, 2048):
+            monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
+            orders.append([order.tolist() for order, _ in sweep(cfg, "rrqr").pivots])
+        assert len(orders[0]) == 6
+        assert orders[0] == orders[1] == orders[2]
 
     def test_each_mask_is_ranked_once_through_rrqr_select(self, monkeypatch):
         # the benchmark's traced runs count the ranking pivot as the call of
