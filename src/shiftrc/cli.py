@@ -17,10 +17,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__, pipeline, shifts
 from .config import (
+    CHOICES,
     AnalysisConfig,
     ExperimentConfig,
     analysis_from_dict,
@@ -148,12 +150,8 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
         if any(out_dir.iterdir()):
             raise ConfigError(f"--out {out_dir} is not empty")
     cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
-    if command == "generate":
-        outputs = _run_generate(cfg)
-    elif command == "sweep":
-        outputs = _run_sweep(cfg, subset_mode)
-    else:
-        outputs = _run_analyze(cfg)
+    outputs = {"generate": _run_generate, "analyze": _run_analyze,
+               "sweep": partial(_run_sweep, subset_mode=subset_mode)}[command](cfg)
     outputs["manifest.json"] = _json({
         "tool": "shiftrc",
         "tool_version": __version__,
@@ -197,11 +195,12 @@ def _cmd_replay(args) -> int:
         )
     if manifest["command"] not in ("generate", "sweep", "analyze"):
         raise ConfigError(f"manifest names unknown command {manifest['command']!r}")
-    subset_mode = manifest.get("subset_mode", "both")
-    if subset_mode not in ("both", "rrqr", "random"):
-        raise ConfigError(
-            f"manifest field 'subset_mode' must be both|rrqr|random, got {subset_mode!r}"
-        )
+    if "subset_mode" not in manifest:
+        raise ConfigError("manifest is missing required field 'subset_mode'")
+    subset_mode = manifest["subset_mode"]
+    if subset_mode not in pipeline.SUBSET_MODES:
+        raise ConfigError("manifest field 'subset_mode' must be one of "
+                          f"{', '.join(pipeline.SUBSET_MODES)}, got {subset_mode!r}")
     _validate_threads(args)
     _dispatch(manifest["command"], resolved, Path(args.out), subset_mode)
     return EXIT_OK
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the master seed")
         p.add_argument("--threads", type=int, default=None,
                        help="thread count, validated but unused (fallback: SHIFTRC_THREADS)")
-        p.add_argument("--nrmse-mode", choices=["global", "paper-literal"],
+        p.add_argument("--nrmse-mode", choices=CHOICES["nrmse_mode"],
                        dest="nrmse_mode", default=None,
                        help="error normalization convention")
 
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="compare selections over the m_red grid")
     common(p_sweep)
-    p_sweep.add_argument("--subset", choices=["rrqr", "random", "both"],
+    p_sweep.add_argument("--subset", choices=pipeline.SUBSET_MODES,
                          default="both", help="which selection arms to run")
 
     p_ana = sub.add_parser("analyze", help="entropy/correlation sparseness grid")

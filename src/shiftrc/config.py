@@ -18,8 +18,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .analysis import MAX_WINDOW
-from .dynamics import sampling_problem
+from .dynamics import ChaoticSystem, TaskKind, sampling_problem
 from .errors import ConfigError
+from .linalg import NrmseMode
 
 # The task itself is the user's choice and deliberately has no default.
 DEFAULT_CONFIG = {
@@ -70,13 +71,13 @@ TANH_RESERVOIR_DEFAULTS = {
     "f_w": 1.0,
 }
 
-# Text fields and their allowed values. The task has no default, so this
-# table alone names its two fields.
+# Text fields and their allowed values, read from the enums that name them.
+# The task has no default, so this table alone names its two fields.
 CHOICES = {
-    "task.system": ("lorenz", "rossler"),
-    "task.kind": ("prediction", "observer"),
+    "task.system": tuple(s.value for s in ChaoticSystem),
+    "task.kind": tuple(k.value for k in TaskKind),
     "reservoir.kind": ("oeo", "tanh"),
-    "nrmse_mode": ("global", "paper-literal"),
+    "nrmse_mode": tuple(m.value for m in NrmseMode),
 }
 
 # Bounds of the numeric fields as {comparison: limit}. A list's bounds hold
@@ -199,16 +200,23 @@ def _check(value, default, path: str, kind: str) -> None:
             _check_limits(item, limits, where)
 
 
+def check_distinct(path: str, values) -> None:
+    """Raise ConfigError naming ``path`` if a value of ``values`` is repeated:
+    a grid point repeated would be run, and written, twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise _invalid(path, f"{value} is repeated")
+
+
 def check_m_red_grid(grid, nodes: int, tau_max: int) -> None:
     """Raise ConfigError unless the m_red of ``grid`` are distinct widths of
     the shifted matrix, 1..nodes*(tau_max+1)."""
     n_columns = nodes * (tau_max + 1)
-    for i, m_red in enumerate(grid):
+    for m_red in grid:
         if not 1 <= m_red <= n_columns:
             raise _invalid("selection.m_red_grid", f"{m_red} is outside "
                            f"1..nodes*(tau_max+1) = 1..{n_columns}")
-        if m_red in grid[:i]:
-            raise _invalid("selection.m_red_grid", f"{m_red} is repeated")
+    check_distinct("selection.m_red_grid", grid)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -220,11 +228,11 @@ def resolve_config(raw: dict) -> dict:
 
     Raises:
         ConfigError: unknown, missing or mistyped field, NaN or infinite
-            number, value outside CHOICES or BOUNDS (message names the
-            offending field) or cross-field inconsistency such as an
-            oversized m_red entry, a ``dt_internal`` that does not divide
-            ``sample_interval``, or an input fraction that rounds to no
-            input node.
+            number, value outside CHOICES or BOUNDS, repeated grid value
+            (message names the offending field) or cross-field
+            inconsistency such as an oversized m_red entry, a
+            ``dt_internal`` that does not divide ``sample_interval``, or an
+            input fraction that rounds to no input node.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -239,43 +247,35 @@ def resolve_config(raw: dict) -> dict:
     problem = sampling_problem(resolved["data"]["dt_internal"],
                                resolved["data"]["sample_interval"])
     if problem is not None:
-        raise ConfigError(f"invalid config field 'data.dt_internal': {problem}")
+        raise _invalid("data.dt_internal", problem)
 
     nodes = resolved["reservoir"]["nodes"]
     tau_max = resolved["shifts"]["tau_max"]
     check_m_red_grid(resolved["selection"]["m_red_grid"], nodes, tau_max)
+    for name in ("f_w_values", "f_a_values"):
+        check_distinct(f"analysis.{name}", resolved["analysis"][name])
     # Only a tanh reservoir runs the analysis grid, so only its fields count.
     fractions = [("reservoir.f_w", resolved["reservoir"]["f_w"])]
     if resolved["reservoir"]["kind"] == "tanh":
         fractions += [("analysis.f_w_values", f) for f in resolved["analysis"]["f_w_values"]]
         rows = resolved["data"]["train_steps"] - resolved["washout"]
         if resolved["analysis"]["window"] > rows:
-            raise ConfigError("invalid config field 'analysis.window': exceeds the "
-                              f"{rows} training rows (train_steps - washout)")
+            raise _invalid("analysis.window",
+                           f"exceeds the {rows} training rows (train_steps - washout)")
     for name, f_w in fractions:
         if round(f_w * nodes) == 0:
-            raise ConfigError(
-                f"invalid config field '{name}': round({f_w} * nodes) = 0, so the "
-                "reservoir would receive no input"
-            )
+            raise _invalid(name, f"round({f_w} * nodes) = 0, so the reservoir would "
+                           "receive no input")
     if resolved["data"]["train_steps"] <= resolved["washout"] + tau_max:
-        raise ConfigError(
-            "invalid config field 'data.train_steps': must exceed "
-            f"washout + tau_max = {resolved['washout'] + tau_max}"
-        )
+        raise _invalid("data.train_steps",
+                       f"must exceed washout + tau_max = {resolved['washout'] + tau_max}")
     test_floor = tau_max if resolved["continuation"] else resolved["washout"] + tau_max
     if resolved["data"]["test_steps"] <= test_floor:
-        raise ConfigError(
-            f"invalid config field 'data.test_steps': must exceed {test_floor} "
-            "(tau_max, plus washout when continuation is off)"
-        )
+        raise _invalid("data.test_steps", f"must exceed {test_floor} "
+                       "(tau_max, plus washout when continuation is off)")
     oeo = resolved["reservoir"]
-    if oeo["kind"] == "oeo" and oeo.get("sample_offset") is not None:
-        if oeo["sample_offset"] > oeo["theta"]:
-            raise ConfigError(
-                "invalid config field 'reservoir.sample_offset': must be "
-                f"<= theta = {oeo['theta']}"
-            )
+    if oeo["kind"] == "oeo" and (oeo["sample_offset"] or 0) > oeo["theta"]:
+        raise _invalid("reservoir.sample_offset", f"must be <= theta = {oeo['theta']}")
     return resolved
 
 

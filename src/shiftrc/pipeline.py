@@ -15,7 +15,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import analysis, dynamics, linalg, reservoir, series_cache, shifts
-from .config import AnalysisConfig, DataConfig, ExperimentConfig, check_m_red_grid, derive_seed
+from .config import (AnalysisConfig, DataConfig, ExperimentConfig, check_distinct,
+                     check_m_red_grid, derive_seed)
 from .errors import ConfigError
 from .linalg import NrmseMode
 
@@ -55,12 +56,14 @@ def percent_improvement(delta_rand: float, delta_rrqr: float) -> float:
     return 100.0 * (delta_rand - delta_rrqr) / delta_rand
 
 
+SUBSET_MODES = ("both", "rrqr", "random")  # the sweep's selection arms
+
+
 @lru_cache(maxsize=8)
 def _series_cached(system: str, dt_internal: float, sample_interval: float,
                    transient_samples: int, initial_state: tuple,
                    n_samples: int) -> np.ndarray:
-    params_fn = dynamics.lorenz_params if system == "lorenz" else dynamics.rossler_params
-    params = params_fn(
+    params = getattr(dynamics, f"{dynamics.ChaoticSystem(system).value}_params")(
         dt_internal=dt_internal,
         sample_interval=sample_interval,
         transient_samples=transient_samples,
@@ -74,7 +77,7 @@ def build_series(data: DataConfig) -> np.ndarray:
     The cache is keyed on the integration parameters only, so configs that
     differ in task or drive standardization share one integration. It is
     kept in memory and, across processes, on disk (see
-    :mod:`shiftrc.series_cache`).
+    :mod:`shiftrc.series_cache`). An unknown system raises ValueError first.
     """
     return _series_cached(data.system, data.dt_internal, data.sample_interval,
                           data.transient_samples, data.initial_state,
@@ -92,17 +95,24 @@ def build_dataset(data: DataConfig, task: str | None = None) -> dynamics.TaskDat
     )
 
 
+# The seed role of each seed parameter of reservoir.make_{kind}_config.
+_SEED_ROLES = {"oeo": {"mask_seed": "mask"},
+               "tanh": {"adjacency_seed": "adjacency", "input_seed": "input-weights"}}
+
+
 def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
     """Instantiate one trial's reservoir (mask or adjacency realization);
     ``seed(role)`` seeds each draw, ``overrides`` replace reservoir fields.
     The fields go to the factory by name, ``nodes`` as ``m``: one left out
-    takes its default, an unknown one raises TypeError."""
+    takes its default, an unknown one raises TypeError, an unknown kind
+    ConfigError."""
     params = {**cfg.reservoir, **overrides}
     kind, m = params.pop("kind"), params.pop("nodes")
-    if kind == "oeo":
-        return reservoir.make_oeo_config(m=m, **params, mask_seed=seed("mask"))
-    return reservoir.make_tanh_config(m=m, **params, adjacency_seed=seed("adjacency"),
-                                      input_seed=seed("input-weights"))
+    if kind not in _SEED_ROLES:
+        raise ConfigError("invalid config field 'reservoir.kind': must be one of "
+                          f"{', '.join(_SEED_ROLES)}, got {kind!r}")
+    seeds = {name: seed(role) for name, role in _SEED_ROLES[kind].items()}
+    return getattr(reservoir, f"make_{kind}_config")(m=m, **params, **seeds)
 
 
 def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,
@@ -121,11 +131,11 @@ def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int
         full = np.concatenate([dataset.drive_train, dataset.drive_test])
         n_train_rows = dataset.drive_train.shape[0] - washout
         splits = [(x[:n_train_rows], x[n_train_rows:]) for x in run(res_cfgs, full, washout)]
-        targets = (dataset.target_train[washout:], dataset.target_test)
     else:
         splits = list(zip(run(res_cfgs, dataset.drive_train, washout),
                           run(res_cfgs, dataset.drive_test, washout)))
-        targets = (dataset.target_train[washout:], dataset.target_test[washout:])
+    targets = (dataset.target_train[washout:],
+               dataset.target_test[0 if continuation else washout:])
     return [(train, test, *targets) for train, test in splits]
 
 
@@ -307,10 +317,11 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
 
     Raises:
         ConfigError: fewer training rows than the columns of ``[X | 1]``,
-            or an m_red of the grid outside 1..nodes*(tau_max+1) or repeated.
+            an m_red outside 1..nodes*(tau_max+1) or repeated, or an unknown
+            reservoir kind, before anything runs (an unknown subset_mode: ValueError).
     """
-    if subset_mode not in ("both", "rrqr", "random"):
-        raise ValueError(f"subset_mode must be both|rrqr|random, got {subset_mode}")
+    if subset_mode not in SUBSET_MODES:
+        raise ValueError(f"subset_mode must be one of {SUBSET_MODES}, got {subset_mode!r}")
     check_m_red_grid(cfg.m_red_grid, cfg.n_nodes, cfg.tau_max)
     rows = cfg.data.train_steps - cfg.washout - cfg.tau_max
     columns = cfg.n_nodes * (cfg.tau_max + 1) + 1
@@ -320,9 +331,9 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
             f"{rows} training rows after washout {cfg.washout} and tau_max "
             f"{cfg.tau_max}, fewer than the {columns} columns of [X | 1]; a sweep "
             f"needs at least {cfg.washout + cfg.tau_max + columns}")
-    dataset = build_dataset(cfg.data)
     trial_seeds = (derive_seed(cfg.master_seed, "trial", i) for i in range(cfg.n_masks))
     res_cfgs = [build_trial_reservoir(cfg, partial(derive_seed, seed)) for seed in trial_seeds]
+    dataset = build_dataset(cfg.data)
     per_mask = [
         _sweep_one_mask(cfg, mask_id, _mask_context(cfg.tau_max, *split), subset_mode)
         for mask_id, split in enumerate(
@@ -411,9 +422,6 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     washout = cfg.washout
     n_trials, m = len(res_cfgs), res_cfgs[0].m
     g_train = np.column_stack([obs.target_train[washout:], pred.target_train[washout:]])
-    g_test = np.column_stack([obs.target_test, pred.target_test])
-    if not cfg.continuation:
-        g_test = g_test[washout:]
     coder = analysis.OrdinalCodes(n_trials, g_train.shape[0], m, window)
     lo = np.full((n_trials, m), np.inf)
     hi = np.full((n_trials, m), -np.inf)
@@ -447,13 +455,12 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     bias = int(cfg.include_bias)
     w = linalg.ridge_solve(r[:, : m + 1, 1 - bias : m + 1], r[:, : m + 1, m + 1 :],
                            cfg.ridge_lambda)[:, 0]
-    if cfg.continuation:
-        pieces = _tanh_pieces(res_cfgs, obs.drive_test, 0, last)
-    else:
-        pieces = _tanh_pieces(res_cfgs, obs.drive_test, washout)
+    # A fresh test run pays its own washout; a continued one starts from last.
+    test_washout, start = (0, last) if cfg.continuation else (washout, None)
+    g_test = np.column_stack([obs.target_test, pred.target_test])[test_washout:]
     h = np.empty((n_trials, g_test.shape[0], 2))
     row = 0
-    for x in pieces:
+    for x in _tanh_pieces(res_cfgs, obs.drive_test, test_washout, start):
         rows = x.shape[1]
         h[:, row : row + rows] = np.matmul(x, w[:, bias:])
         if bias:
@@ -503,11 +510,14 @@ def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,
 def analysis_sweep(acfg: AnalysisConfig) -> list[AnalysisRow]:
     """Entropy, node-target correlation, and unshifted-readout errors over
     the (f_w, f_a) sparseness grid, averaged over seeded trials. Raises
-    ConfigError if the base reservoir is not a tanh network."""
+    ConfigError, before any data is loaded, if the base reservoir is not a
+    tanh network or a value of either grid axis is repeated."""
     base = acfg.base
     if base.reservoir["kind"] != "tanh":
         raise ConfigError("invalid config field 'reservoir.kind': the sparseness "
                           "analysis grid runs on the tanh reservoir")
+    check_distinct("analysis.f_w_values", acfg.f_w_values)
+    check_distinct("analysis.f_a_values", acfg.f_a_values)
     datasets = (build_dataset(base.data, "observer"), build_dataset(base.data, "prediction"))
     return [
         _analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets)

@@ -1,5 +1,11 @@
 """Shared fixtures and the acceptance-criteria summary reporter."""
 
+import os
+
+# The suite runs BLAS on one thread unless the caller names a count. OpenBLAS
+# reads the variable once, when numpy first loads it, so this comes first.
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS") or "1"
+
 import tracemalloc
 from functools import partial
 

@@ -274,6 +274,27 @@ class TestSweep:
             assert field in err and value in err
             assert not replay_out.exists()
 
+    def test_replay_rejects_manifest_without_subset_mode(self, tmp_path, capsys):
+        # a missing field is not read as "both": a ranked-only sweep would
+        # replay with both arms, exit 0, and write another sweep.csv
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out),
+              "--subset", "rrqr"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["subset_mode"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "subset_mode" in capsys.readouterr().err
+        assert not replay_out.exists()
+        # an edited echo is still reported first
+        edited.write_text(json.dumps({**manifest, "master_seed": 32,
+                                      "config_echo": {**manifest["config_echo"],
+                                                      "master_seed": 32}}))
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "config_hash" in capsys.readouterr().err
+
     def test_reused_out_rejected_and_left_untouched(self, tmp_path, capsys, monkeypatch):
         # a 1-mask run into a 3-mask run's --out would leave mask 1 and 2
         # diagnostics beside a manifest that does not list them
@@ -530,6 +551,18 @@ class TestAnalyze:
         assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
         assert "tanh" in capsys.readouterr().err
         assert not replay_out.exists()
+
+    @pytest.mark.parametrize("field", ["f_w_values", "f_a_values"])
+    def test_repeated_grid_value_rejected(self, tmp_path, capsys, field):
+        # trial seeds follow the grid index, so a repeated value would give
+        # two rows of one grid point with different numbers
+        payload = json.loads(json.dumps(TINY_ANALYZE))
+        payload["analysis"][field] = [0.5, 0.5]
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert f"analysis.{field}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_fraction_reaching_no_node_rejected(self, tmp_path, capsys):
         # round(0.1 * 4) = 0: the first grid column would drive no node

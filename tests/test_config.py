@@ -118,8 +118,10 @@ REJECTED = [
     (TANH, "reservoir.f_w", 0.0, "reservoir.f_w"),
     (OEO, "analysis.f_w_values", [0.0], "analysis.f_w_values.0"),
     (OEO, "analysis.f_a_values", [0.5, 0], "analysis.f_a_values.1"),
-    # a repeated m_red
+    # a repeated grid value: the grid point would be run, and written, twice
     (OEO, "selection.m_red_grid", [10, 20, 10], "selection.m_red_grid"),
+    (TANH, "analysis.f_w_values", [0.5, 0.5], "analysis.f_w_values"),
+    (TANH, "analysis.f_a_values", [0.3, 0.9, 0.3], "analysis.f_a_values"),
     # list lengths
     (OEO, "data.initial_state", [1.0, 1.0], "data.initial_state"),
     (OEO, "data.initial_state", [1.0, 1.0, 1.0, 1.0], "data.initial_state"),

@@ -1,6 +1,10 @@
-"""SciPy's compiled kernels, loaded straight from the SciPy install."""
+"""SciPy's compiled kernels, loaded straight from the SciPy install, and
+the BLAS threads the suite runs numpy on."""
 
+import ctypes
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,3 +40,16 @@ def test_missing_extension_names_the_path():
     with pytest.raises(ImportError, match=r"scipy/signal/_no_such_kernel\{"):
         load_scipy_extension("scipy.signal._no_such_kernel")
     assert "scipy.signal._no_such_kernel" not in sys.modules
+
+
+def test_numpy_blas_runs_the_threads_the_environment_names():
+    # conftest names one thread unless the caller named a count; OpenBLAS
+    # caps a larger count at the cores it may use
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")
+    getters = [getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+               for lib in libs]
+    getters = [get for get in getters if get is not None]
+    if not getters:
+        pytest.skip("numpy's OpenBLAS exports no thread count here")
+    want = int(os.environ["OPENBLAS_NUM_THREADS"])
+    assert 1 <= getters[0]() <= want

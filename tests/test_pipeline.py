@@ -812,12 +812,46 @@ class TestAnalysisCell:
         with pytest.raises(ConfigError, match="'reservoir.kind'.*tanh"):
             pipeline.analysis_sweep(acfg)
 
+    @pytest.mark.parametrize("field", ["f_w_values", "f_a_values"])
+    def test_repeated_grid_value_rejected_before_any_data(self, monkeypatch, field):
+        # trial seeds follow the grid index: a repeated value would give one
+        # grid point two rows with different numbers
+        def load(*args, **kwargs):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(pipeline, "build_dataset", load)
+        acfg = dataclasses.replace(tiny_analysis(), **{field: (0.5, 1.0, 0.5)})
+        with pytest.raises(ConfigError, match=f"'analysis.{field}': 0.5 is repeated"):
+            pipeline.analysis_sweep(acfg)
+
     def test_training_rows_shorter_than_window_rejected(self):
         acfg = dataclasses.replace(tiny_analysis(), window=20)
         data = dataclasses.replace(acfg.base.data, train_steps=50)
         acfg = dataclasses.replace(acfg, base=dataclasses.replace(acfg.base, data=data))
         with pytest.raises(ValueError, match="rows"):
             pipeline.analysis_sweep(acfg)
+
+
+class TestReadoutsAgree:
+    """The sweep's baseline cell and the analysis grid's readouts are fitted
+    and scored on two paths, each with its own rule for the test split's
+    rows; on one tanh reservoir at tau_max = 0 they are the same readout."""
+
+    @pytest.mark.parametrize("include_bias", [False, True])
+    @pytest.mark.parametrize("continuation", [True, False])
+    def test_baseline_cell_matches_analysis_batch(self, continuation, include_bias):
+        cfg = tiny_analysis(continuation=continuation, include_bias=include_bias,
+                            tau_max=0).base
+        res_cfg = pipeline.build_trial_reservoir(cfg, partial(derive_seed, 11))
+        datasets = [build_dataset(cfg.data, task) for task in ("observer", "prediction")]
+        errors = pipeline._analysis_batch(cfg, [res_cfg], datasets, 4)[0][2:]
+        for dataset, error in zip(datasets, errors, strict=True):
+            split = pipeline.run_split_states([res_cfg], dataset, cfg.washout,
+                                              cfg.continuation)[0]
+            ctx = pipeline._mask_context(cfg.tau_max, *split)
+            _, want = score_columns(ctx, np.arange(cfg.n_nodes), cfg.ridge_lambda,
+                                    include_bias, NrmseMode(cfg.nrmse_mode))
+            assert error == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBuildTrialReservoir:
@@ -835,6 +869,16 @@ class TestBuildTrialReservoir:
         # a misspelt beta must not leave the reservoir at the default gain
         with pytest.raises(TypeError, match="bta"):
             self.build({**table, "bta": 0.9})
+
+    def test_unknown_kind_rejected_before_any_simulation(self, monkeypatch):
+        # a misspelt kind must not fall through to a reservoir of another kind
+        def simulate(*args, **kwargs):
+            raise AssertionError("reservoir states were simulated")
+
+        monkeypatch.setattr(reservoir, "run_oeo_reservoir", simulate)
+        monkeypatch.setattr(reservoir, "run_tanh_reservoir", simulate)
+        with pytest.raises(ConfigError, match="'reservoir.kind'.*'tnah'"):
+            sweep(tiny_variant({**TINY_TANH, "kind": "tnah"}))
 
     @pytest.mark.parametrize("table", TABLES, ids=["oeo", "tanh"])
     def test_left_out_fields_take_the_config_defaults(self, table):
@@ -881,6 +925,17 @@ def test_series_cache_ignores_task(monkeypatch):
     np.testing.assert_array_equal(obs.drive_train, pred.drive_train)
     build_dataset(dataclasses.replace(prediction, train_steps=401))
     assert len(calls) == 2  # a different row count integrates again
+
+
+def test_unknown_system_rejected_before_integration(monkeypatch):
+    # a misspelt system must not integrate the other source
+    def integrate(*args, **kwargs):
+        raise AssertionError("a source was integrated")
+
+    monkeypatch.setattr(dynamics, "integrate_chaotic", integrate)
+    pipeline._series_cached.cache_clear()
+    with pytest.raises(ValueError, match="'Lorenz'"):
+        build_dataset(dataclasses.replace(tiny_config().data, system="Lorenz"))
 
 
 def test_dataset_cache_returns_consistent_data():
