@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from functools import partial
 from pathlib import Path
 
 from . import __version__, pipeline, shifts
@@ -109,7 +108,7 @@ def _r_diag_csv(r_diag) -> str:
     return _csv(("k", "r_kk_abs"), enumerate(r_diag))
 
 
-def _run_generate(cfg: ExperimentConfig) -> dict[str, str]:
+def _run_generate(cfg: ExperimentConfig, _subset_mode: str) -> dict[str, str]:
     dt = cfg.data.sample_interval
     outputs = {"series.csv": _csv(("t", "x", "y", "z"), (
         (k * dt, *row) for k, row in enumerate(pipeline.build_series(cfg.data))))}
@@ -133,10 +132,19 @@ def _run_sweep(cfg: ExperimentConfig, subset_mode: str) -> dict[str, str]:
     return outputs
 
 
-def _run_analyze(cfg: AnalysisConfig) -> dict[str, str]:
+def _run_analyze(cfg: AnalysisConfig, _subset_mode: str) -> dict[str, str]:
     rows = pipeline.analysis_sweep(cfg)
     return {"analysis.csv": _csv([f.name for f in fields(pipeline.AnalysisRow)],
                                  map(astuple, rows))}
+
+
+# Each run command's config builder, its runner (config and subset mode to
+# outputs) and its help line; replay re-runs any of them.
+COMMANDS = {
+    "generate": (experiment_from_dict, _run_generate, "write drive/target CSVs for a task"),
+    "sweep": (experiment_from_dict, _run_sweep, "compare selections over the m_red grid"),
+    "analyze": (analysis_from_dict, _run_analyze, "entropy/correlation sparseness grid"),
+}
 
 
 def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
@@ -149,9 +157,8 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
             raise ConfigError(f"--out {out_dir} is not a directory")
         if any(out_dir.iterdir()):
             raise ConfigError(f"--out {out_dir} is not empty")
-    cfg = (analysis_from_dict if command == "analyze" else experiment_from_dict)(resolved)
-    outputs = {"generate": _run_generate, "analyze": _run_analyze,
-               "sweep": partial(_run_sweep, subset_mode=subset_mode)}[command](cfg)
+    build, run, _ = COMMANDS[command]
+    outputs = run(build(resolved), subset_mode)
     outputs["manifest.json"] = _json({
         "tool": "shiftrc",
         "tool_version": __version__,
@@ -193,7 +200,7 @@ def _cmd_replay(args) -> int:
             "manifest config_echo does not match its config_hash "
             f"{manifest['config_hash']!r}; the echo or the hash was edited"
         )
-    if manifest["command"] not in ("generate", "sweep", "analyze"):
+    if manifest["command"] not in COMMANDS:
         raise ConfigError(f"manifest names unknown command {manifest['command']!r}")
     if "subset_mode" not in manifest:
         raise ConfigError("manifest is missing required field 'subset_mode'")
@@ -225,16 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="nrmse_mode", default=None,
                        help="error normalization convention")
 
-    p_gen = sub.add_parser("generate", help="write drive/target CSVs for a task")
-    common(p_gen)
-
-    p_sweep = sub.add_parser("sweep", help="compare selections over the m_red grid")
-    common(p_sweep)
-    p_sweep.add_argument("--subset", choices=pipeline.SUBSET_MODES,
-                         default="both", help="which selection arms to run")
-
-    p_ana = sub.add_parser("analyze", help="entropy/correlation sparseness grid")
-    common(p_ana)
+    for command, (_, _, help_line) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        common(p)
+        if command == "sweep":
+            p.add_argument("--subset", choices=pipeline.SUBSET_MODES,
+                           default="both", help="which selection arms to run")
 
     p_rep = sub.add_parser("replay", help="re-run a manifest bitwise")
     p_rep.add_argument("--manifest", required=True, help="manifest.json path")

@@ -12,15 +12,29 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import operator
 import sys
 from dataclasses import dataclass, field
 
-from .analysis import MAX_WINDOW
+from . import reservoir
+from .analysis import DEFAULT_WINDOW, MAX_WINDOW
 from .dynamics import ChaoticSystem, TaskKind, sampling_problem
 from .errors import ConfigError
 from .linalg import NrmseMode
+
+
+def _factory_defaults(kind: str) -> dict:
+    """The config defaults of a reservoir kind: the parameter defaults of
+    make_{kind}_config, ``m`` as ``nodes``, without its keyword-only seeds."""
+    params = inspect.signature(getattr(reservoir, f"make_{kind}_config")).parameters
+    return {"kind": kind, **{("nodes" if name == "m" else name): p.default
+                             for name, p in params.items() if p.kind != p.KEYWORD_ONLY}}
+
+
+# A reservoir field left out of a config takes its factory's default.
+RESERVOIR_DEFAULTS = {kind: _factory_defaults(kind) for kind in reservoir.SEED_ROLES}
 
 # The task itself is the user's choice and deliberately has no default.
 DEFAULT_CONFIG = {
@@ -33,16 +47,7 @@ DEFAULT_CONFIG = {
         "initial_state": [1.0, 1.0, 1.0],
         "standardize_drive": True,
     },
-    "reservoir": {
-        "kind": "oeo",
-        "nodes": 10,
-        "theta": 40,
-        "beta": 0.8,
-        "phi": 0.2,
-        "rho": 0.4,
-        "f_w": 0.4,
-        "sample_offset": None,
-    },
+    "reservoir": RESERVOIR_DEFAULTS["oeo"],
     "shifts": {"tau_max": 10},
     "selection": {
         "m_red_grid": [10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110],
@@ -58,17 +63,8 @@ DEFAULT_CONFIG = {
         "f_w_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
         "f_a_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
         "n_trials": 20,
-        "window": 4,
+        "window": DEFAULT_WINDOW,
     },
-}
-
-TANH_RESERVOIR_DEFAULTS = {
-    "kind": "tanh",
-    "nodes": 50,
-    "alpha": 0.35,
-    "spectral_radius": 0.5,
-    "f_a": 0.5,
-    "f_w": 1.0,
 }
 
 # Text fields and their allowed values, read from the enums that name them.
@@ -76,7 +72,7 @@ TANH_RESERVOIR_DEFAULTS = {
 CHOICES = {
     "task.system": tuple(s.value for s in ChaoticSystem),
     "task.kind": tuple(k.value for k in TaskKind),
-    "reservoir.kind": ("oeo", "tanh"),
+    "reservoir.kind": tuple(RESERVOIR_DEFAULTS),
     "nrmse_mode": tuple(m.value for m in NrmseMode),
 }
 
@@ -137,7 +133,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _invalid(path: str, problem: str) -> ConfigError:
+def invalid_field(path: str, problem: str) -> ConfigError:
+    """The ConfigError of the field at dotted ``path``; every module words
+    its field errors through this one helper."""
     return ConfigError(f"invalid config field '{path}': {problem}")
 
 
@@ -162,7 +160,7 @@ def _type_problem(value, default) -> str | None:
 def _check_limits(subject, limits: dict, path: str, what: str = "") -> None:
     for op, limit in limits.items():
         if op != "len" and not _COMPARE[op](subject, limit):
-            raise _invalid(path, f"{what}must be {op} {limit}, got {subject!r}")
+            raise invalid_field(path, f"{what}must be {op} {limit}, got {subject!r}")
 
 
 def _check(value, default, path: str, kind: str) -> None:
@@ -172,14 +170,14 @@ def _check(value, default, path: str, kind: str) -> None:
     reservoir's, whose BOUNDS apply."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
-            raise _invalid(path, "must be an object")
+            raise invalid_field(path, "must be an object")
         for key in value:
             if key not in default:
-                raise _invalid(f"{path}.{key}" if path else key, "is not a known field")
+                raise invalid_field(f"{path}.{key}" if path else key, "is not a known field")
         for key, sub in default.items():
             where = f"{path}.{key}" if path else key
             if key not in value:
-                raise _invalid(where, "is required")
+                raise invalid_field(where, "is required")
             _check(value[key], sub, where, kind)
         return
     section, _, name = path.partition(".")
@@ -187,15 +185,15 @@ def _check(value, default, path: str, kind: str) -> None:
     items = [(path, value)]
     if isinstance(default, list):
         if not isinstance(value, list):
-            raise _invalid(path, "must be a list")
+            raise invalid_field(path, "must be a list")
         _check_limits(len(value), limits.get("len", {}), path, "its length ")
         items, default = [(f"{path}.{i}", item) for i, item in enumerate(value)], default[0]
     for where, item in items:
         problem = _type_problem(item, default)
         if problem is not None:
-            raise _invalid(where, problem)
+            raise invalid_field(where, problem)
         if path in CHOICES and item not in CHOICES[path]:
-            raise _invalid(where, f"must be one of {', '.join(CHOICES[path])}, got {item!r}")
+            raise invalid_field(where, f"must be one of {', '.join(CHOICES[path])}, got {item!r}")
         if item is not None:
             _check_limits(item, limits, where)
 
@@ -205,7 +203,7 @@ def check_distinct(path: str, values) -> None:
     a grid point repeated would be run, and written, twice."""
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise _invalid(path, f"{value} is repeated")
+            raise invalid_field(path, f"{value} is repeated")
 
 
 def check_m_red_grid(grid, nodes: int, tau_max: int) -> None:
@@ -214,17 +212,18 @@ def check_m_red_grid(grid, nodes: int, tau_max: int) -> None:
     n_columns = nodes * (tau_max + 1)
     for m_red in grid:
         if not 1 <= m_red <= n_columns:
-            raise _invalid("selection.m_red_grid", f"{m_red} is outside "
-                           f"1..nodes*(tau_max+1) = 1..{n_columns}")
+            raise invalid_field("selection.m_red_grid", f"{m_red} is outside "
+                                f"1..nodes*(tau_max+1) = 1..{n_columns}")
     check_distinct("selection.m_red_grid", grid)
 
 
 def resolve_config(raw: dict) -> dict:
     """Merge a user config over the defaults and validate the result.
 
-    Reservoir defaults are chosen by the user's reservoir kind before
-    merging, so a tanh request is not polluted by oscillator fields; the
-    merged config is then checked field by field against those defaults.
+    The reservoir kind is checked first, since it chooses the reservoir
+    defaults (RESERVOIR_DEFAULTS) merged under the user's fields, so a tanh
+    request is not polluted by oscillator fields; the merged config is then
+    checked field by field against those defaults.
 
     Raises:
         ConfigError: unknown, missing or mistyped field, NaN or infinite
@@ -236,18 +235,18 @@ def resolve_config(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    defaults = DEFAULT_CONFIG
-    reservoir = raw.get("reservoir")
-    if isinstance(reservoir, dict) and reservoir.get("kind") == "tanh":
-        defaults = {**DEFAULT_CONFIG, "reservoir": TANH_RESERVOIR_DEFAULTS}
+    kind = DEFAULT_CONFIG["reservoir"]["kind"]
+    if isinstance(raw.get("reservoir"), dict):
+        kind = raw["reservoir"].get("kind", kind)
+    _check(kind, "", "reservoir.kind", kind)  # first: the kind chooses the defaults
+    defaults = {**DEFAULT_CONFIG, "reservoir": RESERVOIR_DEFAULTS[kind]}
     resolved = _deep_merge(defaults, raw)
-    _check(resolved, {"task": {"system": "", "kind": ""}, **defaults}, "",
-           defaults["reservoir"]["kind"])
+    _check(resolved, {"task": {"system": "", "kind": ""}, **defaults}, "", kind)
 
     problem = sampling_problem(resolved["data"]["dt_internal"],
                                resolved["data"]["sample_interval"])
     if problem is not None:
-        raise _invalid("data.dt_internal", problem)
+        raise invalid_field("data.dt_internal", problem)
 
     nodes = resolved["reservoir"]["nodes"]
     tau_max = resolved["shifts"]["tau_max"]
@@ -260,22 +259,22 @@ def resolve_config(raw: dict) -> dict:
         fractions += [("analysis.f_w_values", f) for f in resolved["analysis"]["f_w_values"]]
         rows = resolved["data"]["train_steps"] - resolved["washout"]
         if resolved["analysis"]["window"] > rows:
-            raise _invalid("analysis.window",
-                           f"exceeds the {rows} training rows (train_steps - washout)")
+            raise invalid_field("analysis.window",
+                                f"exceeds the {rows} training rows (train_steps - washout)")
     for name, f_w in fractions:
         if round(f_w * nodes) == 0:
-            raise _invalid(name, f"round({f_w} * nodes) = 0, so the reservoir would "
-                           "receive no input")
+            raise invalid_field(name, f"round({f_w} * nodes) = 0, so the reservoir "
+                                "would receive no input")
     if resolved["data"]["train_steps"] <= resolved["washout"] + tau_max:
-        raise _invalid("data.train_steps",
-                       f"must exceed washout + tau_max = {resolved['washout'] + tau_max}")
+        raise invalid_field("data.train_steps",
+                            f"must exceed washout + tau_max = {resolved['washout'] + tau_max}")
     test_floor = tau_max if resolved["continuation"] else resolved["washout"] + tau_max
     if resolved["data"]["test_steps"] <= test_floor:
-        raise _invalid("data.test_steps", f"must exceed {test_floor} "
-                       "(tau_max, plus washout when continuation is off)")
+        raise invalid_field("data.test_steps", f"must exceed {test_floor} "
+                            "(tau_max, plus washout when continuation is off)")
     oeo = resolved["reservoir"]
     if oeo["kind"] == "oeo" and (oeo["sample_offset"] or 0) > oeo["theta"]:
-        raise _invalid("reservoir.sample_offset", f"must be <= theta = {oeo['theta']}")
+        raise invalid_field("reservoir.sample_offset", f"must be <= theta = {oeo['theta']}")
     return resolved
 
 

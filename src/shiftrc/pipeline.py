@@ -16,8 +16,7 @@ import numpy as np
 
 from . import analysis, dynamics, linalg, reservoir, series_cache, shifts
 from .config import (AnalysisConfig, DataConfig, ExperimentConfig, check_distinct,
-                     check_m_red_grid, derive_seed)
-from .errors import ConfigError
+                     check_m_red_grid, derive_seed, invalid_field)
 from .linalg import NrmseMode
 
 
@@ -95,23 +94,18 @@ def build_dataset(data: DataConfig, task: str | None = None) -> dynamics.TaskDat
     )
 
 
-# The seed role of each seed parameter of reservoir.make_{kind}_config.
-_SEED_ROLES = {"oeo": {"mask_seed": "mask"},
-               "tanh": {"adjacency_seed": "adjacency", "input_seed": "input-weights"}}
-
-
 def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
     """Instantiate one trial's reservoir (mask or adjacency realization);
-    ``seed(role)`` seeds each draw, ``overrides`` replace reservoir fields.
-    The fields go to the factory by name, ``nodes`` as ``m``: one left out
-    takes its default, an unknown one raises TypeError, an unknown kind
-    ConfigError."""
+    ``seed(role)`` seeds each draw (``reservoir.SEED_ROLES``), ``overrides``
+    replace reservoir fields. The fields go to the factory by name,
+    ``nodes`` as ``m``: one left out takes its default, an unknown one
+    raises TypeError, an unknown kind ConfigError."""
     params = {**cfg.reservoir, **overrides}
     kind, m = params.pop("kind"), params.pop("nodes")
-    if kind not in _SEED_ROLES:
-        raise ConfigError("invalid config field 'reservoir.kind': must be one of "
-                          f"{', '.join(_SEED_ROLES)}, got {kind!r}")
-    seeds = {name: seed(role) for name, role in _SEED_ROLES[kind].items()}
+    if kind not in reservoir.SEED_ROLES:
+        raise invalid_field("reservoir.kind", "must be one of "
+                            f"{', '.join(reservoir.SEED_ROLES)}, got {kind!r}")
+    seeds = {name: seed(role) for name, role in reservoir.SEED_ROLES[kind].items()}
     return getattr(reservoir, f"make_{kind}_config")(m=m, **params, **seeds)
 
 
@@ -326,8 +320,8 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     rows = cfg.data.train_steps - cfg.washout - cfg.tau_max
     columns = cfg.n_nodes * (cfg.tau_max + 1) + 1
     if rows < columns:
-        raise ConfigError(
-            f"invalid config field 'data.train_steps': {cfg.data.train_steps} leaves "
+        raise invalid_field(
+            "data.train_steps", f"{cfg.data.train_steps} leaves "
             f"{rows} training rows after washout {cfg.washout} and tau_max "
             f"{cfg.tau_max}, fewer than the {columns} columns of [X | 1]; a sweep "
             f"needs at least {cfg.washout + cfg.tau_max + columns}")
@@ -514,8 +508,8 @@ def analysis_sweep(acfg: AnalysisConfig) -> list[AnalysisRow]:
     tanh network or a value of either grid axis is repeated."""
     base = acfg.base
     if base.reservoir["kind"] != "tanh":
-        raise ConfigError("invalid config field 'reservoir.kind': the sparseness "
-                          "analysis grid runs on the tanh reservoir")
+        raise invalid_field("reservoir.kind",
+                            "the sparseness analysis grid runs on the tanh reservoir")
     check_distinct("analysis.f_w_values", acfg.f_w_values)
     check_distinct("analysis.f_a_values", acfg.f_a_values)
     datasets = (build_dataset(base.data, "observer"), build_dataset(base.data, "prediction"))

@@ -288,6 +288,12 @@ def make_oeo_config(
                      sample_offset=sample_offset)
 
 
+# The reservoir kinds, each with the seed role of every keyword-only seed
+# parameter of its factory make_{kind}_config.
+SEED_ROLES = {"oeo": {"mask_seed": "mask"},
+              "tanh": {"adjacency_seed": "adjacency", "input_seed": "input-weights"}}
+
+
 # Input steps per chunk of the oscillator loop: its forcing, finiteness
 # check and node sampling run once per chunk.
 OEO_CHUNK = 64

@@ -1,5 +1,6 @@
 """Command-line interface: files, manifests, replay, exit codes."""
 
+import argparse
 import ast
 import dataclasses
 import hashlib
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftrc
-from shiftrc.cli import main
+from shiftrc.cli import COMMANDS, build_parser, main
 from shiftrc.config import config_hash, derive_seed, experiment_from_dict, resolve_config
 from shiftrc.linalg import qr_column_pivot
 from shiftrc.pipeline import build_series
@@ -679,6 +680,18 @@ class TestErrors:
         assert "object" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_misspelt_kind_reported_as_the_kind(self, tmp_path, capsys):
+        # the kind chooses the reservoir's fields, so a misspelt one must be
+        # named itself, not as a tanh field the oscillator does not know
+        payload = {"task": {"system": "lorenz", "kind": "observer"},
+                   "reservoir": {"kind": "tnah", "nodes": 8, "alpha": 0.35}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'reservoir.kind'" in err and "'tnah'" in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TINY_SWEEP))
         payload["typo_key"] = 1
@@ -954,6 +967,36 @@ def test_only_the_cli_talks_to_the_terminal():
     assert not found
     assert _talks_to_terminal(ast.parse("import logging.handlers").body[0])
     assert _talks_to_terminal(ast.parse("sys.stderr.write('x')").body[0].value.func.value)
+
+
+def test_parser_runs_the_command_table():
+    # a run command is named once, in COMMANDS; replay is the one other
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == [*COMMANDS, "replay"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_replay_reproduces_each_command(tmp_path, command):
+    payload = TINY_ANALYZE if command == "analyze" else TINY_SWEEP
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    replay_out = tmp_path / "replayed"
+    assert main(["replay", "--manifest", str(out / "manifest.json"),
+                 "--out", str(replay_out)]) == 0
+    assert file_hashes(out) == file_hashes(replay_out)
+
+
+def test_field_error_prefix_spelt_once():
+    # every field error is worded by config.invalid_field, so its prefix
+    # is written in config.py alone
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(shiftrc.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "invalid config field" in node.value]
+    assert found and all(where.startswith("config.py:") for where in found)
 
 
 def test_cli_writes_files_in_one_place():

@@ -13,7 +13,7 @@ from shiftrc.config import (
     BOUNDS,
     CHOICES,
     DEFAULT_CONFIG,
-    TANH_RESERVOIR_DEFAULTS,
+    RESERVOIR_DEFAULTS,
     ExperimentConfig,
     analysis_from_dict,
     config_hash,
@@ -69,6 +69,8 @@ REJECTED = [
     (OEO, "task.kind", "forecast", "task.kind"),
     (OEO, "reservoir.kind", "esn", "reservoir.kind"),
     (OEO, "reservoir.kind", 0, "reservoir.kind"),
+    # a misspelt kind is reported as the kind, not as a field of the other kind
+    (OEO, "reservoir", {"kind": "tnah", "alpha": 0.35}, "reservoir.kind"),
     (OEO, "nrmse_mode", "local", "nrmse_mode"),
     # wrong JSON types: a bool for an integer or a number, null outside
     # sample_offset, text for a number, a number for a bool or a list
@@ -176,11 +178,20 @@ def defaults(obj) -> dict:
             if p.default is not inspect.Parameter.empty}
 
 
+@pytest.mark.parametrize("kind", reservoir.SEED_ROLES)
+def test_seed_roles_name_the_factory_seeds(kind):
+    # a seed parameter without a role would leave the factory call short,
+    # and a role without a parameter would draw a seed no reservoir uses
+    params = inspect.signature(getattr(reservoir, f"make_{kind}_config")).parameters
+    assert {name for name, p in params.items()
+            if p.kind is p.KEYWORD_ONLY} == set(reservoir.SEED_ROLES[kind])
+
+
 def test_library_defaults_are_the_config_defaults():
     # modules that config imports, or that stand alone, write the operating
     # point out again; each copy must agree with DEFAULT_CONFIG and BOUNDS
     oeo, tanh = ({("m" if k == "nodes" else k): v for k, v in table.items() if k != "kind"}
-                 for table in (DEFAULT_CONFIG["reservoir"], TANH_RESERVOIR_DEFAULTS))
+                 for table in (DEFAULT_CONFIG["reservoir"], RESERVOIR_DEFAULTS["tanh"]))
     assert defaults(make_oeo_config) == oeo
     assert defaults(OEOConfig) == {"sample_offset": None}  # the factory holds the rest
     assert defaults(make_tanh_config) == tanh
@@ -229,7 +240,7 @@ def leaves(table: dict, prefix: str = ""):
 # every field but the task's (renamed: no default) and the reservoir's kind
 FIELDS = [(OEO, path, value) for path, value in leaves(DEFAULT_CONFIG)
           if path != "reservoir.kind"]
-FIELDS += [(TANH, f"reservoir.{key}", value) for key, value in TANH_RESERVOIR_DEFAULTS.items()
+FIELDS += [(TANH, f"reservoir.{key}", value) for key, value in RESERVOIR_DEFAULTS["tanh"].items()
            if key != "kind"]
 
 

@@ -12,8 +12,7 @@ from scipy.linalg import lstsq
 
 from shiftrc import analysis, dynamics, pipeline, reservoir, series_cache, shifts
 from shiftrc.config import (
-    DEFAULT_CONFIG,
-    TANH_RESERVOIR_DEFAULTS,
+    RESERVOIR_DEFAULTS,
     AnalysisConfig,
     DataConfig,
     ExperimentConfig,
@@ -857,14 +856,14 @@ class TestReadoutsAgree:
 class TestBuildTrialReservoir:
     """A library ExperimentConfig's reservoir dict reaches the factory by name."""
 
-    TABLES = [DEFAULT_CONFIG["reservoir"], TANH_RESERVOIR_DEFAULTS]
+    TABLES = RESERVOIR_DEFAULTS.values()
 
     @staticmethod
     def build(table):
         return pipeline.build_trial_reservoir(tiny_config(reservoir=dict(table)),
                                               partial(derive_seed, 7))
 
-    @pytest.mark.parametrize("table", TABLES, ids=["oeo", "tanh"])
+    @pytest.mark.parametrize("table", TABLES, ids=list(RESERVOIR_DEFAULTS))
     def test_unknown_field_rejected(self, table):
         # a misspelt beta must not leave the reservoir at the default gain
         with pytest.raises(TypeError, match="bta"):
@@ -880,7 +879,7 @@ class TestBuildTrialReservoir:
         with pytest.raises(ConfigError, match="'reservoir.kind'.*'tnah'"):
             sweep(tiny_variant({**TINY_TANH, "kind": "tnah"}))
 
-    @pytest.mark.parametrize("table", TABLES, ids=["oeo", "tanh"])
+    @pytest.mark.parametrize("table", TABLES, ids=list(RESERVOIR_DEFAULTS))
     def test_left_out_fields_take_the_config_defaults(self, table):
         got = self.build({"kind": table["kind"], "nodes": table["nodes"]})
         want = self.build(table)
