@@ -111,26 +111,25 @@ def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
 
 def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,
                      continuation: bool = True):
-    """Run reservoirs over both splits; one ``(train, test, g_train, g_test)``
-    tuple of aligned state arrays and targets per config.
+    """Run reservoirs over both splits: ``(train, test, g_train, g_test)``,
+    the ``(configs, rows, nodes)`` state batch of each split and the
+    targets aligned to their rows.
 
     The configs, all of one kind, run as one batch (one call per drive).
     With ``continuation`` the test split continues from the post-training
-    reservoir state (one run over the concatenated drive, then a row split);
-    otherwise the test split starts fresh and pays its own washout.
+    reservoir state (one run over the concatenated drive, split by rows into
+    two views); otherwise the test split starts fresh and pays its own washout.
     """
     run = (reservoir.run_oeo_reservoir if isinstance(res_cfgs[0], reservoir.OEOConfig)
            else reservoir.run_tanh_reservoir)
+    drives = (dataset.drive_train, dataset.drive_test)
     if continuation:
-        full = np.concatenate([dataset.drive_train, dataset.drive_test])
-        n_train_rows = dataset.drive_train.shape[0] - washout
-        splits = [(x[:n_train_rows], x[n_train_rows:]) for x in run(res_cfgs, full, washout)]
+        train, test = np.split(run(res_cfgs, np.concatenate(drives), washout),
+                               [drives[0].shape[0] - washout], axis=1)
     else:
-        splits = list(zip(run(res_cfgs, dataset.drive_train, washout),
-                          run(res_cfgs, dataset.drive_test, washout)))
-    targets = (dataset.target_train[washout:],
-               dataset.target_test[0 if continuation else washout:])
-    return [(train, test, *targets) for train, test in splits]
+        train, test = (run(res_cfgs, drive, washout) for drive in drives)
+    return (train, test, dataset.target_train[washout:],
+            dataset.target_test[0 if continuation else washout:])
 
 
 # Shifted matrices are built, factored and scored in blocks of rows, so a
@@ -327,12 +326,12 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
             f"needs at least {cfg.washout + cfg.tau_max + columns}")
     trial_seeds = (derive_seed(cfg.master_seed, "trial", i) for i in range(cfg.n_masks))
     res_cfgs = [build_trial_reservoir(cfg, partial(derive_seed, seed)) for seed in trial_seeds]
-    dataset = build_dataset(cfg.data)
+    train, test, *targets = run_split_states(res_cfgs, build_dataset(cfg.data), cfg.washout,
+                                             cfg.continuation)
     per_mask = [
-        _sweep_one_mask(cfg, mask_id, _mask_context(cfg.tau_max, *split), subset_mode)
-        for mask_id, split in enumerate(
-            run_split_states(res_cfgs, dataset, cfg.washout, cfg.continuation)
-        )
+        _sweep_one_mask(cfg, i, _mask_context(cfg.tau_max, train[i], test[i], *targets),
+                        subset_mode)
+        for i in range(cfg.n_masks)
     ]
 
     cells = [cell for mask_cells, _ in per_mask for cell in mask_cells]
@@ -376,17 +375,19 @@ ANALYSIS_SEGMENT = 250
 
 
 def _tanh_pieces(res_cfgs, drive, washout, state=None):
-    """Yield the ``(trials, rows, nodes)`` states of one batched run over
-    ``drive``, piece by piece; the first piece also runs the washout and
-    each later one restarts from a copy of the previous piece's last row.
-    The generator lets go of a piece before it simulates the next, so a
-    consumer that drops its own reference first holds one piece at a time.
+    """Yield ``(rows, x)``, as :func:`_row_blocks` does, for the
+    ``(trials, rows, nodes)`` pieces ``x`` of one batched run over ``drive``,
+    ``rows`` the slice of the post-washout run each holds; the first piece
+    also runs the washout and each later one restarts from a copy of the
+    previous piece's last row. The generator lets go of a piece before it
+    simulates the next, so a consumer that drops its own reference first
+    holds one piece at a time.
     """
     start, skip = 0, washout
     while start < drive.shape[0]:
         stop = min(start + skip + ANALYSIS_SEGMENT, drive.shape[0])
         x = reservoir.run_tanh_reservoir(res_cfgs, drive[start:stop], skip, state)
-        yield x
+        yield slice(start + skip - washout, stop - washout), x
         start, skip, state = stop, 0, x[:, -1].copy()
         del x
 
@@ -403,7 +404,9 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     identity of :class:`MaskContext` both readouts fit on the leading
     ``m + 1`` rows of R. Unlike the sweep's factor, the ones column comes
     first, so the Pearson correlation with ``g_obs`` is read from R as well.
-    The test split is predicted piece by piece.
+    The test split is predicted piece by piece into one ``(task, trial,
+    row)`` array, and each task is scored for every trial at once by
+    :func:`linalg.nrmse_sums`, the sweep's own error sums.
 
     Besides the batch's :class:`analysis.OrdinalCodes` (one small integer
     per trial, node and window, and a copy of the last ``window - 1`` rows)
@@ -423,21 +426,18 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
 
     def systems():
         nonlocal last
-        row = 0
-        for x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
-            rows = x.shape[1]
+        for rows, x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
             coder.add(x)
             np.minimum(lo, x.min(axis=1), out=lo)
             np.maximum(hi, x.max(axis=1), out=hi)
             last = x[:, -1].copy()
-            block = np.empty((n_trials, rows, m + 3))
+            block = np.empty((*x.shape[:2], m + 3))
             block[:, :, 0] = 1.0
             block[:, :, 1 : m + 1] = x
-            block[:, :, m + 1 :] = g_train[row : row + rows]
+            block[:, :, m + 1 :] = g_train[rows]
             del x
             yield block
             del block
-            row += rows
 
     r = linalg.tsqr(systems())
     entropies = coder.entropies()
@@ -451,28 +451,20 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
                            cfg.ridge_lambda)[:, 0]
     # A fresh test run pays its own washout; a continued one starts from last.
     test_washout, start = (0, last) if cfg.continuation else (washout, None)
-    g_test = np.column_stack([obs.target_test, pred.target_test])[test_washout:]
-    h = np.empty((n_trials, g_test.shape[0], 2))
-    row = 0
-    for x in _tanh_pieces(res_cfgs, obs.drive_test, test_washout, start):
-        rows = x.shape[1]
-        h[:, row : row + rows] = np.matmul(x, w[:, bias:])
+    g_test = np.stack([obs.target_test, pred.target_test])[:, test_washout:]
+    h = np.empty((2, n_trials, g_test.shape[1]))  # (task, trial, row)
+    for rows, x in _tanh_pieces(res_cfgs, obs.drive_test, test_washout, start):
+        h[:, :, rows] = np.matmul(x, w[:, bias:]).transpose(2, 0, 1)
         if bias:
-            h[:, row : row + rows] += w[:, :1]
+            h[:, :, rows] += w[:, 0].T[:, :, None]
         del x
-        row += rows
 
     mode = NrmseMode(cfg.nrmse_mode)
+    errors = [linalg.nrmse_from_sums(*linalg.nrmse_sums(g, outputs, mode), mode).tolist()
+              for g, outputs in zip(g_test, h)]  # [task][trial]
     constant = (lo == hi) | (g_train[:, 0].min() == g_train[:, 0].max())
-    return [
-        (
-            entropies[t],
-            analysis.correlation_from_r(r[t, : m + 2, : m + 2], constant[t]),
-            linalg.nrmse(g_test[:, 0], h[t, :, 0], mode),
-            linalg.nrmse(g_test[:, 1], h[t, :, 1], mode),
-        )
-        for t in range(n_trials)
-    ]
+    return [(entropies[t], analysis.correlation_from_r(r[t, : m + 2, : m + 2], constant[t]),
+             errors[0][t], errors[1][t]) for t in range(n_trials)]
 
 
 def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,

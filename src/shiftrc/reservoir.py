@@ -11,7 +11,7 @@ loaded by :mod:`shiftrc._kernels` without importing ``scipy.signal``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -31,13 +31,16 @@ class StateMatrix:
     values: np.ndarray
 
 
-def _batch(cfgs, drive, washout: int):
-    """``(cfgs, drive)`` of a runner's arguments: ``cfgs`` as a list of draws
-    of one operating point, equal in ``m`` and in every field that is not an
-    array, and ``drive`` as a 1-D float array longer than ``washout``."""
-    cfgs = list(cfgs)
+def _batch(cfgs, kind, drive, washout: int):
+    """``(cfgs, drive)`` of the arguments of the runner of config class
+    ``kind``: ``cfgs`` as a list of draws of one operating point, all of
+    ``kind`` and equal in ``m`` and in every field that is not an array, and
+    ``drive`` as a 1-D float array longer than ``washout``."""
+    cfgs = [cfgs] if is_dataclass(cfgs) else list(cfgs)
     if not cfgs:
         raise ValueError("need at least one config")
+    if not all(isinstance(c, kind) for c in cfgs):
+        raise ValueError(f"configs of a batch must be of one kind, {kind.__name__}")
     first = cfgs[0]
     for name in ["m"] + [f.name for f in fields(first) if np.ndim(getattr(first, f.name)) == 0]:
         if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
@@ -195,7 +198,7 @@ def run_tanh_reservoir(
     if isinstance(cfg, TanhReservoirConfig):
         return StateMatrix(run_tanh_reservoir(
             [cfg], drive, washout, None if initial_state is None else [initial_state])[0])
-    cfgs, drive = _batch(cfg, drive, washout)
+    cfgs, drive = _batch(cfg, TanhReservoirConfig, drive, washout)
     m, n, b = cfgs[0].m, drive.shape[0], len(cfgs)
     chi = np.zeros((b, m)) if initial_state is None else np.array(initial_state, dtype=float)
     if chi.shape != (b, m):
@@ -337,7 +340,7 @@ def run_oeo_reservoir(
     """
     if isinstance(cfg, OEOConfig):
         return StateMatrix(run_oeo_reservoir([cfg], drive, washout, v0)[0])
-    cfgs, drive = _batch(cfg, drive, washout)
+    cfgs, drive = _batch(cfg, OEOConfig, drive, washout)
     first, n_in = cfgs[0], drive.shape[0]
     m, theta, tau_d = first.m, first.theta, first.tau_d
     tau_l = float(first.tau_l)

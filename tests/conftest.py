@@ -78,9 +78,9 @@ def mask_context(cfg, trial_seed: int) -> pipeline.MaskContext:
     """One mask of a sweep config simulated alone, shifted and compressed
     as the sweep prepares each of its masks."""
     res_cfg = pipeline.build_trial_reservoir(cfg, partial(derive_seed, trial_seed))
-    split = pipeline.run_split_states([res_cfg], pipeline.build_dataset(cfg.data),
-                                      cfg.washout, cfg.continuation)[0]
-    return pipeline._mask_context(cfg.tau_max, *split)
+    (train,), (test,), *targets = pipeline.run_split_states(
+        [res_cfg], pipeline.build_dataset(cfg.data), cfg.washout, cfg.continuation)
+    return pipeline._mask_context(cfg.tau_max, train, test, *targets)
 
 
 def tall_matrices(ctx) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
-from shiftrc import analysis, dynamics, pipeline, reservoir, series_cache, shifts
+from shiftrc import analysis, dynamics, linalg, pipeline, reservoir, series_cache, shifts
 from shiftrc.config import (
     RESERVOIR_DEFAULTS,
     AnalysisConfig,
@@ -24,7 +24,8 @@ from shiftrc.errors import (
     DivergenceError,
     SingularMatrixError,
 )
-from shiftrc.linalg import NrmseMode, nrmse, predict, qr_column_pivot, ridge_fit
+from shiftrc.linalg import (NrmseMode, nrmse, nrmse_sums, predict, qr_column_pivot,
+                            ridge_fit)
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
 
@@ -604,10 +605,10 @@ def scaled_cells(cfg, states=1.0, targets=1.0) -> list[tuple[float, float]]:
     res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
                 for seed in (derive_seed(cfg.master_seed, "trial", i)
                              for i in range(cfg.n_masks))]
-    splits = pipeline.run_split_states(res_cfgs, build_dataset(cfg.data), cfg.washout,
-                                       cfg.continuation)
+    trains, tests, g_train, g_test = pipeline.run_split_states(
+        res_cfgs, build_dataset(cfg.data), cfg.washout, cfg.continuation)
     cells = []
-    for mask_id, (train, test, g_train, g_test) in enumerate(splits):
+    for mask_id, (train, test) in enumerate(zip(trains, tests)):
         ctx = pipeline._mask_context(cfg.tau_max, states * train, states * test,
                                      targets * g_train, targets * g_test)
         cells += pipeline._sweep_one_mask(cfg, mask_id, ctx, "both")[0]
@@ -673,7 +674,9 @@ class TestInvariances:
         dataset = build_dataset(cfg.data)
         runs = []
         for res in (res_cfg, permuted):
-            split = pipeline.run_split_states([res], dataset, cfg.washout, cfg.continuation)[0]
+            (train,), (test,), *targets = pipeline.run_split_states(
+                [res], dataset, cfg.washout, cfg.continuation)
+            split = (train, test, *targets)
             ctx = pipeline._mask_context(cfg.tau_max, *split)
             runs.append((split, pipeline._sweep_one_mask(cfg, 0, ctx, "both")))
         (split, (cells, pivot)), (split_p, (cells_p, pivot_p)) = runs
@@ -707,9 +710,9 @@ def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
             adjacency_seed=derive_seed(cfg.master_seed, "adjacency", i_fw, i_fa, trial),
             input_seed=derive_seed(cfg.master_seed, "input-weights", i_fw, i_fa, trial),
         )
-        train, test, g_obs_train, g_obs_test = pipeline.run_split_states(
+        (train,), (test,), g_obs_train, g_obs_test = pipeline.run_split_states(
             [res_cfg], obs, cfg.washout, cfg.continuation
-        )[0]
+        )
         entropies.append(analysis.reservoir_entropy(train, acfg.window))
         xc = train - train.mean(axis=0)
         gc = g_obs_train - g_obs_train.mean()
@@ -831,26 +834,69 @@ class TestAnalysisCell:
             pipeline.analysis_sweep(acfg)
 
 
+class TestTanhPieces:
+    """The analysis stream's pieces and the row slices they carry."""
+
+    @pytest.mark.parametrize("n_drive,washout,resume", [
+        (pipeline.ANALYSIS_SEGMENT - 50, 20, False),
+        (20 + 3 * pipeline.ANALYSIS_SEGMENT, 20, False),
+        (3 * pipeline.ANALYSIS_SEGMENT + 17, pipeline.ANALYSIS_SEGMENT + 50, False),
+        (2 * pipeline.ANALYSIS_SEGMENT + 31, 0, True),
+    ], ids=["shorter-than-a-segment", "ends-on-a-segment", "washout-past-a-segment",
+            "resumed-from-state"])
+    def test_row_slices_tile_one_run(self, rng, n_drive, washout, resume):
+        cfgs = [reservoir.make_tanh_config(m=6, adjacency_seed=k, input_seed=10 + k)
+                for k in range(3)]
+        drive = rng.uniform(-1.0, 1.0, n_drive)
+        state = rng.uniform(-1.0, 1.0, (3, 6)) if resume else None
+        whole = reservoir.run_tanh_reservoir(cfgs, drive, washout, state)
+        stop = 0
+        for rows, x in pipeline._tanh_pieces(cfgs, drive, washout, state):
+            assert (rows.start, rows.step) == (stop, None) and rows.stop > stop
+            np.testing.assert_array_equal(x, whole[:, rows])
+            stop = rows.stop
+        assert stop == n_drive - washout
+
+
 class TestReadoutsAgree:
     """The sweep's baseline cell and the analysis grid's readouts are fitted
-    and scored on two paths, each with its own rule for the test split's
-    rows; on one tanh reservoir at tau_max = 0 they are the same readout."""
+    on two paths, each with its own rule for the test split's rows, and both
+    are scored through ``linalg.nrmse_sums``; on tanh reservoirs at
+    tau_max = 0 they are the same readout."""
 
-    @pytest.mark.parametrize("include_bias", [False, True])
+    @pytest.mark.parametrize("include_bias,mode", [
+        (False, "global"), (True, "global"), (False, "paper-literal"), (True, "paper-literal"),
+    ], ids=["False", "True", "False-paper-literal", "True-paper-literal"])
     @pytest.mark.parametrize("continuation", [True, False])
-    def test_baseline_cell_matches_analysis_batch(self, continuation, include_bias):
+    def test_baseline_cell_matches_analysis_batch(self, monkeypatch, continuation,
+                                                  include_bias, mode):
         cfg = tiny_analysis(continuation=continuation, include_bias=include_bias,
-                            tau_max=0).base
-        res_cfg = pipeline.build_trial_reservoir(cfg, partial(derive_seed, 11))
+                            nrmse_mode=mode, tau_max=0).base
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
+                    for seed in (11, 12, 13)]
         datasets = [build_dataset(cfg.data, task) for task in ("observer", "prediction")]
-        errors = pipeline._analysis_batch(cfg, [res_cfg], datasets, 4)[0][2:]
-        for dataset, error in zip(datasets, errors, strict=True):
-            split = pipeline.run_split_states([res_cfg], dataset, cfg.washout,
-                                              cfg.continuation)[0]
-            ctx = pipeline._mask_context(cfg.tau_max, *split)
-            _, want = score_columns(ctx, np.arange(cfg.n_nodes), cfg.ridge_lambda,
-                                    include_bias, NrmseMode(cfg.nrmse_mode))
-            assert error == pytest.approx(want, rel=1e-12, abs=0.0)
+        scored = []  # (target, outputs) of each nrmse_sums call, before it consumes them
+
+        def spy(g, h, mode):
+            scored.append((g.copy(), h.copy()))
+            return nrmse_sums(g, h, mode)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "nrmse_sums", spy)
+            per_trial = pipeline._analysis_batch(cfg, res_cfgs, datasets, 4)
+        # one call per task scores every trial, bitwise as nrmse scores each alone
+        assert [outputs.shape for _, outputs in scored] == [(3, scored[0][0].size)] * 2
+        errors = list(zip(*per_trial))[2:]
+        for dataset, (g, outputs), task_errors in zip(datasets, scored, errors, strict=True):
+            trains, tests, *targets = pipeline.run_split_states(
+                res_cfgs, dataset, cfg.washout, cfg.continuation)
+            for train, test, trial_outputs, error in zip(trains, tests, outputs, task_errors,
+                                                         strict=True):
+                assert error == nrmse(g, trial_outputs, NrmseMode(mode))
+                ctx = pipeline._mask_context(cfg.tau_max, train, test, *targets)
+                _, want = score_columns(ctx, np.arange(cfg.n_nodes), cfg.ridge_lambda,
+                                        include_bias, NrmseMode(mode))
+                assert error == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBuildTrialReservoir:

@@ -435,6 +435,19 @@ class TestOEOBatch:
         np.testing.assert_array_equal(single.values, listed)
 
 
+@pytest.mark.parametrize("kind", ["tanh", "oeo"])
+def test_batch_of_another_kind_rejected_before_any_step(kind):
+    # equal in m, so the kind is checked before any field is compared and
+    # the other kind's fields are not read: no AttributeError, no TypeError
+    tanh = make_tanh_config(m=6, adjacency_seed=1, input_seed=2)
+    oeo = oeo_batch_configs()[0]
+    run, own, other = ((run_tanh_reservoir, tanh, oeo) if kind == "tanh"
+                       else (run_oeo_reservoir, oeo, tanh))
+    for cfgs in ([own, other], [other, own], other, [other]):
+        with pytest.raises(ValueError, match="configs of a batch must be of one kind"):
+            run(cfgs, np.array([np.nan, 0.0, 0.0]), washout=0)
+
+
 class TestConfigs:
     def test_oeo_derived_times_exact(self):
         cfg = make_oeo_config(m=10, theta=40, mask_seed=0)
