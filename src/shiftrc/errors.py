@@ -10,6 +10,7 @@ class DivergenceError(ShiftRcError):
 
     def __init__(self, step: int, what: str = "state"):
         self.step = step
+        self.what = what
         super().__init__(f"{what} became non-finite at step {step}")
 
 

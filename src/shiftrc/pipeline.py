@@ -17,6 +17,7 @@ import numpy as np
 from . import analysis, dynamics, linalg, reservoir, series_cache, shifts
 from .config import (AnalysisConfig, DataConfig, ExperimentConfig, check_distinct,
                      check_m_red_grid, derive_seed, invalid_field)
+from .errors import DivergenceError
 from .linalg import NrmseMode
 
 
@@ -109,27 +110,73 @@ def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
     return getattr(reservoir, f"make_{kind}_config")(m=m, **params, **seeds)
 
 
-def run_split_states(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,
-                     continuation: bool = True):
-    """Run reservoirs over both splits: ``(train, test, g_train, g_test)``,
-    the ``(configs, rows, nodes)`` state batch of each split and the
-    targets aligned to their rows.
+def _run_pieces(res_cfgs: list, drive: np.ndarray, washout: int, bounds, state: np.ndarray):
+    """Yield ``(rows, x)`` for the ``(configs, rows, nodes)`` pieces of one
+    batched run of ``res_cfgs`` over ``drive``, piece k running from drive
+    index ``bounds[k]`` to ``bounds[k + 1]``, ``rows`` the slice of the
+    run's rows after its ``washout`` (counted from ``bounds[0]``) that it
+    holds. A piece inside the washout yields nothing.
 
-    The configs, all of one kind, run as one batch (one call per drive).
-    With ``continuation`` the test split continues from the post-training
-    reservoir state (one run over the concatenated drive, split by rows into
-    two views); otherwise the test split starts fresh and pays its own washout.
+    The run starts from ``state`` and leaves in it, before each piece is
+    yielded, the state the next piece starts from: the last row of a tanh
+    piece, the last delay period ``(configs, tau_d + 1)`` of an oscillator
+    piece, which also reads the sample after it. So another call given the
+    same ``state`` and later bounds continues the run. The generator lets
+    go of a piece before it simulates the next, so a consumer that drops
+    its own reference first holds one piece at a time. Any bounds give the
+    states of one run bitwise.
+
+    Raises:
+        DivergenceError: as the runner raises it for the one run: ``step``
+            counts from the start of ``drive``, not of the piece.
     """
-    run = (reservoir.run_oeo_reservoir if isinstance(res_cfgs[0], reservoir.OEOConfig)
-           else reservoir.run_tanh_reservoir)
-    drives = (dataset.drive_train, dataset.drive_test)
+    oeo = isinstance(res_cfgs[0], reservoir.OEOConfig)
+    unit = res_cfgs[0].tau_d if oeo else 1  # the runner's steps per drive step
+    first = bounds[0] + washout
+    for start, stop in zip(bounds, bounds[1:]):
+        try:
+            if oeo:
+                x = reservoir.run_oeo_reservoir(
+                    res_cfgs, drive[start:stop], 0, period=state,
+                    next_sample=drive[stop] if stop < drive.shape[0] else None)
+            else:
+                x = reservoir.run_tanh_reservoir(res_cfgs, drive[start:stop], 0, state)
+                state[...] = x[:, -1]
+        except DivergenceError as err:
+            raise DivergenceError(err.step + start * unit, err.what) from None
+        if stop > first:
+            skip = max(first - start, 0)
+            yield slice(start + skip - first, stop - first), x[:, skip:]
+        del x
+
+
+def _split_runs(res_cfgs: list, dataset: dynamics.TaskDataset, washout: int,
+                continuation: bool, size: int | None = None):
+    """``(train, test, test_washout)``: the :func:`_run_pieces` of a run of
+    ``res_cfgs`` over each split of ``dataset``, and the rows the test run
+    drops. A piece spans ``size`` rows after the washout (the first one the
+    washout as well), or the whole split if ``size`` is None.
+
+    With ``continuation`` the test run continues the training run from the
+    state it left, with no washout: iterate it only once the training
+    pieces are exhausted. Otherwise it starts at rest and pays its own
+    washout. Either iterator simulates nothing until it is iterated.
+    """
+    first = res_cfgs[0]
+    width = first.tau_d + 1 if isinstance(first, reservoir.OEOConfig) else first.m
+    state = np.zeros((len(res_cfgs), width))  # at rest: zero state and history
+
+    def run(drive, start, stop, skip, state):
+        steps = [] if size is None else range(start + skip + size, stop, size)
+        return _run_pieces(res_cfgs, drive, skip, [start, *steps, stop], state)
+
+    train, test = dataset.drive_train, dataset.drive_test
     if continuation:
-        train, test = np.split(run(res_cfgs, np.concatenate(drives), washout),
-                               [drives[0].shape[0] - washout], axis=1)
-    else:
-        train, test = (run(res_cfgs, drive, washout) for drive in drives)
-    return (train, test, dataset.target_train[washout:],
-            dataset.target_test[0 if continuation else washout:])
+        drive = np.concatenate([train, test])
+        return (run(drive, 0, train.shape[0], washout, state),
+                run(drive, train.shape[0], drive.shape[0], 0, state), 0)
+    return (run(train, 0, train.shape[0], washout, state),
+            run(test, 0, test.shape[0], washout, np.zeros_like(state)), washout)
 
 
 # Shifted matrices are built, factored and scored in blocks of rows, so a
@@ -164,13 +211,16 @@ def _row_blocks(states: np.ndarray, tau_max: int, extra: int = 0):
 
 @dataclass
 class MaskContext:
-    """Everything one (mask, task) pair needs to score any selection.
+    """Everything one (mask, task) pair needs to fit any selection and to
+    score it on the training split.
 
-    ``train`` and ``test`` are the mask's reservoir states, ``(rows,
-    nodes)`` per split, and the targets are trimmed to the rows of their
-    shifted matrices (shift ``tau_max`` drops the first ``tau_max``). The
-    shifted matrices themselves are never held whole; they are rebuilt
-    block by block (:func:`_row_blocks`) where they are needed.
+    ``train`` is the mask's training states, ``(rows, nodes)``, and
+    ``target_train`` its target trimmed to the rows of the shifted matrix
+    (shift ``tau_max`` drops the first ``tau_max``). The shifted matrix
+    itself is never held whole; it is rebuilt block by block
+    (:func:`_row_blocks`) where it is needed. The test split is not part of
+    it: a sweep simulates the test states only once every mask's readouts
+    are fitted, and scores those weights on them (:func:`_score_weights`).
 
     ``r`` holds one QR of the training system, ``[X | 1 | g] = Q R`` for
     the shifted training matrix ``X`` (C columns), a ones column and the
@@ -185,14 +235,12 @@ class MaskContext:
     """
 
     train: np.ndarray
-    test: np.ndarray
     tau_max: int
     target_train: np.ndarray
-    target_test: np.ndarray
     r: np.ndarray
 
 
-def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
+def _mask_context(tau_max: int, train, g_train) -> MaskContext:
     """Compress the training system of one mask's states: a TSQR tree
     (:func:`linalg.tsqr`, unpivoted LAPACK QRs; no normal equations are
     formed) over the row blocks of ``[X | 1 | g]``, each built in one buffer.
@@ -211,8 +259,7 @@ def _mask_context(tau_max: int, train, test, g_train, g_test) -> MaskContext:
             yield block
 
     n = train.shape[1] * (tau_max + 1)
-    return MaskContext(train, test, tau_max, target_train, g_test[tau_max:],
-                       r=linalg.tsqr(systems())[: n + 1])
+    return MaskContext(train, tau_max, target_train, r=linalg.tsqr(systems())[: n + 1])
 
 
 def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
@@ -244,35 +291,36 @@ def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
     return out
 
 
-def _score_weights(ctx: MaskContext, w, mode: NrmseMode) -> list[tuple[float, float]]:
-    """``(train, test)`` NRMSE of each column of full-width weights ``w``,
-    from one pass over the row blocks of each split: one product per block
-    predicts every cell, and the block's target sums are taken once for all
-    cells (:func:`linalg.nrmse_sums`), in the product's one buffer. The
-    product is not split by cells or rows: BLAS rounds by its shape."""
+def _score_weights(states, target, tau_max: int, w, mode: NrmseMode) -> list[float]:
+    """NRMSE on one split of each column of full-width weights ``w``, from
+    one pass over the row blocks of the split's ``states``, ``target``
+    trimmed to the shifted rows: one product per block predicts every cell,
+    and the block's target sums are taken once for all cells
+    (:func:`linalg.nrmse_sums`), in the product's one buffer. The product is
+    not split by cells or rows: BLAS rounds by its shape."""
     n = w.shape[0] - 1
-    errs = []
-    for states, g in ((ctx.train, ctx.target_train), (ctx.test, ctx.target_test)):
-        errors, target = 0.0, 0
-        for rows, x in _row_blocks(states, ctx.tau_max):
-            h = w[:n].T @ x.T  # (cells, rows)
-            h += w[n][:, None]
-            block_errors, block_target = linalg.nrmse_sums(g[rows], h, mode)
-            del x, h  # frees the product now, and the buffer after the last block
-            errors, target = errors + block_errors, target + block_target
-        errs.append(linalg.nrmse_from_sums(errors, target, mode).tolist())
-    return list(zip(*errs))
+    errors, target_sum = 0.0, 0
+    for rows, x in _row_blocks(states, tau_max):
+        h = w[:n].T @ x.T  # (cells, rows)
+        h += w[n][:, None]
+        block_errors, block_target = linalg.nrmse_sums(target[rows], h, mode)
+        del x, h  # frees the product now, and the buffer after the last block
+        errors, target_sum = errors + block_errors, target_sum + block_target
+    return linalg.nrmse_from_sums(errors, target_sum, mode).tolist()
 
 
 def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
-    """Score every cell of one mask: ranked prefixes, random subsets, baseline.
+    """Fit every cell of one mask (ranked prefixes, random subsets,
+    baseline) and score it on the training split: ``(w, cells, pivot)``.
 
     The ranked arm takes prefixes of one full-width pivot, run on the
     training triangle the compression already holds, and fits them all from
     one factorization; the random subsets of one m_red are fitted as one
-    stack. Every cell is then scored in one pass over each split. The
-    baseline is the unshifted reservoir evaluated on the same trimmed row
-    window.
+    stack. Every cell is then scored in one pass over the training split.
+    The baseline is the unshifted reservoir evaluated on the same trimmed
+    row window. ``w`` holds the cells' full-width weights, one column per
+    cell, which the test pass scores into their ``nrmse_test`` (NaN until
+    then).
     """
     n = ctx.r.shape[0] - 1
     weights, labels = [], []
@@ -295,18 +343,24 @@ def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
             labels += [("random", m_red, seed) for seed in seeds]
     weights.append(fit([np.arange(cfg.n_nodes)]))  # the shift-0 columns
     labels.append(("baseline", cfg.n_nodes, None))
-    scores = _score_weights(ctx, np.hstack(weights), NrmseMode(cfg.nrmse_mode))
-    cells = [TaskResult(train_err, test_err, method, m_red, mask_id, seed)
-             for (train_err, test_err), (method, m_red, seed) in zip(scores, labels)]
-    return cells, pivot
+    w = np.hstack(weights)
+    errors = _score_weights(ctx.train, ctx.target_train, ctx.tau_max, w,
+                            NrmseMode(cfg.nrmse_mode))
+    cells = [TaskResult(err, np.nan, method, m_red, mask_id, seed)
+             for err, (method, m_red, seed) in zip(errors, labels)]
+    return w, cells, pivot
 
 
 def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
     """Evaluate every m_red on the grid, averaged over masks and subsets.
 
-    All masks share the drive, so they are simulated as one reservoir batch.
-    Each mask is then compressed and scored from its states block by block,
-    so no tall shifted matrix is held.
+    All masks share the drive, so each split is simulated as one reservoir
+    batch, and only one split's states are held at a time. The training
+    states come first: each mask is compressed, ranked, fitted and scored
+    on them block by block, so no tall shifted matrix is held, and only its
+    weights are kept. The training states are dropped before the test split
+    is simulated (continuing the training run if ``cfg.continuation``) and
+    every mask's weights are scored on it.
 
     Raises:
         ConfigError: fewer training rows than the columns of ``[X | 1]``,
@@ -326,16 +380,25 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
             f"needs at least {cfg.washout + cfg.tau_max + columns}")
     trial_seeds = (derive_seed(cfg.master_seed, "trial", i) for i in range(cfg.n_masks))
     res_cfgs = [build_trial_reservoir(cfg, partial(derive_seed, seed)) for seed in trial_seeds]
-    train, test, *targets = run_split_states(res_cfgs, build_dataset(cfg.data), cfg.washout,
-                                             cfg.continuation)
+    dataset = build_dataset(cfg.data)
+    train_run, test_run, test_washout = _split_runs(res_cfgs, dataset, cfg.washout,
+                                                    cfg.continuation)
+    ((_, train),) = train_run
+    g_train = dataset.target_train[cfg.washout :]
     per_mask = [
-        _sweep_one_mask(cfg, i, _mask_context(cfg.tau_max, train[i], test[i], *targets),
-                        subset_mode)
+        _sweep_one_mask(cfg, i, _mask_context(cfg.tau_max, train[i], g_train), subset_mode)
         for i in range(cfg.n_masks)
     ]
+    del train
+    ((_, test),) = test_run
+    g_test = dataset.target_test[test_washout + cfg.tau_max :]
+    for x, (w, mask_cells, _) in zip(test, per_mask):
+        errors = _score_weights(x, g_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))
+        for cell, err in zip(mask_cells, errors):
+            cell.nrmse_test = err
 
-    cells = [cell for mask_cells, _ in per_mask for cell in mask_cells]
-    pivots = [pivot for _, pivot in per_mask if pivot is not None]
+    cells = [cell for _, mask_cells, _ in per_mask for cell in mask_cells]
+    pivots = [pivot for _, _, pivot in per_mask if pivot is not None]
 
     def stats(method, m_red):
         vals = np.array([c.nrmse_test for c in cells
@@ -374,24 +437,6 @@ ANALYSIS_BATCH = 20
 ANALYSIS_SEGMENT = 250
 
 
-def _tanh_pieces(res_cfgs, drive, washout, state=None):
-    """Yield ``(rows, x)``, as :func:`_row_blocks` does, for the
-    ``(trials, rows, nodes)`` pieces ``x`` of one batched run over ``drive``,
-    ``rows`` the slice of the post-washout run each holds; the first piece
-    also runs the washout and each later one restarts from a copy of the
-    previous piece's last row. The generator lets go of a piece before it
-    simulates the next, so a consumer that drops its own reference first
-    holds one piece at a time.
-    """
-    start, skip = 0, washout
-    while start < drive.shape[0]:
-        stop = min(start + skip + ANALYSIS_SEGMENT, drive.shape[0])
-        x = reservoir.run_tanh_reservoir(res_cfgs, drive[start:stop], skip, state)
-        yield slice(start + skip - washout, stop - washout), x
-        start, skip, state = stop, 0, x[:, -1].copy()
-        del x
-
-
 def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     """``(entropy, correlation, nrmse_observer, nrmse_prediction)`` of each
     trial of a batch, streamed over pieces of the run.
@@ -418,19 +463,18 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     obs, pred = datasets
     washout = cfg.washout
     n_trials, m = len(res_cfgs), res_cfgs[0].m
+    train_run, test_run, test_washout = _split_runs(res_cfgs, obs, washout, cfg.continuation,
+                                                    ANALYSIS_SEGMENT)
     g_train = np.column_stack([obs.target_train[washout:], pred.target_train[washout:]])
     coder = analysis.OrdinalCodes(n_trials, g_train.shape[0], m, window)
     lo = np.full((n_trials, m), np.inf)
     hi = np.full((n_trials, m), -np.inf)
-    last = None  # the last training state, where a continued test run starts
 
     def systems():
-        nonlocal last
-        for rows, x in _tanh_pieces(res_cfgs, obs.drive_train, washout):
+        for rows, x in train_run:
             coder.add(x)
             np.minimum(lo, x.min(axis=1), out=lo)
             np.maximum(hi, x.max(axis=1), out=hi)
-            last = x[:, -1].copy()
             block = np.empty((*x.shape[:2], m + 3))
             block[:, :, 0] = 1.0
             block[:, :, 1 : m + 1] = x
@@ -449,11 +493,9 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     bias = int(cfg.include_bias)
     w = linalg.ridge_solve(r[:, : m + 1, 1 - bias : m + 1], r[:, : m + 1, m + 1 :],
                            cfg.ridge_lambda)[:, 0]
-    # A fresh test run pays its own washout; a continued one starts from last.
-    test_washout, start = (0, last) if cfg.continuation else (washout, None)
     g_test = np.stack([obs.target_test, pred.target_test])[:, test_washout:]
     h = np.empty((2, n_trials, g_test.shape[1]))  # (task, trial, row)
-    for rows, x in _tanh_pieces(res_cfgs, obs.drive_test, test_washout, start):
+    for rows, x in test_run:
         h[:, :, rows] = np.matmul(x, w[:, bias:]).transpose(2, 0, 1)
         if bias:
             h[:, :, rows] += w[:, 0].T[:, :, None]

@@ -307,6 +307,8 @@ def run_oeo_reservoir(
     drive,
     washout: int,
     v0: float = 0.0,
+    period=None,
+    next_sample=None,
 ) -> StateMatrix | np.ndarray:
     """Integrate the delay oscillator and sample its virtual nodes.
 
@@ -333,13 +335,25 @@ def run_oeo_reservoir(
     once, its delay periods (and the one before) are held, and it is
     checked for non-finite states and sampled at its end.
 
+    A run continues another through ``period`` and ``next_sample``.
+    ``period``, a float array of one ``(tau_d + 1)`` row per config,
+    replaces the zero history and ``v0`` as the delay period the run starts
+    from (its last entry is the state of the first step), and the run
+    overwrites it with its own last delay period. The last entry of a
+    period reads the drive sample after its step, so ``next_sample`` is the
+    sample after ``drive`` (by default the last sample again, as at the end
+    of a drive). A run split into pieces, each given the period the one
+    before left and the first sample of the next, gives the same states
+    bitwise as one run.
+
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
             integration step (``n * tau_d + k``) at which a member did, and
             the message names it (``config 0`` for a single config).
     """
     if isinstance(cfg, OEOConfig):
-        return StateMatrix(run_oeo_reservoir([cfg], drive, washout, v0)[0])
+        return StateMatrix(run_oeo_reservoir(
+            [cfg], drive, washout, v0, None if period is None else period[None], next_sample)[0])
     cfgs, drive = _batch(cfg, OEOConfig, drive, washout)
     first, n_in = cfgs[0], drive.shape[0]
     m, theta, tau_d = first.m, first.theta, first.tau_d
@@ -357,9 +371,10 @@ def run_oeo_reservoir(
     mask = np.stack([c.mask for c in cfgs])
     mask_period = np.repeat(mask, theta, axis=1)[:, None, :]
     rho_drive = rho * drive
-    # The last forcing entry of a period reads the next input sample (the
-    # last sample again at the end of the drive) at the first mask entry.
-    edge = np.concatenate([rho_drive[1:], rho_drive[-1:]]) * mask[:, :1]
+    # The last forcing entry of a period reads the next input sample at the
+    # first mask entry.
+    ahead = np.append(drive[1:], drive[-1] if next_sample is None else next_sample)
+    edge = rho * ahead * mask[:, :1]
     offset = first.sample_offset if first.sample_offset is not None else theta
 
     # For the chunk that starts at input step n0, v[:, k] = v(n0*tau_d -
@@ -367,7 +382,12 @@ def run_oeo_reservoir(
     # Step n0 + j reads periods[j] as its history (its last entry is the
     # state the step starts from) and writes the rest of periods[j + 1].
     v = np.zeros((b, (OEO_CHUNK + 1) * tau_d + 1))
-    v[:, tau_d] = float(v0)
+    if period is None:
+        v[:, tau_d] = float(v0)
+    elif period.shape == (b, tau_d + 1):
+        v[:, : tau_d + 1] = period
+    else:
+        raise ValueError(f"period shape {period.shape} != {(b, tau_d + 1)}")
     periods = [v[:, j * tau_d : (j + 1) * tau_d + 1] for j in range(OEO_CHUNK + 1)]
     starts = [p[:, -1:] for p in periods]
     segs = [p[:, 1:] for p in periods]
@@ -410,4 +430,6 @@ def run_oeo_reservoir(
         nodes = v[:, tau_d + 1 : (size + 1) * tau_d + 1]
         out[:, n0 : n0 + size] = nodes.reshape(b, size, m, theta)[:, :, :, offset - 1]
         v[:, : tau_d + 1] = periods[size]
+    if period is not None:
+        period[...] = v[:, : tau_d + 1]
     return out[:, washout:]

@@ -7,6 +7,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS") or "1"
 
 import tracemalloc
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -74,13 +75,48 @@ def rng():
     return np.random.default_rng(20230117)
 
 
-def mask_context(cfg, trial_seed: int) -> pipeline.MaskContext:
+def split_states(res_cfgs, dataset, washout: int, continuation: bool = True):
+    """``(train, test, g_train, g_test)``: the ``(configs, rows, nodes)``
+    states of each split, simulated as a sweep simulates them, and the
+    targets aligned to their rows."""
+    train_run, test_run, test_washout = pipeline._split_runs(res_cfgs, dataset, washout,
+                                                             continuation)
+    ((_, train),) = train_run
+    ((_, test),) = test_run
+    return train, test, dataset.target_train[washout:], dataset.target_test[test_washout:]
+
+
+@dataclass
+class SplitContext(pipeline.MaskContext):
+    """A mask's training context beside its test split, which a sweep
+    simulates only after the training fits: the ``test`` states and their
+    target, trimmed to the shifted rows."""
+
+    test: np.ndarray = None
+    target_test: np.ndarray = None
+
+
+def split_context(tau_max: int, train, test, g_train, g_test) -> SplitContext:
+    """Both splits of one mask, the training one compressed as a sweep
+    compresses it."""
+    ctx = pipeline._mask_context(tau_max, train, g_train)
+    return SplitContext(**vars(ctx), test=test, target_test=g_test[tau_max:])
+
+
+def score_weights(ctx: SplitContext, w, mode: NrmseMode) -> list[tuple[float, float]]:
+    """``(train, test)`` NRMSE of each column of ``w``, each split scored
+    as a sweep scores it."""
+    return list(zip(*(pipeline._score_weights(x, g, ctx.tau_max, w, mode)
+                      for x, g in ((ctx.train, ctx.target_train), (ctx.test, ctx.target_test)))))
+
+
+def mask_context(cfg, trial_seed: int) -> SplitContext:
     """One mask of a sweep config simulated alone, shifted and compressed
     as the sweep prepares each of its masks."""
     res_cfg = pipeline.build_trial_reservoir(cfg, partial(derive_seed, trial_seed))
-    (train,), (test,), *targets = pipeline.run_split_states(
+    (train,), (test,), *targets = split_states(
         [res_cfg], pipeline.build_dataset(cfg.data), cfg.washout, cfg.continuation)
-    return pipeline._mask_context(cfg.tau_max, train, test, *targets)
+    return split_context(cfg.tau_max, train, test, *targets)
 
 
 def tall_matrices(ctx) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +134,7 @@ def score_columns(ctx, cols, ridge_lambda: float, include_bias: bool = False,
     cell goes beside it: numpy multiplies a single weight row by gemv, whose
     rounding differs from the gemm that a pass over many cells takes."""
     w = pipeline._fit_group(ctx, [cols], ridge_lambda, include_bias)
-    return pipeline._score_weights(ctx, np.column_stack([w, np.zeros_like(w)]), mode)[0]
+    return score_weights(ctx, np.column_stack([w, np.zeros_like(w)]), mode)[0]
 
 
 def traced_peak(fn, *args) -> int:

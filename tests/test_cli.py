@@ -186,6 +186,47 @@ class TestSweep:
         assert (out / "diagnostics" / "mask_0000_selection.json").exists()
         assert (out / "diagnostics" / "mask_0001_rdiag.csv").exists()
 
+    def test_pooled_columns_are_the_moments_of_the_cells(self, tmp_path):
+        # every mean and (population) std of sweep.csv, and its gain, from
+        # the test NRMSEs of cells.json, summed by hand; with three masks a
+        # median is no mean
+        payload = json.loads(json.dumps(TINY_SWEEP))
+        payload["selection"]["n_masks"] = 3
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        cells = json.loads((out / "cells.json").read_text())["cells"]
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == len(payload["selection"]["m_red_grid"])
+
+        def moments(method, m_red=None):
+            values = []
+            for cell in cells:
+                if cell["method"] == method and m_red in (None, cell["m_red"]):
+                    values.append(cell["nrmse_test"])
+            total = 0.0
+            for value in values:
+                total += value
+            mean = total / len(values)
+            spread = 0.0
+            for value in values:
+                spread += (value - mean) ** 2
+            return len(values), mean, math.sqrt(spread / len(values))
+
+        n_base, base_mean, _ = moments("baseline")
+        assert n_base == 3
+        for line in lines:
+            row = dict(zip(header.split(","), map(float, line.split(",")), strict=True))
+            n_rrqr, rrqr_mean, rrqr_std = moments("rrqr", row["m_red"])
+            n_rand, rand_mean, rand_std = moments("random", row["m_red"])
+            assert (n_rrqr, n_rand) == (3, 3 * payload["selection"]["n_random_subsets"])
+            want = {"nrmse_rrqr_mean": rrqr_mean, "nrmse_rrqr_std": rrqr_std,
+                    "nrmse_rand_mean": rand_mean, "nrmse_rand_std": rand_std,
+                    "nrmse_baseline_mean": base_mean,
+                    "percent_improvement": 100.0 * (rand_mean - rrqr_mean) / rand_mean}
+            for name, value in want.items():
+                assert row[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
     def test_selection_diagnostics_record_the_pivot(self, tmp_path):
         # per mask: the full pivot order of the training matrix, its |R_kk|,
         # and the same |R_kk| again as a CSV

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lstsq
 
@@ -29,7 +29,8 @@ from shiftrc.linalg import (NrmseMode, nrmse, nrmse_sums, predict, qr_column_piv
 from shiftrc.pipeline import build_dataset, percent_improvement, sweep
 from shiftrc.shifts import build_shifted_matrix, random_select, reduce_columns, rrqr_select
 
-from conftest import mask_context, score_columns, tall_matrices, traced_peak
+from conftest import (mask_context, score_columns, score_weights, split_context,
+                      split_states, tall_matrices, traced_peak)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -94,7 +95,7 @@ def _synthetic_context(rng, target_in_span=True, duplicate=False):
     if duplicate:
         cols[:, 2] = cols[:, 0]
     # 3 nodes: column shift * 3 + node is the (node, shift) copy
-    return pipeline._mask_context(tau, cols[:80], cols[80:], g_full[:80], g_full[80:])
+    return split_context(tau, cols[:80], cols[80:], g_full[:80], g_full[80:])
 
 
 class TestScoreSelection:
@@ -126,7 +127,7 @@ def direct_score(ctx, cols, ridge_lambda, include_bias=False,
 
 def _context_from(x_train, x_test, g_train, g_test):
     # tau_max = 0: column j is node j unshifted
-    return pipeline._mask_context(0, x_train, x_test, g_train, g_test)
+    return split_context(0, x_train, x_test, g_train, g_test)
 
 
 @st.composite
@@ -198,7 +199,7 @@ class TestCompressedReadout:
         values = rng.normal(size=(40, 3))
         values[5, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            pipeline._mask_context(2, values, values, rng.normal(size=40),
+            split_context(2, values, values, rng.normal(size=40),
                                    rng.normal(size=40))
 
 
@@ -267,7 +268,7 @@ class TestFitGroup:
         order = rrqr_select(shifted_train)[0]
         sizes = list(range(1, shifted_train.shape[1] + 1))
         w = pipeline._fit_group(ctx, [order], cfg.ridge_lambda, bias, sizes)
-        got = pipeline._score_weights(ctx, w, NrmseMode.GLOBAL)
+        got = score_weights(ctx, w, NrmseMode.GLOBAL)
         for j, p in enumerate(sizes):
             want = direct_score(ctx, order[:p], cfg.ridge_lambda, bias)
             np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0.0)
@@ -303,7 +304,7 @@ class TestRowBlocks:
         if block_rows is not None:
             monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
         train, test, g_train, g_test = self.states(rng, n_rows)
-        ctx = pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+        ctx = split_context(self.TAU, train, test, g_train, g_test)
         x = build_shifted_matrix(train, self.TAU)
         n = x.shape[1]
         want = np.linalg.qr(np.column_stack([x, np.ones(n_rows), g_train[self.TAU:]]),
@@ -322,10 +323,10 @@ class TestRowBlocks:
         if block_rows is not None:
             monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
         train, test, g_train, g_test = self.states(rng, n_rows)
-        ctx = pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+        ctx = split_context(self.TAU, train, test, g_train, g_test)
         sets = [rng.choice(9, size=4, replace=False) for _ in range(5)]
         w = pipeline._fit_group(ctx, sets, 1e-6, bias)
-        got = pipeline._score_weights(ctx, w, mode)
+        got = score_weights(ctx, w, mode)
         tall = tall_matrices(ctx)
         assert len(got) == len(sets)
         for cell, (train_err, test_err) in enumerate(got):
@@ -349,16 +350,16 @@ class TestRowBlocks:
         train, test, g_train, g_test = self.states(rng, 155)
         (train[-3] if where == "states" else g_train[-3:])[1] = np.nan  # the 5-row last block
         with pytest.raises(ValueError, match="training matrix or target contains non-finite"):
-            pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+            split_context(self.TAU, train, test, g_train, g_test)
 
     @pytest.mark.parametrize("mode", list(NrmseMode))
     def test_zero_test_target_is_degenerate(self, rng, monkeypatch, mode):
         monkeypatch.setattr(pipeline, "BLOCK_ROWS", 50)
         train, test, g_train, g_test = self.states(rng, 151)
-        ctx = pipeline._mask_context(self.TAU, train, test, g_train, np.zeros_like(g_test))
+        ctx = split_context(self.TAU, train, test, g_train, np.zeros_like(g_test))
         w = pipeline._fit_group(ctx, [[0, 4, 8]], 1e-6, False)
         with pytest.raises(DegenerateTargetError):
-            pipeline._score_weights(ctx, w, mode)
+            score_weights(ctx, w, mode)
 
     def test_compression_holds_one_block_and_its_qr_copy(self, rng):
         # each [X | 1 | g] block is one allocation, and only the QR's copy
@@ -367,19 +368,19 @@ class TestRowBlocks:
         columns = self.NODES * (self.TAU + 1) + 2  # [X | 1 | g]
         block = pipeline.BLOCK_ROWS * columns * 8
         factors = 8 * columns**2 * 8  # the TSQR tree's R factors and merges
-        peak = traced_peak(pipeline._mask_context, self.TAU, train, test, g_train, g_test)
+        peak = traced_peak(pipeline._mask_context, self.TAU, train, g_train)
         assert peak < 2.5 * block + factors
 
     def test_scoring_holds_one_product_buffer(self, rng):
         # the (cells, rows) product takes the bias and becomes its errors in
         # place (three such buffers when each step allocated its own)
         train, test, g_train, g_test = self.states(rng, 3 * pipeline.BLOCK_ROWS)
-        ctx = pipeline._mask_context(self.TAU, train, test, g_train, g_test)
+        ctx = split_context(self.TAU, train, test, g_train, g_test)
         cells = 96
         w = rng.normal(size=(self.NODES * (self.TAU + 1) + 1, cells))
         product = cells * pipeline.BLOCK_ROWS * 8  # (cells, block rows)
         block = pipeline.BLOCK_ROWS * self.NODES * (self.TAU + 1) * 8
-        peak = traced_peak(pipeline._score_weights, ctx, w, NrmseMode.GLOBAL)
+        peak = traced_peak(score_weights, ctx, w, NrmseMode.GLOBAL)
         assert peak < 1.5 * product + 2 * block
 
     def test_one_mask_holds_no_tall_matrix(self, rng):
@@ -395,8 +396,10 @@ class TestRowBlocks:
         g_train, g_test = rng.normal(size=train.shape[0]), rng.normal(size=test.shape[0])
         tracemalloc.start()
         try:
-            ctx = pipeline._mask_context(cfg.tau_max, train, test, g_train, g_test)
-            cells, _ = pipeline._sweep_one_mask(cfg, 0, ctx, "both")
+            ctx = split_context(cfg.tau_max, train, test, g_train, g_test)
+            w, cells, _ = pipeline._sweep_one_mask(cfg, 0, ctx, "both")
+            pipeline._score_weights(ctx.test, ctx.target_test, cfg.tau_max, w,
+                                    NrmseMode.GLOBAL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,6 +595,42 @@ class TestSweep:
         assert only_rand.rows[0].nrmse_rrqr_mean is None
         assert not only_rand.pivots
 
+    @RESERVOIRS
+    def test_divergence_in_the_continued_test_split_names_the_run_step(self, monkeypatch,
+                                                                       res):
+        # the test split is simulated after the training fits, continuing
+        # the training run: its error is still the one run's
+        cfg = tiny_variant(res)
+        dataset = build_dataset(cfg.data)
+        drive_test = dataset.drive_test.copy()
+        drive_test[50] = np.nan
+        broken = dataclasses.replace(dataset, drive_test=drive_test)
+        monkeypatch.setattr(pipeline, "build_dataset", lambda data: broken)
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
+                    for seed in (derive_seed(cfg.master_seed, "trial", i)
+                                 for i in range(cfg.n_masks))]
+        run = reservoir.run_oeo_reservoir if res is None else reservoir.run_tanh_reservoir
+        drive = np.concatenate([broken.drive_train, broken.drive_test])
+        one = divergence(lambda: run(res_cfgs, drive, cfg.washout))
+        got = divergence(lambda: sweep(cfg))
+        assert (got.step, str(got)) == (one.step, str(one))
+        unit = res_cfgs[0].tau_d if res is None else 1
+        assert one.step >= (cfg.data.train_steps + 49) * unit
+
+    @pytest.mark.parametrize("continuation", [True, False])
+    def test_holds_one_splits_states_at_a_time(self, continuation):
+        # the training states are dropped before the test split, of three
+        # row blocks, is simulated, so both are never held at once
+        data = dataclasses.replace(tiny_config().data, train_steps=5020, test_steps=5000)
+        cfg = tiny_variant(TINY_TANH, data=data, tau_max=1, m_red_grid=(4,),
+                           n_random_subsets=1, n_masks=8, continuation=continuation)
+        build_dataset(cfg.data)  # the source series is cached, outside the peak
+        test_rows = cfg.data.test_steps - (0 if continuation else cfg.washout)
+        assert test_rows > 2 * pipeline.BLOCK_ROWS
+        rows = cfg.data.train_steps - cfg.washout + test_rows
+        both_splits = cfg.n_masks * rows * cfg.n_nodes * 8
+        assert traced_peak(sweep, cfg) < both_splits
+
     def test_fresh_state_mode_runs(self):
         cfg = tiny_config(continuation=False, m_red_grid=(8,), n_masks=1)
         res = sweep(cfg)
@@ -605,14 +644,17 @@ def scaled_cells(cfg, states=1.0, targets=1.0) -> list[tuple[float, float]]:
     res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
                 for seed in (derive_seed(cfg.master_seed, "trial", i)
                              for i in range(cfg.n_masks))]
-    trains, tests, g_train, g_test = pipeline.run_split_states(
+    trains, tests, g_train, g_test = split_states(
         res_cfgs, build_dataset(cfg.data), cfg.washout, cfg.continuation)
     cells = []
     for mask_id, (train, test) in enumerate(zip(trains, tests)):
-        ctx = pipeline._mask_context(cfg.tau_max, states * train, states * test,
-                                     targets * g_train, targets * g_test)
-        cells += pipeline._sweep_one_mask(cfg, mask_id, ctx, "both")[0]
-    return [(cell.nrmse_train, cell.nrmse_test) for cell in cells]
+        ctx = split_context(cfg.tau_max, states * train, states * test,
+                            targets * g_train, targets * g_test)
+        w, mask_cells, _ = pipeline._sweep_one_mask(cfg, mask_id, ctx, "both")
+        test_errors = pipeline._score_weights(ctx.test, ctx.target_test, cfg.tau_max, w,
+                                              NrmseMode(cfg.nrmse_mode))
+        cells += [(cell.nrmse_train, err) for cell, err in zip(mask_cells, test_errors)]
+    return cells
 
 
 
@@ -674,11 +716,15 @@ class TestInvariances:
         dataset = build_dataset(cfg.data)
         runs = []
         for res in (res_cfg, permuted):
-            (train,), (test,), *targets = pipeline.run_split_states(
+            (train,), (test,), *targets = split_states(
                 [res], dataset, cfg.washout, cfg.continuation)
             split = (train, test, *targets)
-            ctx = pipeline._mask_context(cfg.tau_max, *split)
-            runs.append((split, pipeline._sweep_one_mask(cfg, 0, ctx, "both")))
+            ctx = split_context(cfg.tau_max, *split)
+            w, cells, pivot = pipeline._sweep_one_mask(cfg, 0, ctx, "both")
+            for cell, err in zip(cells, pipeline._score_weights(
+                    ctx.test, ctx.target_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))):
+                cell.nrmse_test = err
+            runs.append((split, (cells, pivot)))
         (split, (cells, pivot)), (split_p, (cells_p, pivot_p)) = runs
         for x, x_p in zip(split[:2], split_p[:2]):
             np.testing.assert_allclose(x_p[:, perm], x, rtol=0, atol=1e-12)
@@ -710,7 +756,7 @@ def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
             adjacency_seed=derive_seed(cfg.master_seed, "adjacency", i_fw, i_fa, trial),
             input_seed=derive_seed(cfg.master_seed, "input-weights", i_fw, i_fa, trial),
         )
-        (train,), (test,), g_obs_train, g_obs_test = pipeline.run_split_states(
+        (train,), (test,), g_obs_train, g_obs_test = split_states(
             [res_cfg], obs, cfg.washout, cfg.continuation
         )
         entropies.append(analysis.reservoir_entropy(train, acfg.window))
@@ -803,6 +849,39 @@ class TestAnalysisCell:
         peak = traced_peak(pipeline._analysis_batch, cfg, res_cfgs, datasets, acfg.window)
         assert peak < codes + 4 * block
 
+    @pytest.mark.parametrize("index", [600, 900 + 400], ids=["train", "continued-test"])
+    def test_divergence_names_the_run_step_and_member(self, index):
+        # an infinite sample in a later training piece, or in the test split
+        # that continues the run: the error is the one run's over both
+        # splits, its step counted from the start of the run
+        cfg = tiny_analysis().base
+        obs, pred = (build_dataset(cfg.data, task) for task in ("observer", "prediction"))
+        drive = np.concatenate([obs.drive_train, obs.drive_test])
+        drive[index] = np.inf
+        n_train = cfg.data.train_steps
+        obs = dataclasses.replace(obs, drive_train=drive[:n_train], drive_test=drive[n_train:])
+        # 0 * inf is NaN only in the member with zero input weights
+        res_cfgs = [reservoir.make_tanh_config(m=cfg.n_nodes, f_w=f_w, adjacency_seed=1,
+                                               input_seed=2) for f_w in (1.0, 0.5)]
+        one = divergence(lambda: reservoir.run_tanh_reservoir(res_cfgs, drive, cfg.washout))
+        got = divergence(lambda: pipeline._analysis_batch(cfg, res_cfgs, (obs, pred), 4))
+        assert (got.step, str(got)) == (one.step, str(one))
+        assert one.step == index and "config 1" in str(one)
+
+    def test_constant_observer_target_has_no_correlation(self):
+        # a constant target has no Pearson correlation with any node; the
+        # readouts are still fitted and scored
+        acfg = tiny_analysis()
+        cfg = acfg.base
+        obs, pred = (build_dataset(cfg.data, task) for task in ("observer", "prediction"))
+        obs = dataclasses.replace(obs, target_train=np.full_like(obs.target_train, 2.5))
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
+                    for seed in (11, 12)]
+        per_trial = pipeline._analysis_batch(cfg, res_cfgs, (obs, pred), acfg.window)
+        for entropy, correlation, err_obs, err_pred in per_trial:
+            assert np.isnan(correlation)
+            assert np.isfinite([entropy, err_obs, err_pred]).all()
+
     def test_oscillator_base_rejected_before_any_data(self, monkeypatch):
         # the grid varies the tanh network's f_a, which a delay oscillator
         # has not; the kind is checked before the source is even loaded
@@ -848,14 +927,115 @@ class TestTanhPieces:
         cfgs = [reservoir.make_tanh_config(m=6, adjacency_seed=k, input_seed=10 + k)
                 for k in range(3)]
         drive = rng.uniform(-1.0, 1.0, n_drive)
-        state = rng.uniform(-1.0, 1.0, (3, 6)) if resume else None
+        state = rng.uniform(-1.0, 1.0, (3, 6)) if resume else np.zeros((3, 6))
         whole = reservoir.run_tanh_reservoir(cfgs, drive, washout, state)
+        segment = pipeline.ANALYSIS_SEGMENT  # the analysis pass's bounds
+        bounds = [0, *range(washout + segment, n_drive, segment), n_drive]
         stop = 0
-        for rows, x in pipeline._tanh_pieces(cfgs, drive, washout, state):
+        for rows, x in pipeline._run_pieces(cfgs, drive, washout, bounds, state):
             assert (rows.start, rows.step) == (stop, None) and rows.stop > stop
             np.testing.assert_array_equal(x, whole[:, rows])
             stop = rows.stop
         assert stop == n_drive - washout
+
+
+# Three draws of each reservoir kind, small enough for drives of a few chunks.
+PIECE_RUNS = {
+    "oeo": ([reservoir.make_oeo_config(m=4, theta=3, mask_seed=k) for k in range(3)],
+            reservoir.run_oeo_reservoir),
+    "tanh": ([reservoir.make_tanh_config(m=6, adjacency_seed=k, input_seed=10 + k)
+              for k in range(3)], reservoir.run_tanh_reservoir),
+}
+
+
+def rest_state(cfgs):
+    """The state a run of ``cfgs`` starts from: a zero delay period of the
+    oscillator, a zero row of the tanh network."""
+    first = cfgs[0]
+    width = first.tau_d + 1 if isinstance(first, reservoir.OEOConfig) else first.m
+    return np.zeros((len(cfgs), width))
+
+
+def divergence(run):
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        run()
+    return exc.value
+
+
+@st.composite
+def piece_splits(draw):
+    n = draw(st.integers(2, 3 * reservoir.OEO_CHUNK))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6)))
+    return dict(kind=draw(st.sampled_from(sorted(PIECE_RUNS))), n=n,
+                washout=draw(st.integers(0, n - 1)), cuts=cuts,
+                resume=draw(st.sampled_from([None, *cuts])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestRunPieces:
+    """Pieces of one run, of either kind, against the run itself."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(piece_splits())
+    # a boundary inside an OEO_CHUNK, a one-row piece, a washout longer than
+    # a piece, and a second call that continues the run inside its washout
+    @example(dict(kind="oeo", n=150, washout=10, cuts=[30, 31, 100], resume=None, seed=1))
+    @example(dict(kind="tanh", n=150, washout=10, cuts=[30, 31, 100], resume=None, seed=1))
+    @example(dict(kind="oeo", n=140, washout=70, cuts=[20, 64, 65], resume=64, seed=2))
+    @example(dict(kind="tanh", n=140, washout=70, cuts=[20, 64, 65], resume=20, seed=2))
+    def test_any_bounds_concatenate_to_one_run(self, split):
+        cfgs, run = PIECE_RUNS[split["kind"]]
+        n, washout, resume = split["n"], split["washout"], split["resume"]
+        drive = np.random.default_rng(split["seed"]).uniform(-1.0, 1.0, n)
+        whole = run(cfgs, drive, washout)
+        bounds = [0, *split["cuts"], n]
+        # one call, or two that share the state, the second from resume on
+        k = len(bounds) if resume is None else bounds.index(resume) + 1
+        calls = [(washout, bounds[:k])] + (
+            [] if resume is None else [(max(washout - resume, 0), bounds[k - 1 :])])
+        state, pieces = rest_state(cfgs), []
+        for call_washout, call_bounds in calls:
+            stop = 0
+            for rows, x in pipeline._run_pieces(cfgs, drive, call_washout, call_bounds, state):
+                assert (rows.start, rows.step) == (stop, None) and rows.stop > stop
+                assert x.shape == (len(cfgs), rows.stop - rows.start, cfgs[0].m)
+                pieces.append(x.copy())
+                stop = rows.stop
+            assert stop == max(call_bounds[-1] - call_bounds[0] - call_washout, 0)
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
+
+    def test_oscillator_continues_from_its_period(self, rng):
+        # a second run given the period the first left and the sample after
+        # it continues the run bitwise; v0 is the last entry of a zero period
+        cfgs, run = PIECE_RUNS["oeo"]
+        drive = rng.uniform(-1.0, 1.0, 200)
+        whole = run(cfgs, drive, 0, v0=0.3)
+        period = rest_state(cfgs)
+        period[:, -1] = 0.3
+        head = run(cfgs, drive[:77], 0, period=period, next_sample=drive[77])
+        tail = run(cfgs, drive[77:], 0, period=period)
+        np.testing.assert_array_equal(np.concatenate([head, tail], axis=1), whole)
+        single = run(cfgs[1], drive[77:], 0, period=rest_state(cfgs)[1])
+        assert single.values.shape == (123, cfgs[1].m)
+        with pytest.raises(ValueError, match="period shape"):
+            run(cfgs, drive, 0, period=np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("kind", sorted(PIECE_RUNS))
+    def test_divergence_names_the_run_step_and_member(self, rng, kind):
+        # an infinite sample in a later piece: 0 * inf is NaN only in a
+        # tanh member with zero input weights, so that run names config 1
+        cfgs, run = PIECE_RUNS[kind]
+        if kind == "tanh":
+            cfgs = [reservoir.make_tanh_config(m=6, f_w=f_w, adjacency_seed=1, input_seed=2)
+                    for f_w in (1.0, 0.5)]
+        drive = rng.uniform(-1.0, 1.0, 900)
+        drive[600] = np.inf
+        one = divergence(lambda: run(cfgs, drive, 20))
+        got = divergence(lambda: list(pipeline._run_pieces(
+            cfgs, drive, 20, [0, 270, 520, 770, 900], rest_state(cfgs))))
+        assert (got.step, str(got)) == (one.step, str(one))
+        assert one.step >= 520 * (cfgs[0].tau_d if kind == "oeo" else 1)
+        assert ("config 1" if kind == "tanh" else "config 0") in str(one)
 
 
 class TestReadoutsAgree:
@@ -888,12 +1068,12 @@ class TestReadoutsAgree:
         assert [outputs.shape for _, outputs in scored] == [(3, scored[0][0].size)] * 2
         errors = list(zip(*per_trial))[2:]
         for dataset, (g, outputs), task_errors in zip(datasets, scored, errors, strict=True):
-            trains, tests, *targets = pipeline.run_split_states(
+            trains, tests, *targets = split_states(
                 res_cfgs, dataset, cfg.washout, cfg.continuation)
             for train, test, trial_outputs, error in zip(trains, tests, outputs, task_errors,
                                                          strict=True):
                 assert error == nrmse(g, trial_outputs, NrmseMode(mode))
-                ctx = pipeline._mask_context(cfg.tau_max, train, test, *targets)
+                ctx = split_context(cfg.tau_max, train, test, *targets)
                 _, want = score_columns(ctx, np.arange(cfg.n_nodes), cfg.ridge_lambda,
                                         include_bias, NrmseMode(mode))
                 assert error == pytest.approx(want, rel=1e-12, abs=0.0)
