@@ -38,10 +38,19 @@ EXIT_RUNTIME = 3
 
 def _read_json(path, what: str):
     """The JSON value in the file ``path``; ``what`` names the file in the
-    ConfigError of a file that is missing, cannot be read or is not JSON."""
+    ConfigError of a file that is missing, cannot be read or is not JSON,
+    or of an object that repeats a key (json would keep its last value)."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what} repeats the key {key!r} in one object ({path})")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except json.JSONDecodeError as exc:

@@ -10,7 +10,7 @@ improvement between the two arms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,18 +95,20 @@ def build_dataset(data: DataConfig, task: str | None = None) -> dynamics.TaskDat
     )
 
 
-def build_trial_reservoir(cfg: ExperimentConfig, seed, **overrides):
+def build_trial_reservoir(cfg: ExperimentConfig, seed: int, *indices: int, **overrides):
     """Instantiate one trial's reservoir (mask or adjacency realization);
-    ``seed(role)`` seeds each draw (``reservoir.SEED_ROLES``), ``overrides``
-    replace reservoir fields. The fields go to the factory by name,
-    ``nodes`` as ``m``: one left out takes its default, an unknown one
-    raises TypeError, an unknown kind ConfigError."""
+    ``derive_seed(seed, role, *indices)`` seeds its draw of each role of
+    ``reservoir.SEED_ROLES``, ``overrides`` replace reservoir fields. The
+    fields go to the factory by name, ``nodes`` as ``m``: one left out
+    takes its default, an unknown one raises TypeError, an unknown kind
+    ConfigError."""
     params = {**cfg.reservoir, **overrides}
     kind, m = params.pop("kind"), params.pop("nodes")
     if kind not in reservoir.SEED_ROLES:
         raise invalid_field("reservoir.kind", "must be one of "
                             f"{', '.join(reservoir.SEED_ROLES)}, got {kind!r}")
-    seeds = {name: seed(role) for name, role in reservoir.SEED_ROLES[kind].items()}
+    seeds = {name: derive_seed(seed, role, *indices)
+             for name, role in reservoir.SEED_ROLES[kind].items()}
     return getattr(reservoir, f"make_{kind}_config")(m=m, **params, **seeds)
 
 
@@ -209,79 +211,61 @@ def _row_blocks(states: np.ndarray, tau_max: int, extra: int = 0):
         yield rows, x
 
 
-@dataclass
-class MaskContext:
-    """Everything one (mask, task) pair needs to fit any selection and to
-    score it on the training split.
+def _compress(train, target, tau_max: int) -> np.ndarray:
+    """The compressed training system of one mask's states ``train``,
+    ``(rows, nodes)``, and ``target``, trimmed to the rows of the shifted
+    matrix (shift ``tau_max`` drops the first ``tau_max``): a TSQR tree
+    (:func:`linalg.tsqr`, unpivoted LAPACK QRs, no normal equations) over
+    the row blocks of ``[X | 1 | g]``, each built in one buffer, so the
+    shifted matrix is never held whole.
 
-    ``train`` is the mask's training states, ``(rows, nodes)``, and
-    ``target_train`` its target trimmed to the rows of the shifted matrix
-    (shift ``tau_max`` drops the first ``tau_max``). The shifted matrix
-    itself is never held whole; it is rebuilt block by block
-    (:func:`_row_blocks`) where it is needed. The test split is not part of
-    it: a sweep simulates the test states only once every mask's readouts
-    are fitted, and scores those weights on them (:func:`_score_weights`).
-
-    ``r`` holds one QR of the training system, ``[X | 1 | g] = Q R`` for
-    the shifted training matrix ``X`` (C columns), a ones column and the
-    training target: its leading C + 1 rows, ``(C + 1) x (C + 2)``, whose
-    last column ``c = Q^T g`` is the right-hand side, so for any column set S
+    The returned ``r`` holds one QR of the training system, ``[X | 1 | g]
+    = Q R`` for the shifted training matrix ``X`` (C columns), a ones column
+    and the training target: its leading C + 1 rows, ``(C + 1) x (C + 2)``,
+    whose last column ``c = Q^T g`` is the right-hand side, so for any
+    column set S
 
         ||X_S w - g||^2 = ||r[:, S] w - c||^2 + rho^2,
 
     with ``rho`` the residual of ``g`` outside the span of ``[X | 1]``. The
     ones column comes after the state columns, so the top C rows alone
     serve fits without a bias (row C is zero in every state column).
-    """
-
-    train: np.ndarray
-    tau_max: int
-    target_train: np.ndarray
-    r: np.ndarray
-
-
-def _mask_context(tau_max: int, train, g_train) -> MaskContext:
-    """Compress the training system of one mask's states: a TSQR tree
-    (:func:`linalg.tsqr`, unpivoted LAPACK QRs; no normal equations are
-    formed) over the row blocks of ``[X | 1 | g]``, each built in one buffer.
 
     Raises:
         ValueError: a block of the training system holds a non-finite entry.
     """
-    target_train = g_train[tau_max:]
-
     def systems():
         for rows, block in _row_blocks(train, tau_max, extra=2):
             block[:, -2] = 1.0
-            block[:, -1] = target_train[rows]
+            block[:, -1] = target[rows]
             if not np.all(np.isfinite(block)):
                 raise ValueError("training matrix or target contains non-finite entries")
             yield block
 
     n = train.shape[1] * (tau_max + 1)
-    return MaskContext(train, tau_max, target_train, r=linalg.tsqr(systems())[: n + 1])
+    return linalg.tsqr(systems())[: n + 1]
 
 
-def _fit_group(ctx: MaskContext, cols, ridge_lambda, include_bias, sizes=None):
+def _fit_group(r, cols, ridge_lambda, include_bias, sizes=None):
     """Weights ``(C + 1, cells)`` of a group of equal-size column sets
     ``cols`` (``(b, k)`` state-column indices), row C holding the bias.
 
-    :func:`linalg.ridge_solve` fits every set on the compressed triangle,
-    or with ``sizes`` each of its prefixes of those sizes; by the residual
-    identity of :class:`MaskContext` each fit has the tall problem's
-    solution. The sets' columns are gathered at most
+    :func:`linalg.ridge_solve` fits every set on the compressed triangle
+    ``r`` of :func:`_compress`, or with ``sizes`` each of its prefixes of
+    those sizes; by the residual identity there each fit has the tall
+    problem's solution. The sets' columns are gathered at most
     ``linalg.RIDGE_SLICE_BYTES`` at a time. The bias column, if included,
     comes first, so every prefix holds it; it is penalised like the others.
     """
-    n = ctx.r.shape[0] - 1
+    n = r.shape[0] - 1
     cols = np.asarray(cols, dtype=int)
     if include_bias:
         cols = np.column_stack([np.full(cols.shape[0], n), cols])  # ones column
         sizes = None if sizes is None else [p + 1 for p in sizes]
     rows = n + include_bias
-    g = np.broadcast_to(ctx.r[:rows, n + 1 :], (cols.shape[0], rows, 1))
+    g = np.broadcast_to(r[:rows, n + 1 :], (cols.shape[0], rows, 1))
     step = max(1, linalg.RIDGE_SLICE_BYTES // (rows * cols.shape[1] * 8))
-    w = np.concatenate([linalg.ridge_solve(ctx.r[:rows, cols[i : i + step]].transpose(1, 0, 2),
+    w = np.concatenate([linalg.ridge_solve(r[:rows, cols[i : i + step]].transpose(1, 0, 2),
                                            g[i : i + step], ridge_lambda, sizes)
                         for i in range(0, cols.shape[0], step)])[..., 0]
     b, s, k = w.shape
@@ -309,46 +293,46 @@ def _score_weights(states, target, tau_max: int, w, mode: NrmseMode) -> list[flo
     return linalg.nrmse_from_sums(errors, target_sum, mode).tolist()
 
 
-def _sweep_one_mask(cfg, mask_id, ctx, subset_mode):
+def _sweep_one_mask(cfg, mask_id, train, target, subset_mode):
     """Fit every cell of one mask (ranked prefixes, random subsets,
-    baseline) and score it on the training split: ``(w, cells, pivot)``.
+    baseline) on its training states ``train`` and ``target``, trimmed to
+    the shifted rows, and score it on them: ``(w, labels, train_errors,
+    pivot)``.
 
-    The ranked arm takes prefixes of one full-width pivot, run on the
-    training triangle the compression already holds, and fits them all from
-    one factorization; the random subsets of one m_red are fitted as one
-    stack. Every cell is then scored in one pass over the training split.
-    The baseline is the unshifted reservoir evaluated on the same trimmed
-    row window. ``w`` holds the cells' full-width weights, one column per
-    cell, which the test pass scores into their ``nrmse_test`` (NaN until
-    then).
+    The training system is compressed once (:func:`_compress`). The ranked
+    arm takes prefixes of one full-width pivot, run on that triangle, and
+    fits them all from one factorization; the random subsets of one m_red
+    are fitted as one stack. Every cell is then scored in one pass over the
+    training split. The baseline is the unshifted reservoir evaluated on the
+    same trimmed row window. ``w`` holds the cells' full-width weights, one
+    column per cell, for the test pass to score, and ``labels`` each cell's
+    ``(method, m_red, mask_id, subset_seed)``, the fields of its TaskResult.
     """
-    n = ctx.r.shape[0] - 1
+    r = _compress(train, target, cfg.tau_max)
+    n = r.shape[0] - 1
     weights, labels = [], []
 
     def fit(cols, sizes=None):
-        return _fit_group(ctx, cols, cfg.ridge_lambda, cfg.include_bias, sizes)
+        return _fit_group(r, cols, cfg.ridge_lambda, cfg.include_bias, sizes)
 
     pivot = None
     if subset_mode in ("both", "rrqr"):
-        pivot = shifts.rrqr_select(ctx.r[:n, :n])  # (order, r_diag)
+        pivot = shifts.rrqr_select(r[:n, :n])  # (order, r_diag)
         ranked = fit([pivot[0]], cfg.m_red_grid)
     for j, m_red in enumerate(cfg.m_red_grid):
         if pivot is not None:
             weights.append(ranked[:, j : j + 1])
-            labels.append(("rrqr", m_red, None))
+            labels.append(("rrqr", m_red, mask_id, None))
         if subset_mode in ("both", "random"):
             seeds = [derive_seed(cfg.master_seed, "subset", mask_id, subset_id, m_red)
                      for subset_id in range(cfg.n_random_subsets)]
             weights.append(fit([shifts.random_select(n, m_red, seed) for seed in seeds]))
-            labels += [("random", m_red, seed) for seed in seeds]
+            labels += [("random", m_red, mask_id, seed) for seed in seeds]
     weights.append(fit([np.arange(cfg.n_nodes)]))  # the shift-0 columns
-    labels.append(("baseline", cfg.n_nodes, None))
+    labels.append(("baseline", cfg.n_nodes, mask_id, None))
     w = np.hstack(weights)
-    errors = _score_weights(ctx.train, ctx.target_train, ctx.tau_max, w,
-                            NrmseMode(cfg.nrmse_mode))
-    cells = [TaskResult(err, np.nan, method, m_red, mask_id, seed)
-             for err, (method, m_red, seed) in zip(errors, labels)]
-    return w, cells, pivot
+    errors = _score_weights(train, target, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))
+    return w, labels, errors, pivot
 
 
 def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
@@ -378,27 +362,24 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
             f"{rows} training rows after washout {cfg.washout} and tau_max "
             f"{cfg.tau_max}, fewer than the {columns} columns of [X | 1]; a sweep "
             f"needs at least {cfg.washout + cfg.tau_max + columns}")
-    trial_seeds = (derive_seed(cfg.master_seed, "trial", i) for i in range(cfg.n_masks))
-    res_cfgs = [build_trial_reservoir(cfg, partial(derive_seed, seed)) for seed in trial_seeds]
+    res_cfgs = [build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", i))
+                for i in range(cfg.n_masks)]
     dataset = build_dataset(cfg.data)
     train_run, test_run, test_washout = _split_runs(res_cfgs, dataset, cfg.washout,
                                                     cfg.continuation)
     ((_, train),) = train_run
-    g_train = dataset.target_train[cfg.washout :]
-    per_mask = [
-        _sweep_one_mask(cfg, i, _mask_context(cfg.tau_max, train[i], g_train), subset_mode)
-        for i in range(cfg.n_masks)
-    ]
+    g_train = dataset.target_train[cfg.washout + cfg.tau_max :]
+    per_mask = [_sweep_one_mask(cfg, i, train[i], g_train, subset_mode)
+                for i in range(cfg.n_masks)]
     del train
     ((_, test),) = test_run
     g_test = dataset.target_test[test_washout + cfg.tau_max :]
-    for x, (w, mask_cells, _) in zip(test, per_mask):
-        errors = _score_weights(x, g_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))
-        for cell, err in zip(mask_cells, errors):
-            cell.nrmse_test = err
-
-    cells = [cell for _, mask_cells, _ in per_mask for cell in mask_cells]
-    pivots = [pivot for _, _, pivot in per_mask if pivot is not None]
+    cells = []
+    for x, (w, labels, train_errors, _) in zip(test, per_mask):
+        test_errors = _score_weights(x, g_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))
+        cells += [TaskResult(*errors, *label)
+                  for label, *errors in zip(labels, train_errors, test_errors)]
+    pivots = [pivot for *_, pivot in per_mask if pivot is not None]
 
     def stats(method, m_red):
         vals = np.array([c.nrmse_test for c in cells
@@ -446,7 +427,7 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
     one piece per block. That keeps the rounding of R close to a single QR
     of the whole matrix, where folding every piece into one running factor
     made readout NRMSEs drift by up to 7e-12 relative. By the residual
-    identity of :class:`MaskContext` both readouts fit on the leading
+    identity of :func:`_compress` both readouts fit on the leading
     ``m + 1`` rows of R. Unlike the sweep's factor, the ones column comes
     first, so the Pearson correlation with ``g_obs`` is read from R as well.
     The test split is predicted piece by piece into one ``(task, trial,
@@ -518,11 +499,9 @@ def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,
     cfg = acfg.base
     per_trial = []
     for first in range(0, acfg.n_trials, ANALYSIS_BATCH):
-        res_cfgs = [
-            build_trial_reservoir(cfg, lambda role, t=trial: derive_seed(
-                cfg.master_seed, role, i_fw, i_fa, t), f_w=f_w, f_a=f_a)
-            for trial in range(first, min(first + ANALYSIS_BATCH, acfg.n_trials))
-        ]
+        res_cfgs = [build_trial_reservoir(cfg, cfg.master_seed, i_fw, i_fa, trial,
+                                          f_w=f_w, f_a=f_a)
+                    for trial in range(first, min(first + ANALYSIS_BATCH, acfg.n_trials))]
         per_trial += _analysis_batch(cfg, res_cfgs, datasets, acfg.window)
     entropies, correlations, err_obs, err_pred = zip(*per_trial)
     return AnalysisRow(

@@ -306,7 +306,6 @@ def run_oeo_reservoir(
     cfg: OEOConfig | Sequence[OEOConfig],
     drive,
     washout: int,
-    v0: float = 0.0,
     period=None,
     next_sample=None,
 ) -> StateMatrix | np.ndarray:
@@ -337,14 +336,13 @@ def run_oeo_reservoir(
 
     A run continues another through ``period`` and ``next_sample``.
     ``period``, a float array of one ``(tau_d + 1)`` row per config,
-    replaces the zero history and ``v0`` as the delay period the run starts
-    from (its last entry is the state of the first step), and the run
-    overwrites it with its own last delay period. The last entry of a
-    period reads the drive sample after its step, so ``next_sample`` is the
-    sample after ``drive`` (by default the last sample again, as at the end
-    of a drive). A run split into pieces, each given the period the one
-    before left and the first sample of the next, gives the same states
-    bitwise as one run.
+    replaces the zero history as the delay period the run starts from (its
+    last entry is the state of the first step), and the run overwrites it
+    with its own last delay period. The last entry of a period reads the
+    drive sample after its step, so ``next_sample`` is the sample after
+    ``drive`` (by default the last sample again, as at the end of a drive).
+    A run split into pieces, each given the period the one before left and
+    the first sample of the next, gives the same states bitwise as one run.
 
     Raises:
         DivergenceError: a state became non-finite; ``step`` is the first
@@ -353,7 +351,7 @@ def run_oeo_reservoir(
     """
     if isinstance(cfg, OEOConfig):
         return StateMatrix(run_oeo_reservoir(
-            [cfg], drive, washout, v0, None if period is None else period[None], next_sample)[0])
+            [cfg], drive, washout, None if period is None else period[None], next_sample)[0])
     cfgs, drive = _batch(cfg, OEOConfig, drive, washout)
     first, n_in = cfgs[0], drive.shape[0]
     m, theta, tau_d = first.m, first.theta, first.tau_d
@@ -382,12 +380,10 @@ def run_oeo_reservoir(
     # Step n0 + j reads periods[j] as its history (its last entry is the
     # state the step starts from) and writes the rest of periods[j + 1].
     v = np.zeros((b, (OEO_CHUNK + 1) * tau_d + 1))
-    if period is None:
-        v[:, tau_d] = float(v0)
-    elif period.shape == (b, tau_d + 1):
+    if period is not None:
+        if period.shape != (b, tau_d + 1):
+            raise ValueError(f"period shape {period.shape} != {(b, tau_d + 1)}")
         v[:, : tau_d + 1] = period
-    else:
-        raise ValueError(f"period shape {period.shape} != {(b, tau_d + 1)}")
     periods = [v[:, j * tau_d : (j + 1) * tau_d + 1] for j in range(OEO_CHUNK + 1)]
     starts = [p[:, -1:] for p in periods]
     segs = [p[:, 1:] for p in periods]

@@ -6,20 +6,22 @@ import os
 # reads the variable once, when numpy first loads it, so this comes first.
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS") or "1"
 
+import importlib.util
+import sys
 import tracemalloc
 from dataclasses import dataclass
-from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shiftrc import integrate_chaotic, lorenz_params, pipeline, series_cache, standardize
-from shiftrc.config import derive_seed
 from shiftrc.linalg import NrmseMode
 from shiftrc.reservoir import make_oeo_config, run_oeo_reservoir
 from shiftrc.shifts import build_shifted_matrix
 
 ACCEPTANCE_RESULTS = []
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def record_criterion(num: int, name: str, seconds: float, passed: bool,
@@ -71,6 +73,17 @@ def series_cache_dir(tmp_path_factory, monkeypatch):
 
 
 @pytest.fixture
+def perfbench_run(monkeypatch):
+    """The benchmark harness ``perfbench/run.py``, imported as a module."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracing
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # @dataclass looks the module up
+    spec.loader.exec_module(run)
+    return run
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20230117)
 
@@ -87,20 +100,27 @@ def split_states(res_cfgs, dataset, washout: int, continuation: bool = True):
 
 
 @dataclass
-class SplitContext(pipeline.MaskContext):
-    """A mask's training context beside its test split, which a sweep
-    simulates only after the training fits: the ``test`` states and their
-    target, trimmed to the shifted rows."""
+class SplitContext:
+    """One mask's states on both splits, their targets trimmed to the
+    shifted rows, and the training system compressed as a sweep compresses
+    it (``r``); a sweep simulates the test split only after the training
+    fits, so it never holds them together."""
 
-    test: np.ndarray = None
-    target_test: np.ndarray = None
+    train: np.ndarray
+    tau_max: int
+    target_train: np.ndarray
+    r: np.ndarray
+    test: np.ndarray
+    target_test: np.ndarray
 
 
 def split_context(tau_max: int, train, test, g_train, g_test) -> SplitContext:
-    """Both splits of one mask, the training one compressed as a sweep
-    compresses it."""
-    ctx = pipeline._mask_context(tau_max, train, g_train)
-    return SplitContext(**vars(ctx), test=test, target_test=g_test[tau_max:])
+    """Both splits of one mask, ``g_train`` and ``g_test`` aligned to the
+    states' rows."""
+    target_train = g_train[tau_max:]
+    return SplitContext(train, tau_max, target_train,
+                        pipeline._compress(train, target_train, tau_max),
+                        test, g_test[tau_max:])
 
 
 def score_weights(ctx: SplitContext, w, mode: NrmseMode) -> list[tuple[float, float]]:
@@ -113,7 +133,7 @@ def score_weights(ctx: SplitContext, w, mode: NrmseMode) -> list[tuple[float, fl
 def mask_context(cfg, trial_seed: int) -> SplitContext:
     """One mask of a sweep config simulated alone, shifted and compressed
     as the sweep prepares each of its masks."""
-    res_cfg = pipeline.build_trial_reservoir(cfg, partial(derive_seed, trial_seed))
+    res_cfg = pipeline.build_trial_reservoir(cfg, trial_seed)
     (train,), (test,), *targets = split_states(
         [res_cfg], pipeline.build_dataset(cfg.data), cfg.washout, cfg.continuation)
     return split_context(cfg.tau_max, train, test, *targets)
@@ -133,7 +153,7 @@ def score_columns(ctx, cols, ridge_lambda: float, include_bias: bool = False,
     scores its cells. The sweep never scores a cell alone, so a zero-weight
     cell goes beside it: numpy multiplies a single weight row by gemv, whose
     rounding differs from the gemm that a pass over many cells takes."""
-    w = pipeline._fit_group(ctx, [cols], ridge_lambda, include_bias)
+    w = pipeline._fit_group(ctx.r, [cols], ridge_lambda, include_bias)
     return score_weights(ctx, np.column_stack([w, np.zeros_like(w)]), mode)[0]
 
 

@@ -8,7 +8,6 @@ it must fail here first.
 
 import importlib
 import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,8 @@ from shiftrc.reservoir import (
     run_tanh_reservoir,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import PERFBENCH
+
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -63,16 +63,11 @@ def test_single_config_runs_return_a_state_matrix():
     assert isinstance(tanh, StateMatrix) and tanh.values.shape == (12, 4)
 
 
-def test_workload_command_lines_parse(monkeypatch):
+def test_workload_command_lines_parse(perfbench_run):
     # the benchmark runs each workload with --seed, --threads 1 and, for a
     # sweep, --subset; a CLI that dropped one would fail only the benchmark
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracing
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # @dataclass looks the module up
-    spec.loader.exec_module(run)
-    assert run.WORKLOADS
-    for workload in run.WORKLOADS.values():
+    assert perfbench_run.WORKLOADS
+    for workload in perfbench_run.WORKLOADS.values():
         args = build_parser().parse_args(workload.argv(Path("c.json"), Path("out"), 7))
         assert (args.command, args.seed, args.threads) == (workload.command, 7, 1)
         assert getattr(args, "subset", "both") == workload.subset

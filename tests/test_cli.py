@@ -641,6 +641,33 @@ class TestErrors:
         assert f"({path}, line 2, column 3)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"washout": 50, ' + json.dumps(TINY_SWEEP)[1:], "washout"),
+        (json.dumps(TINY_SWEEP).replace('"n_masks": 2', '"n_masks": 2, "n_masks": 3'),
+         "n_masks"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, text, key):
+        # json would silently run with the last of the two values
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config file repeats the key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_of_manifest_with_repeated_key_rejected(self, tmp_path, capsys):
+        # the echo's later washout is the one its hash was taken over
+        assert main(["generate", "--config", write_config(tmp_path, TINY_SWEEP),
+                     "--out", str(tmp_path / "run")]) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        text = manifest.read_text()
+        assert text.count('"config_echo": {') == 1
+        manifest.write_text(text.replace('"config_echo": {', '"config_echo": {"washout": 50,'))
+        out = tmp_path / "o"
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "manifest repeats the key 'washout'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
     @pytest.mark.parametrize("command,flag", [("sweep", "--config"),
                                               ("replay", "--manifest")])

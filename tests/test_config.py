@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,7 @@ def test_invalid_field_rejected(base, path, value, where):
     (OEO, "data.transient_samples", 0),
     (OEO, "reservoir.sample_offset", None),
     (OEO, "reservoir.beta", 1),  # a number field takes a JSON integer
+    (OEO, "readout.ridge_lambda", sys.float_info.max),  # the largest finite number
 ])
 def test_inclusive_edges_accepted(base, path, value):
     resolved = resolve_config(with_field(base, path, value))

@@ -496,6 +496,10 @@ class TestNrmse:
         got = nrmse([1.0, 1e-12, 2.0], [0.0, 5.0, 2.0], NrmseMode.PAPER_LITERAL)
         assert got == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
+    def test_literal_keeps_a_target_at_the_cutoff(self):
+        # the cutoff is inclusive: |g| = 1e-9 is scored, its relative error 1
+        assert nrmse([1e-9, 2.0], [0.0, 2.0], NrmseMode.PAPER_LITERAL) == np.sqrt(0.5)
+
     def test_global_degenerate_target(self):
         with pytest.raises(DegenerateTargetError):
             nrmse([0.0, 0.0], [1.0, 1.0])

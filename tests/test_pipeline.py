@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -229,7 +228,7 @@ class TestFitGroup:
                             rng.normal(size=c + 30), rng.normal(size=9))
         lam, bias = problem["ridge_lambda"], problem["bias"]
         sets, sizes = problem["sets"], problem["sizes"]
-        got = pipeline._fit_group(ctx, sets, lam, bias, sizes)
+        got = pipeline._fit_group(ctx.r, sets, lam, bias, sizes)
         prefixes = sizes or [len(sets[0])]
         assert got.shape == (c + 1, len(sets) * len(prefixes))
         rows = c + bias
@@ -256,7 +255,7 @@ class TestFitGroup:
         with pytest.raises(SingularMatrixError) as alone:
             direct_score(ctx, sets[1], 0.0, bias)
         with pytest.raises(SingularMatrixError) as grouped:
-            pipeline._fit_group(ctx, sets, 0.0, bias)
+            pipeline._fit_group(ctx.r, sets, 0.0, bias)
         assert grouped.value.estimated_rank == alone.value.estimated_rank == 2 + bias
         assert grouped.value.n_cols == alone.value.n_cols == 3 + bias
 
@@ -267,7 +266,7 @@ class TestFitGroup:
         shifted_train = tall_matrices(ctx)[0]
         order = rrqr_select(shifted_train)[0]
         sizes = list(range(1, shifted_train.shape[1] + 1))
-        w = pipeline._fit_group(ctx, [order], cfg.ridge_lambda, bias, sizes)
+        w = pipeline._fit_group(ctx.r, [order], cfg.ridge_lambda, bias, sizes)
         got = score_weights(ctx, w, NrmseMode.GLOBAL)
         for j, p in enumerate(sizes):
             want = direct_score(ctx, order[:p], cfg.ridge_lambda, bias)
@@ -325,7 +324,7 @@ class TestRowBlocks:
         train, test, g_train, g_test = self.states(rng, n_rows)
         ctx = split_context(self.TAU, train, test, g_train, g_test)
         sets = [rng.choice(9, size=4, replace=False) for _ in range(5)]
-        w = pipeline._fit_group(ctx, sets, 1e-6, bias)
+        w = pipeline._fit_group(ctx.r, sets, 1e-6, bias)
         got = score_weights(ctx, w, mode)
         tall = tall_matrices(ctx)
         assert len(got) == len(sets)
@@ -357,7 +356,7 @@ class TestRowBlocks:
         monkeypatch.setattr(pipeline, "BLOCK_ROWS", 50)
         train, test, g_train, g_test = self.states(rng, 151)
         ctx = split_context(self.TAU, train, test, g_train, np.zeros_like(g_test))
-        w = pipeline._fit_group(ctx, [[0, 4, 8]], 1e-6, False)
+        w = pipeline._fit_group(ctx.r, [[0, 4, 8]], 1e-6, False)
         with pytest.raises(DegenerateTargetError):
             score_weights(ctx, w, mode)
 
@@ -368,7 +367,7 @@ class TestRowBlocks:
         columns = self.NODES * (self.TAU + 1) + 2  # [X | 1 | g]
         block = pipeline.BLOCK_ROWS * columns * 8
         factors = 8 * columns**2 * 8  # the TSQR tree's R factors and merges
-        peak = traced_peak(pipeline._mask_context, self.TAU, train, g_train)
+        peak = traced_peak(pipeline._compress, train, g_train[self.TAU :], self.TAU)
         assert peak < 2.5 * block + factors
 
     def test_scoring_holds_one_product_buffer(self, rng):
@@ -396,14 +395,14 @@ class TestRowBlocks:
         g_train, g_test = rng.normal(size=train.shape[0]), rng.normal(size=test.shape[0])
         tracemalloc.start()
         try:
-            ctx = split_context(cfg.tau_max, train, test, g_train, g_test)
-            w, cells, _ = pipeline._sweep_one_mask(cfg, 0, ctx, "both")
-            pipeline._score_weights(ctx.test, ctx.target_test, cfg.tau_max, w,
+            w, labels, *_ = pipeline._sweep_one_mask(cfg, 0, train, g_train[cfg.tau_max :],
+                                                     "both")
+            pipeline._score_weights(test, g_test[cfg.tau_max :], cfg.tau_max, w,
                                     NrmseMode.GLOBAL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(cells) == len(cfg.m_red_grid) * (1 + cfg.n_random_subsets) + 1
+        assert len(labels) == len(cfg.m_red_grid) * (1 + cfg.n_random_subsets) + 1
         assert peak < tall_bytes / 2
 
 
@@ -606,9 +605,8 @@ class TestSweep:
         drive_test[50] = np.nan
         broken = dataclasses.replace(dataset, drive_test=drive_test)
         monkeypatch.setattr(pipeline, "build_dataset", lambda data: broken)
-        res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
-                    for seed in (derive_seed(cfg.master_seed, "trial", i)
-                                 for i in range(cfg.n_masks))]
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", i))
+                    for i in range(cfg.n_masks)]
         run = reservoir.run_oeo_reservoir if res is None else reservoir.run_tanh_reservoir
         drive = np.concatenate([broken.drive_train, broken.drive_test])
         one = divergence(lambda: run(res_cfgs, drive, cfg.washout))
@@ -641,20 +639,27 @@ def scaled_cells(cfg, states=1.0, targets=1.0) -> list[tuple[float, float]]:
     """``(train, test)`` NRMSE of every cell of a sweep whose reservoir
     states and targets are multiplied by ``states`` and ``targets`` before
     each mask is compressed and scored."""
-    res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
-                for seed in (derive_seed(cfg.master_seed, "trial", i)
-                             for i in range(cfg.n_masks))]
+    res_cfgs = [pipeline.build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", i))
+                for i in range(cfg.n_masks)]
     trains, tests, g_train, g_test = split_states(
         res_cfgs, build_dataset(cfg.data), cfg.washout, cfg.continuation)
     cells = []
     for mask_id, (train, test) in enumerate(zip(trains, tests)):
         ctx = split_context(cfg.tau_max, states * train, states * test,
                             targets * g_train, targets * g_test)
-        w, mask_cells, _ = pipeline._sweep_one_mask(cfg, mask_id, ctx, "both")
-        test_errors = pipeline._score_weights(ctx.test, ctx.target_test, cfg.tau_max, w,
-                                              NrmseMode(cfg.nrmse_mode))
-        cells += [(cell.nrmse_train, err) for cell, err in zip(mask_cells, test_errors)]
+        cells += [(c.nrmse_train, c.nrmse_test) for c in mask_cells(cfg, mask_id, ctx)[0]]
     return cells
+
+
+def mask_cells(cfg, mask_id, ctx) -> tuple[list, tuple | None]:
+    """``(cells, pivot)`` of one mask of a sweep, fitted and scored on the
+    two splits of ``ctx`` as the sweep fits and scores them."""
+    w, labels, train_errors, pivot = pipeline._sweep_one_mask(
+        cfg, mask_id, ctx.train, ctx.target_train, "both")
+    test_errors = pipeline._score_weights(ctx.test, ctx.target_test, cfg.tau_max, w,
+                                          NrmseMode(cfg.nrmse_mode))
+    return [pipeline.TaskResult(*errors, *label)
+            for label, *errors in zip(labels, train_errors, test_errors)], pivot
 
 
 
@@ -706,8 +711,7 @@ class TestInvariances:
         # new node perm[i] is old node i: P A P^T and P w_in permute the
         # states, so shifted column s*m + i becomes s*m + perm[i]
         cfg = tiny_variant(TINY_TANH, n_masks=1)
-        seed = partial(derive_seed, derive_seed(cfg.master_seed, "trial", 0))
-        res_cfg = pipeline.build_trial_reservoir(cfg, seed)
+        res_cfg = pipeline.build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", 0))
         m = res_cfg.m
         perm = np.random.default_rng(3).permutation(m)
         inv = np.argsort(perm)
@@ -719,12 +723,7 @@ class TestInvariances:
             (train,), (test,), *targets = split_states(
                 [res], dataset, cfg.washout, cfg.continuation)
             split = (train, test, *targets)
-            ctx = split_context(cfg.tau_max, *split)
-            w, cells, pivot = pipeline._sweep_one_mask(cfg, 0, ctx, "both")
-            for cell, err in zip(cells, pipeline._score_weights(
-                    ctx.test, ctx.target_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))):
-                cell.nrmse_test = err
-            runs.append((split, (cells, pivot)))
+            runs.append((split, mask_cells(cfg, 0, split_context(cfg.tau_max, *split))))
         (split, (cells, pivot)), (split_p, (cells_p, pivot_p)) = runs
         for x, x_p in zip(split[:2], split_p[:2]):
             np.testing.assert_allclose(x_p[:, perm], x, rtol=0, atol=1e-12)
@@ -840,9 +839,8 @@ class TestAnalysisCell:
                                   data=dataclasses.replace(base.data, train_steps=3000))
         datasets = (build_dataset(cfg.data, "observer"), build_dataset(cfg.data, "prediction"))
         trials, m = pipeline.ANALYSIS_BATCH, cfg.n_nodes
-        res_cfgs = [pipeline.build_trial_reservoir(
-            cfg, lambda role, t=trial: derive_seed(cfg.master_seed, role, t))
-            for trial in range(trials)]
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, cfg.master_seed, trial)
+                    for trial in range(trials)]
         n_windows = cfg.data.train_steps - cfg.washout - acfg.window + 1
         codes = trials * n_windows * m * analysis.key_dtype(acfg.window).itemsize
         block = trials * pipeline.ANALYSIS_SEGMENT * (m + 3) * 8  # [1 | X | g_obs | g_pred]
@@ -875,7 +873,7 @@ class TestAnalysisCell:
         cfg = acfg.base
         obs, pred = (build_dataset(cfg.data, task) for task in ("observer", "prediction"))
         obs = dataclasses.replace(obs, target_train=np.full_like(obs.target_train, 2.5))
-        res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, seed)
                     for seed in (11, 12)]
         per_trial = pipeline._analysis_batch(cfg, res_cfgs, (obs, pred), acfg.window)
         for entropy, correlation, err_obs, err_pred in per_trial:
@@ -1006,12 +1004,13 @@ class TestRunPieces:
 
     def test_oscillator_continues_from_its_period(self, rng):
         # a second run given the period the first left and the sample after
-        # it continues the run bitwise; v0 is the last entry of a zero period
+        # it continues the run bitwise; both start from a zero period whose
+        # last entry is 0.3
         cfgs, run = PIECE_RUNS["oeo"]
         drive = rng.uniform(-1.0, 1.0, 200)
-        whole = run(cfgs, drive, 0, v0=0.3)
         period = rest_state(cfgs)
         period[:, -1] = 0.3
+        whole = run(cfgs, drive, 0, period=period.copy())
         head = run(cfgs, drive[:77], 0, period=period, next_sample=drive[77])
         tail = run(cfgs, drive[77:], 0, period=period)
         np.testing.assert_array_equal(np.concatenate([head, tail], axis=1), whole)
@@ -1052,7 +1051,7 @@ class TestReadoutsAgree:
                                                   include_bias, mode):
         cfg = tiny_analysis(continuation=continuation, include_bias=include_bias,
                             nrmse_mode=mode, tau_max=0).base
-        res_cfgs = [pipeline.build_trial_reservoir(cfg, partial(derive_seed, seed))
+        res_cfgs = [pipeline.build_trial_reservoir(cfg, seed)
                     for seed in (11, 12, 13)]
         datasets = [build_dataset(cfg.data, task) for task in ("observer", "prediction")]
         scored = []  # (target, outputs) of each nrmse_sums call, before it consumes them
@@ -1086,8 +1085,7 @@ class TestBuildTrialReservoir:
 
     @staticmethod
     def build(table):
-        return pipeline.build_trial_reservoir(tiny_config(reservoir=dict(table)),
-                                              partial(derive_seed, 7))
+        return pipeline.build_trial_reservoir(tiny_config(reservoir=dict(table)), 7)
 
     @pytest.mark.parametrize("table", TABLES, ids=list(RESERVOIR_DEFAULTS))
     def test_unknown_field_rejected(self, table):

@@ -214,6 +214,15 @@ class TestTanhBatch:
             run_tanh_reservoir([base, other], np.array([np.nan, 0.0, 0.0]), washout=0)
 
 
+def start_period(cfg, v0):
+    """A zero delay period whose last entry, the state a run given it
+    starts from, is ``v0``: one row per config of a list."""
+    cfgs = [cfg] if isinstance(cfg, OEOConfig) else cfg
+    period = np.zeros((len(cfgs), cfgs[0].tau_d + 1))
+    period[:, -1] = v0
+    return period[0] if isinstance(cfg, OEOConfig) else period
+
+
 class TestOEOReservoir:
     def test_bounded_states(self, lorenz_drive_short):
         cfg = make_oeo_config(m=10, mask_seed=42)
@@ -223,7 +232,7 @@ class TestOEOReservoir:
 
     def test_zero_gain_exponential_decay(self):
         cfg = OEOConfig(mask=np.full(4, 0.5), theta=5, beta=0.0, phi=0.0, rho=0.0)
-        sm = run_oeo_reservoir(cfg, np.zeros(40), washout=0, v0=1.0)
+        sm = run_oeo_reservoir(cfg, np.zeros(40), washout=0, period=start_period(cfg, 1.0))
         flat = sm.values.ravel()
         assert np.all(np.diff(flat) < 0.0)
         assert np.all(flat > 0.0)
@@ -262,8 +271,8 @@ class TestOEOReservoir:
         # sub-unity gain: with no input the loop forgets its initial state
         cfg = make_oeo_config(m=4, theta=5, mask_seed=1)
         drive = np.zeros(400)
-        from_rest = run_oeo_reservoir(cfg, drive, washout=0, v0=0.0)
-        from_high = run_oeo_reservoir(cfg, drive, washout=0, v0=0.7)
+        from_rest = run_oeo_reservoir(cfg, drive, washout=0, period=start_period(cfg, 0.0))
+        from_high = run_oeo_reservoir(cfg, drive, washout=0, period=start_period(cfg, 0.7))
         assert np.all(np.abs(from_high.values) <= cfg.beta * 1.1)
         np.testing.assert_allclose(
             from_rest.values[-1], from_high.values[-1], atol=1e-10
@@ -344,10 +353,11 @@ class TestOEOBatch:
         drive = lorenz_drive_short[:300]
         for gains in OEO_GAINS:
             cfgs = oeo_batch_configs(sample_offset, gains)
-            batch = run_oeo_reservoir(cfgs, drive, washout=30, v0=0.3)
+            batch = run_oeo_reservoir(cfgs, drive, washout=30, period=start_period(cfgs, 0.3))
             assert batch.shape == (len(cfgs), 270, 6)
             for cfg, x in zip(cfgs, batch):
-                single = run_oeo_reservoir(cfg, drive, washout=30, v0=0.3)
+                single = run_oeo_reservoir(cfg, drive, washout=30,
+                                           period=start_period(cfg, 0.3))
                 assert isinstance(single, StateMatrix)
                 np.testing.assert_array_equal(x, single.values)
                 np.testing.assert_array_equal(x, reference_oeo_run(cfg, drive, 30, 0.3))
@@ -363,7 +373,8 @@ class TestOEOBatch:
                                               sample_offset):
         cfgs = oeo_batch_configs(sample_offset)
         drive = lorenz_drive_short[:n_in]
-        batch = run_oeo_reservoir(cfgs, drive, washout=washout, v0=0.3)
+        batch = run_oeo_reservoir(cfgs, drive, washout=washout,
+                                  period=start_period(cfgs, 0.3))
         for cfg, x in zip(cfgs, batch):
             np.testing.assert_array_equal(x, reference_oeo_run(cfg, drive, washout, 0.3))
             assert x.shape == (n_in - washout, 6)
@@ -429,8 +440,8 @@ class TestOEOBatch:
     def test_single_config_is_the_batch_of_one(self, lorenz_drive_short, sample_offset):
         cfg = oeo_batch_configs(sample_offset, OEO_GAINS[1])[2]
         drive = lorenz_drive_short[:OEO_CHUNK + 20]
-        single = run_oeo_reservoir(cfg, drive, washout=7, v0=0.3)
-        (listed,) = run_oeo_reservoir([cfg], drive, washout=7, v0=0.3)
+        single = run_oeo_reservoir(cfg, drive, washout=7, period=start_period(cfg, 0.3))
+        (listed,) = run_oeo_reservoir([cfg], drive, washout=7, period=start_period([cfg], 0.3))
         assert isinstance(single, StateMatrix)
         np.testing.assert_array_equal(single.values, listed)
 

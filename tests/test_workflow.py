@@ -3,6 +3,8 @@ checks are all that keep it from drifting."""
 
 import importlib.metadata
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +39,23 @@ def test_pins_the_installed_toolchain():
     assert len(installs) == 1
     pins = dict(re.findall(r"([A-Za-z0-9_.-]+)==(\S+)", installs[0]))
     assert pins == {name: importlib.metadata.version(name) for name in PINNED}
+
+
+def test_checks_every_benchmark_workload_before_the_verify_step(perfbench_run):
+    lines = [line.strip() for line in workflow_lines()]
+    verify = lines.index("- name: Tier-1 verify")
+    assert perfbench_run.WORKLOADS
+    for name in perfbench_run.WORKLOADS:
+        step = (f"python3 perfbench/run.py --workload {name} --seconds 1 --trace 0"
+                ' | tail -n 1 | python3 -c "$CORRECT"')
+        assert lines.count(step) == 1 and lines.index(step) < verify
+    # the check passes only a correct run in which no operation failed
+    (correct,) = [line.split(":", 1)[1].strip() for line in lines
+                  if line.startswith("CORRECT:")]
+    assert correct[0] == correct[-1] == "'" and "'" not in correct[1:-1]
+    for last_line, code in [('{"correct": true, "failed": 0}', 0),
+                            ('{"correct": true, "failed": 1}', 1),
+                            ('{"correct": false, "failed": 0}', 1)]:
+        done = subprocess.run([sys.executable, "-c", correct[1:-1]], input=last_line,
+                              text=True)
+        assert done.returncode == code, last_line
