@@ -76,7 +76,7 @@ def _validate_threads(args) -> None:
     The count is still accepted, but bounds nothing: shiftrc starts no
     threads of its own (see the README on ``--threads``).
     """
-    threads, source = getattr(args, "threads", None), "--threads"
+    threads, source = args.threads, "--threads"
     if threads is None:
         env = os.environ.get("SHIFTRC_THREADS")
         if not env:
@@ -235,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread count, validated but unused (fallback: SHIFTRC_THREADS)")
         p.add_argument("--nrmse-mode", choices=CHOICES["nrmse_mode"],
                        dest="nrmse_mode", default=None,
                        help="error normalization convention")
@@ -251,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="re-run a manifest bitwise")
     p_rep.add_argument("--manifest", required=True, help="manifest.json path")
     p_rep.add_argument("--out", required=True, help="output directory")
-    p_rep.add_argument("--threads", type=int, default=None)
+    for p in sub.choices.values():
+        p.add_argument("--threads", type=int, default=None,
+                       help="thread count, validated but unused (fallback: SHIFTRC_THREADS)")
     return parser
 
 

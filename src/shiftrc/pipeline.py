@@ -335,16 +335,49 @@ def _sweep_one_mask(cfg, mask_id, train, target, subset_mode):
     return w, labels, errors, pivot
 
 
-def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
-    """Evaluate every m_red on the grid, averaged over masks and subsets.
+def _run_units(run, units):
+    """``run(*unit)`` of each of ``units``, in unit order: the one loop that
+    runs a command's units. Units read nothing another unit leaves."""
+    return [run(*unit) for unit in units]
 
-    All masks share the drive, so each split is simulated as one reservoir
+
+def _sweep_masks(cfg: ExperimentConfig, subset_mode: str, masks):
+    """``(cells, pivots)`` of the masks ``masks`` (a range of mask ids), a
+    unit of :func:`sweep`.
+
+    The masks share the drive, so each split is simulated as one reservoir
     batch, and only one split's states are held at a time. The training
     states come first: each mask is compressed, ranked, fitted and scored
     on them block by block, so no tall shifted matrix is held, and only its
     weights are kept. The training states are dropped before the test split
     is simulated (continuing the training run if ``cfg.continuation``) and
-    every mask's weights are scored on it.
+    every mask's weights are scored on it. A batched run equals each
+    member's own run bitwise, so any split of the masks gives the same bits.
+    """
+    res_cfgs = [build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", i))
+                for i in masks]
+    dataset = build_dataset(cfg.data)
+    train_run, test_run, test_washout = _split_runs(res_cfgs, dataset, cfg.washout,
+                                                    cfg.continuation)
+    ((_, train),) = train_run
+    g_train = dataset.target_train[cfg.washout + cfg.tau_max :]
+    per_mask = [_sweep_one_mask(cfg, i, x, g_train, subset_mode) for i, x in zip(masks, train)]
+    del train
+    ((_, test),) = test_run
+    g_test = dataset.target_test[test_washout + cfg.tau_max :]
+    cells = []
+    for x, (w, labels, train_errors, _) in zip(test, per_mask):
+        test_errors = _score_weights(x, g_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))
+        cells += [TaskResult(*errors, *label)
+                  for label, *errors in zip(labels, train_errors, test_errors)]
+    return cells, [pivot for *_, pivot in per_mask if pivot is not None]
+
+
+def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
+    """Evaluate every m_red on the grid, averaged over masks and subsets.
+
+    Its one unit, :func:`_sweep_masks` of all masks, gives the cells and
+    pivots in mask order, which are pooled into one :class:`SweepRow` per m_red.
 
     Raises:
         ConfigError: fewer training rows than the columns of ``[X | 1]``,
@@ -362,24 +395,9 @@ def sweep(cfg: ExperimentConfig, subset_mode: str = "both") -> SweepResult:
             f"{rows} training rows after washout {cfg.washout} and tau_max "
             f"{cfg.tau_max}, fewer than the {columns} columns of [X | 1]; a sweep "
             f"needs at least {cfg.washout + cfg.tau_max + columns}")
-    res_cfgs = [build_trial_reservoir(cfg, derive_seed(cfg.master_seed, "trial", i))
-                for i in range(cfg.n_masks)]
-    dataset = build_dataset(cfg.data)
-    train_run, test_run, test_washout = _split_runs(res_cfgs, dataset, cfg.washout,
-                                                    cfg.continuation)
-    ((_, train),) = train_run
-    g_train = dataset.target_train[cfg.washout + cfg.tau_max :]
-    per_mask = [_sweep_one_mask(cfg, i, train[i], g_train, subset_mode)
-                for i in range(cfg.n_masks)]
-    del train
-    ((_, test),) = test_run
-    g_test = dataset.target_test[test_washout + cfg.tau_max :]
-    cells = []
-    for x, (w, labels, train_errors, _) in zip(test, per_mask):
-        test_errors = _score_weights(x, g_test, cfg.tau_max, w, NrmseMode(cfg.nrmse_mode))
-        cells += [TaskResult(*errors, *label)
-                  for label, *errors in zip(labels, train_errors, test_errors)]
-    pivots = [pivot for *_, pivot in per_mask if pivot is not None]
+    results = _run_units(_sweep_masks, [(cfg, subset_mode, range(cfg.n_masks))])
+    cells = [cell for unit_cells, _ in results for cell in unit_cells]
+    pivots = [pivot for _, unit_pivots in results for pivot in unit_pivots]
 
     def stats(method, m_red):
         vals = np.array([c.nrmse_test for c in cells
@@ -407,13 +425,13 @@ class AnalysisRow:
     nrmse_prediction: float
 
 
-# The trials of an analysis cell advance together, at most ANALYSIS_BATCH at
-# a time, through pieces of ANALYSIS_SEGMENT drive steps. Each piece is
-# folded into per-trial running state (ordinal codes, node ranges, QR
-# factors) and dropped before the next one is simulated, so the states held
-# at once are bounded by these two constants rather than by n_trials or the
-# run length; over the whole run only the codes (one small integer per node
-# and step) and the two test predictions per step are kept.
+# A unit of the analysis grid is a range of at most ANALYSIS_BATCH trials of
+# one cell, which advance together through pieces of ANALYSIS_SEGMENT drive
+# steps. Each piece is folded into per-trial running state (ordinal codes,
+# node ranges, QR factors) and dropped before the next one is simulated, so
+# the states held at once are bounded by these two constants rather than by
+# n_trials or the run length; over the whole run only the codes (one small
+# integer per node and step) and the two test predictions per step are kept.
 ANALYSIS_BATCH = 20
 ANALYSIS_SEGMENT = 250
 
@@ -490,44 +508,40 @@ def _analysis_batch(cfg: ExperimentConfig, res_cfgs, datasets, window):
              errors[0][t], errors[1][t]) for t in range(n_trials)]
 
 
-def _analysis_cell(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a,
-                   datasets) -> AnalysisRow:
-    """One grid cell: every trial's diagnostics and readout errors, averaged.
-
-    The two tasks share the drive, so the same states serve both fits.
-    """
+def _analysis_unit(acfg: AnalysisConfig, i_fw, f_w, i_fa, f_a, trials):
+    """The per-trial results of :func:`_analysis_batch` for the trials
+    ``trials`` (a range) of grid cell ``(i_fw, i_fa)``, a unit of
+    :func:`analysis_sweep`. The two tasks share the drive, so the same
+    states serve both fits; their datasets come from the series cache."""
     cfg = acfg.base
-    per_trial = []
-    for first in range(0, acfg.n_trials, ANALYSIS_BATCH):
-        res_cfgs = [build_trial_reservoir(cfg, cfg.master_seed, i_fw, i_fa, trial,
-                                          f_w=f_w, f_a=f_a)
-                    for trial in range(first, min(first + ANALYSIS_BATCH, acfg.n_trials))]
-        per_trial += _analysis_batch(cfg, res_cfgs, datasets, acfg.window)
-    entropies, correlations, err_obs, err_pred = zip(*per_trial)
-    return AnalysisRow(
-        f_w=f_w,
-        f_a=f_a,
-        entropy_bits=float(np.mean(entropies)),
-        mean_correlation=float(np.mean(correlations)),
-        nrmse_observer=float(np.mean(err_obs)),
-        nrmse_prediction=float(np.mean(err_pred)),
-    )
+    res_cfgs = [build_trial_reservoir(cfg, cfg.master_seed, i_fw, i_fa, trial, f_w=f_w, f_a=f_a)
+                for trial in trials]
+    datasets = (build_dataset(cfg.data, "observer"), build_dataset(cfg.data, "prediction"))
+    return _analysis_batch(cfg, res_cfgs, datasets, acfg.window)
 
 
 def analysis_sweep(acfg: AnalysisConfig) -> list[AnalysisRow]:
     """Entropy, node-target correlation, and unshifted-readout errors over
     the (f_w, f_a) sparseness grid, averaged over seeded trials. Raises
     ConfigError, before any data is loaded, if the base reservoir is not a
-    tanh network or a value of either grid axis is repeated."""
-    base = acfg.base
-    if base.reservoir["kind"] != "tanh":
+    tanh network or a value of either grid axis is repeated.
+
+    The grid is its units, :func:`_analysis_unit` of each cell's trials in
+    ranges of at most ANALYSIS_BATCH, plus a reduction: each cell's
+    per-trial results, in unit order, averaged into its row in grid order.
+    """
+    if acfg.base.reservoir["kind"] != "tanh":
         raise invalid_field("reservoir.kind",
                             "the sparseness analysis grid runs on the tanh reservoir")
     check_distinct("analysis.f_w_values", acfg.f_w_values)
     check_distinct("analysis.f_a_values", acfg.f_a_values)
-    datasets = (build_dataset(base.data, "observer"), build_dataset(base.data, "prediction"))
-    return [
-        _analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets)
-        for i_fw, f_w in enumerate(acfg.f_w_values)
-        for i_fa, f_a in enumerate(acfg.f_a_values)
-    ]
+    n = acfg.n_trials
+    units = [(acfg, i_fw, f_w, i_fa, f_a, range(first, min(first + ANALYSIS_BATCH, n)))
+             for i_fw, f_w in enumerate(acfg.f_w_values)
+             for i_fa, f_a in enumerate(acfg.f_a_values)
+             for first in range(0, n, ANALYSIS_BATCH)]
+    per_cell = {}  # (i_fw, f_w, i_fa, f_a): the cell's per-trial results
+    for unit, per_trial in zip(units, _run_units(_analysis_unit, units)):
+        per_cell.setdefault(unit[1:5], []).extend(per_trial)
+    return [AnalysisRow(f_w, f_a, *(float(np.mean(values)) for values in zip(*per_trial)))
+            for (_, f_w, _, f_a), per_trial in per_cell.items()]

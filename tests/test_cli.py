@@ -482,6 +482,22 @@ class TestSweep:
         assert "SHIFTRC_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,env,named", [
+        (["--threads", "0"], None, "--threads"), ([], "0", "SHIFTRC_THREADS"),
+    ], ids=["flag", "env"])
+    def test_replay_threads_below_one_rejected(self, tmp_path, monkeypatch, capsys,
+                                               flag, env, named):
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out)])
+        capsys.readouterr()
+        if env is not None:
+            monkeypatch.setenv("SHIFTRC_THREADS", env)
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(out / "manifest.json"),
+                     "--out", str(replay_out), *flag]) == 2
+        assert named in capsys.readouterr().err
+        assert not replay_out.exists()
+
     def test_input_fraction_reaching_no_node_rejected(self, tmp_path, capsys):
         # round(0.2 * 2) = 0: the mask would drive no node
         payload = json.loads(json.dumps(TINY_SWEEP))
@@ -1037,11 +1053,22 @@ def test_only_the_cli_talks_to_the_terminal():
     assert _talks_to_terminal(ast.parse("sys.stderr.write('x')").body[0].value.func.value)
 
 
+def subcommand_parsers() -> dict:
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_parser_runs_the_command_table():
     # a run command is named once, in COMMANDS; replay is the one other
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert list(sub.choices) == [*COMMANDS, "replay"]
+    assert list(subcommand_parsers()) == [*COMMANDS, "replay"]
+
+
+def test_every_command_takes_the_one_threads_flag():
+    helps = {name: [action.help for action in p._actions if "--threads" in action.option_strings]
+             for name, p in subcommand_parsers().items()}
+    assert list(helps) == [*COMMANDS, "replay"]
+    assert len({tuple(h) for h in helps.values()}) == 1
+    assert "SHIFTRC_THREADS" in helps["replay"][0]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

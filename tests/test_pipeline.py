@@ -1,6 +1,7 @@
 """End-to-end pipeline: scoring, leakage control, sweeps, determinism."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -782,6 +783,15 @@ def reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets):
     )
 
 
+def reference_rows(acfg) -> list:
+    """:func:`reference_analysis_cell` of every cell of the grid, in grid order."""
+    data = acfg.base.data
+    datasets = (build_dataset(data, "observer"), build_dataset(data, "prediction"))
+    return [reference_analysis_cell(acfg, i_fw, f_w, i_fa, f_a, datasets)
+            for i_fw, f_w in enumerate(acfg.f_w_values)
+            for i_fa, f_a in enumerate(acfg.f_a_values)]
+
+
 def tiny_analysis(**overrides) -> AnalysisConfig:
     data = dataclasses.replace(tiny_config().data, task="observer",
                                train_steps=900, test_steps=700)
@@ -806,27 +816,25 @@ class TestAnalysisCell:
         monkeypatch.setattr(pipeline, "ANALYSIS_BATCH", batch)
         monkeypatch.setattr(pipeline, "ANALYSIS_SEGMENT", segment)
         acfg = tiny_analysis(continuation=continuation)
-        datasets = (build_dataset(acfg.base.data, "observer"),
-                    build_dataset(acfg.base.data, "prediction"))
-        for i_fw, f_w in enumerate(acfg.f_w_values):
-            got = pipeline._analysis_cell(acfg, i_fw, f_w, 0, 0.5, datasets)
-            want = reference_analysis_cell(acfg, i_fw, f_w, 0, 0.5, datasets)
+        for got, want in zip(pipeline.analysis_sweep(acfg), reference_rows(acfg), strict=True):
             assert got.entropy_bits == want.entropy_bits
             for name in ("mean_correlation", "nrmse_observer", "nrmse_prediction"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
 
     @pytest.mark.parametrize("continuation", [True, False])
     def test_bias_readouts_match_per_trial_reference(self, continuation):
-        acfg = tiny_analysis(continuation=continuation, include_bias=True)
-        datasets = (build_dataset(acfg.base.data, "observer"),
-                    build_dataset(acfg.base.data, "prediction"))
-        got = pipeline._analysis_cell(acfg, 0, 0.3, 0, 0.5, datasets)
-        want = reference_analysis_cell(acfg, 0, 0.3, 0, 0.5, datasets)
-        unbiased = pipeline._analysis_cell(tiny_analysis(continuation=continuation),
-                                           0, 0.3, 0, 0.5, datasets)
-        for name in ("nrmse_observer", "nrmse_prediction"):
-            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
-            assert getattr(got, name) != getattr(unbiased, name)
+        # a 2 x 2 grid: each cell's trials are seeded by both grid indices
+        acfg, unbiased = (dataclasses.replace(tiny_analysis(continuation=continuation,
+                                                            include_bias=bias),
+                                              f_a_values=(0.5, 0.9))
+                          for bias in (True, False))
+        rows = zip(pipeline.analysis_sweep(acfg), reference_rows(acfg),
+                   pipeline.analysis_sweep(unbiased), strict=True)
+        for got, want, without_bias in rows:
+            assert (got.f_w, got.f_a) == (want.f_w, want.f_a)
+            for name in ("nrmse_observer", "nrmse_prediction"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+                assert getattr(got, name) != getattr(without_bias, name)
 
     def test_batch_holds_one_piece(self):
         # beside the batch's ordinal codes, the training pass holds at most
@@ -909,6 +917,76 @@ class TestAnalysisCell:
         acfg = dataclasses.replace(acfg, base=dataclasses.replace(acfg.base, data=data))
         with pytest.raises(ValueError, match="rows"):
             pipeline.analysis_sweep(acfg)
+
+
+def reversed_units(run, units):
+    """``pipeline._run_units`` that runs the last unit first and hands the
+    results back in unit order."""
+    return [run(*unit) for unit in reversed(units)][::-1]
+
+
+class TestUnits:
+    """Each command is a list of units and a reduction of their results in
+    unit order. A unit reads nothing another unit leaves, so the order the
+    units run in moves no bit."""
+
+    @RESERVOIRS
+    def test_one_mask_units_in_reverse_order_equal_the_one_unit(self, monkeypatch, res):
+        cfg = tiny_variant(res, n_masks=3)
+        want = sweep(cfg)
+        ran = []
+
+        def one_mask_units(run, units):
+            ((unit_cfg, subset_mode, masks),) = units
+            ran.extend((unit_cfg, subset_mode, range(i, i + 1)) for i in masks)
+            return reversed_units(run, ran)
+
+        monkeypatch.setattr(pipeline, "_run_units", one_mask_units)
+        got = sweep(cfg)
+        assert [unit[2] for unit in ran] == [range(i, i + 1) for i in range(cfg.n_masks)]
+        assert got.cells == want.cells and got.rows == want.rows
+        assert len(got.pivots) == len(want.pivots) == cfg.n_masks
+        for (order, r_diag), (want_order, want_r_diag) in zip(got.pivots, want.pivots):
+            assert order.tolist() == want_order.tolist()
+            assert r_diag.tobytes() == want_r_diag.tobytes()
+
+    def test_analysis_units_in_reverse_order_give_the_same_rows(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ANALYSIS_BATCH", 2)  # two units for 3 trials
+        acfg = dataclasses.replace(tiny_analysis(), f_a_values=(0.5, 0.9))
+        want = pipeline.analysis_sweep(acfg)
+        ran = []
+
+        def record(run, units):
+            ran.extend(units)
+            return reversed_units(run, units)
+
+        monkeypatch.setattr(pipeline, "_run_units", record)
+        assert pipeline.analysis_sweep(acfg) == want
+        assert [unit[1:] for unit in ran[:2]] == [(0, 0.3, 0, 0.5, range(0, 2)),
+                                                  (0, 0.3, 0, 0.5, range(2, 3))]
+        assert len(ran) == 2 * len(want) == 8
+
+    def test_units_and_results_round_trip_through_pickle(self, monkeypatch):
+        ran = []
+
+        def record(run, units):
+            results = [run(*unit) for unit in units]
+            ran.extend(zip(units, results))
+            return results
+
+        monkeypatch.setattr(pipeline, "_run_units", record)
+        sweep(tiny_variant(TINY_TANH))
+        pipeline.analysis_sweep(tiny_analysis())
+        assert len(ran) == 3  # the sweep's one unit, one per analysis cell
+        (unit, (cells, pivots)), *analysis_units = ran
+        copy, (cells_copy, pivots_copy) = pickle.loads(pickle.dumps((unit, (cells, pivots))))
+        assert copy == unit and cells_copy == cells
+        for pivot, pivot_copy in zip(pivots, pivots_copy, strict=True):
+            for a, b in zip(pivot, pivot_copy, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for unit, per_trial in analysis_units:
+            assert all(isinstance(v, float) for trial in per_trial for v in trial)
+            assert pickle.loads(pickle.dumps((unit, per_trial))) == (unit, per_trial)
 
 
 class TestTanhPieces:

@@ -16,6 +16,12 @@ def workflow_lines() -> list[str]:
     return WORKFLOW.read_text().splitlines()
 
 
+def job_indent(lines) -> str:
+    """The indentation of the job's own keys, read from its ``runs-on``."""
+    return next(line[: -len(line.lstrip())] for line in lines
+                if line.lstrip().startswith("runs-on:"))
+
+
 def test_runs_the_roadmap_verify_command_on_one_blas_thread():
     verify = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
     assert verify is not None
@@ -23,8 +29,7 @@ def test_runs_the_roadmap_verify_command_on_one_blas_thread():
     assert [line.split("run:", 1)[1].strip() for line in lines
             if line.lstrip().startswith("run:")][-1] == verify.group(1)
     # the variable is set for the whole job, so every step runs under it
-    job = next(line[: -len(line.lstrip())] for line in lines
-               if line.lstrip().startswith("runs-on:"))
+    job = job_indent(lines)
     env = lines.index(f"{job}env:")
     block = []
     for line in lines[env + 1 :]:
@@ -32,6 +37,14 @@ def test_runs_the_roadmap_verify_command_on_one_blas_thread():
             break
         block.append(line.strip())
     assert 'OPENBLAS_NUM_THREADS: "1"' in block
+
+
+def test_job_times_out_long_before_the_platform_default():
+    # without the key a hung run holds the runner for GitHub's 360 minutes
+    lines = workflow_lines()
+    (minutes,) = [line.split(":", 1)[1].strip() for line in lines
+                  if line.startswith(f"{job_indent(lines)}timeout-minutes:")]
+    assert 0 < int(minutes) <= 60
 
 
 def test_pins_the_installed_toolchain():
