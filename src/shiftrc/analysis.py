@@ -7,7 +7,9 @@ with the target signals an underdriven reservoir.
 The entropy is built from three steps, which :class:`OrdinalCodes` runs
 over a batch of series streamed piece by piece: :func:`code_windows` codes
 every node's windows, :func:`joint_keys` packs each window position's codes
-into one byte-string key, and :func:`key_entropy` counts the keys. The
+into one byte-string key, as base ``window!`` digits in big-endian
+``uint64`` words (32 bytes for 50 nodes at window 4, where a byte per code
+takes 50), and :func:`key_entropy` counts the keys. The
 correlation is read from the triangular factor of ``[1 | X | g]`` by
 :func:`correlation_from_r`, which a TSQR tree can build block by block.
 """
@@ -28,7 +30,7 @@ def code_windows(x, window: int, out) -> np.ndarray:
     every trailing index on its own) into ``out`` and return it: the Lehmer
     code ``sum_i #{j > i: x_j < x_i} (window-1-i)!`` of the window's rank
     pattern, with ties ranked in favor of the earlier index. ``out`` is an
-    unsigned integer array (e.g. of :func:`key_dtype`) of ``len(x) - window
+    unsigned integer array (e.g. of :func:`code_dtype`) of ``len(x) - window
     + 1`` rows (none if ``x`` is shorter than a window); it may be a strided
     view. Arguments are not checked."""
     n = out.shape[0]
@@ -40,27 +42,45 @@ def code_windows(x, window: int, out) -> np.ndarray:
     return out
 
 
-def key_dtype(window: int) -> np.dtype:
-    """Smallest big-endian unsigned integer type that holds ``window! - 1``."""
+def code_dtype(window: int) -> np.dtype:
+    """Smallest unsigned integer type that holds ``window! - 1``."""
     if not 1 <= window <= MAX_WINDOW:
         raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {window}")
     top = math.factorial(window) - 1
-    size = next(s for s in (1, 2, 4, 8) if top < 256**s)
-    return np.dtype(f">u{size}")
+    return np.dtype(next(f"u{s}" for s in (1, 2, 4, 8) if top < 256**s))
+
+
+def key_digits(window: int) -> int:
+    """Codes per word of a key: the largest d <= 64 with ``window!**d <=
+    2**64``, so d digits in base ``window!`` fit one ``uint64``."""
+    base, d = math.factorial(window), 1
+    while d < 64 and base ** (d + 1) <= 2**64:
+        d += 1
+    return d
 
 
 def joint_keys(codes, window: int) -> np.ndarray:
-    """One void-dtype key per row of an ``(n, m)`` code array.
+    """One void-dtype key per row of a ``(..., m)`` code array.
 
-    Each key holds the row's codes as big-endian unsigned integers of
-    :func:`key_dtype`, so comparing keys byte by byte orders rows like
-    comparing their codes lexicographically, the order of
-    ``np.unique(codes, axis=0)``.
+    The row's codes are the digits, most significant first, of base
+    ``window!`` numbers of :func:`key_digits` digits each (the last one of
+    the rest), held as big-endian ``uint64`` words. Comparing keys byte by
+    byte thus orders rows like comparing their codes lexicographically, the
+    order of ``np.unique(codes, axis=0)``.
     """
-    packed = np.ascontiguousarray(codes, dtype=key_dtype(window))
-    if packed.ndim != 2:
-        raise ValueError("codes must be 2-D")
-    return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
+    codes = np.asarray(codes).astype(code_dtype(window), copy=False)
+    if codes.ndim < 1:
+        raise ValueError("codes must have a node axis")
+    base, d, m = math.factorial(window), key_digits(window), codes.shape[-1]
+    by_node = codes.reshape(-1, m).T  # each Horner step runs along all rows
+    packed = np.zeros((-(-m // d), by_node.shape[1]), dtype=np.uint64)
+    for k in range(min(d, m)):  # digit k of every word at once
+        digits = by_node[k::d]
+        words = packed[: digits.shape[0]]
+        words *= np.uint64(base)
+        words += digits
+    keys = np.ascontiguousarray(packed.T, dtype=">u8")
+    return keys.view(np.dtype((np.void, keys.shape[1] * 8))).reshape(codes.shape[:-1])
 
 
 def key_entropy(keys) -> float:
@@ -76,15 +96,18 @@ def key_entropy(keys) -> float:
 
 class OrdinalCodes:
     """Joint ordinal codes of a batch of ``(rows, nodes)`` series, fed in
-    consecutive pieces of rows: ``codes`` holds one :func:`key_dtype` code
-    per series, window and node, and a piece's windows that reach into the
-    next piece are coded from a copy of its last ``window - 1`` rows. Any
-    split into pieces gives the same codes."""
+    consecutive pieces of rows: ``keys`` holds one :func:`joint_keys` key
+    per series and window. A piece's windows are coded and packed into
+    their keys as it is fed, and those that reach into the next piece are
+    coded from a copy of its last ``window - 1`` rows. Any split into
+    pieces gives the same keys."""
 
     def __init__(self, batch: int, rows: int, nodes: int, window: int = DEFAULT_WINDOW):
         if rows < window:
             raise ValueError(f"need at least {window} rows, have {rows}")
-        self.codes = np.empty((batch, rows - window + 1, nodes), dtype=key_dtype(window))
+        self._dtype = code_dtype(window)
+        key_bytes = 8 * -(-nodes // key_digits(window))
+        self.keys = np.empty((batch, rows - window + 1), dtype=np.dtype((np.void, key_bytes)))
         self.window, self.rows, self.fed = window, rows, 0
         self._carried = np.empty((batch, 0, nodes))
 
@@ -93,9 +116,10 @@ class OrdinalCodes:
         n, carried, w = piece.shape[1], self._carried, self.window
         joined = np.concatenate([carried, piece[:, : w - 1]], axis=1)
         for seq, first in ((joined, self.fed - carried.shape[1]), (piece, self.fed)):
-            n_win = max(seq.shape[1] - w + 1, 0)
-            code_windows(seq.transpose(1, 0, 2), w,
-                         self.codes[:, first : first + n_win].transpose(1, 0, 2))
+            codes = np.empty((seq.shape[0], max(seq.shape[1] - w + 1, 0), seq.shape[2]),
+                             dtype=self._dtype)
+            code_windows(seq.transpose(1, 0, 2), w, codes.transpose(1, 0, 2))
+            self.keys[:, first : first + codes.shape[1]] = joint_keys(codes, w)
         self._carried = np.concatenate([carried, piece[:, max(n - w + 1, 0) :]],
                                        axis=1)[:, 1 - w :]
         self.fed += n
@@ -104,7 +128,7 @@ class OrdinalCodes:
         """The joint permutation entropy (bits) of each series of the batch."""
         if self.fed != self.rows:
             raise ValueError(f"fed {self.fed} of {self.rows} rows")
-        return [key_entropy(joint_keys(codes, self.window)) for codes in self.codes]
+        return [key_entropy(keys) for keys in self.keys]
 
 
 def reservoir_entropy(states, window: int = DEFAULT_WINDOW) -> float:

@@ -209,8 +209,14 @@ def _cmd_replay(args) -> int:
             "manifest config_echo does not match its config_hash "
             f"{manifest['config_hash']!r}; the echo or the hash was edited"
         )
-    if manifest["command"] not in COMMANDS:
+    if not isinstance(manifest["command"], str) or manifest["command"] not in COMMANDS:
         raise ConfigError(f"manifest names unknown command {manifest['command']!r}")
+    if "master_seed" not in manifest:
+        raise ConfigError("manifest is missing required field 'master_seed'")
+    seed = manifest["master_seed"]
+    if type(seed) is not int or seed != resolved["master_seed"]:
+        raise ConfigError(f"manifest master_seed {seed!r} differs from its config_echo's "
+                          f"{resolved['master_seed']!r}")
     if "subset_mode" not in manifest:
         raise ConfigError("manifest is missing required field 'subset_mode'")
     subset_mode = manifest["subset_mode"]

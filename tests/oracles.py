@@ -64,9 +64,9 @@ def ordinal_symbols(series, window: int) -> np.ndarray:
     """The codes that :func:`shiftrc.analysis.code_windows` writes for
     ``series``, as int64: ``len(series) - window + 1`` rows, one code per
     window and trailing index. The window is checked by
-    :func:`shiftrc.analysis.key_dtype`, the series length here."""
+    :func:`shiftrc.analysis.code_dtype`, the series length here."""
     x = np.asarray(series, dtype=float)
-    dtype = analysis.key_dtype(window)
+    dtype = analysis.code_dtype(window)
     if x.shape[0] < window:
         raise ValueError(f"series length {x.shape[0]} shorter than window {window}")
     codes = np.empty((x.shape[0] - window + 1,) + x.shape[1:], dtype=dtype)

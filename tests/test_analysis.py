@@ -7,12 +7,15 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftrc.analysis import (
     MAX_WINDOW,
     OrdinalCodes,
+    code_dtype,
     joint_keys,
-    key_dtype,
+    key_digits,
     node_target_correlation,
     reservoir_entropy,
 )
@@ -86,12 +89,68 @@ class TestOrdinalSymbols:
             ordinal_symbols(np.zeros(3), window=4)
 
 
+@st.composite
+def coder_splits(draw):
+    window = draw(st.sampled_from([2, 3, 4, 6, 13]))
+    d = key_digits(window)
+    return dict(window=window,
+                nodes=draw(st.sampled_from(sorted({1, max(d - 1, 1), min(d, 30), 14, 27}))),
+                cuts=sorted(draw(st.sets(st.integers(1, 119), max_size=8))),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def word_oracle(row, window) -> bytes:
+    """The key of one code row by Python integers: each :func:`key_digits`
+    codes, the last word the rest, read as a base ``window!`` number, most
+    significant first, and written as 8 big-endian bytes."""
+    d, base = key_digits(window), math.factorial(window)
+    words = [row[i : i + d] for i in range(0, len(row), d)]
+    return b"".join(sum(int(c) * base ** (len(word) - 1 - k) for k, c in enumerate(word))
+                    .to_bytes(8, "big") for word in words)
+
+
+class TestJointKeys:
+    def test_digits_per_word(self):
+        for window in range(2, MAX_WINDOW + 1):
+            base, d = math.factorial(window), key_digits(window)
+            assert base**d <= 2**64 < base ** (d + 1)
+        assert [key_digits(w) for w in (2, 4, 12, 13, MAX_WINDOW)] == [64, 13, 2, 1, 1]
+
+    @pytest.mark.parametrize("window", [2, 4, 12, 13, MAX_WINDOW])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None], ids=["d-1", "d", "d+1", "50"])
+    def test_keys_are_the_packed_words_and_sort_like_code_rows(self, rng, window, offset):
+        # codes drawn from few values repeat rows, and shared prefixes make
+        # later columns decide; the all-largest row is the largest word
+        d, base = key_digits(window), math.factorial(window)
+        nodes = 50 if offset is None else max(d + offset, 1)
+        for m in sorted({1, nodes}):
+            levels = rng.integers(0, base, size=3, dtype=np.uint64)
+            codes = rng.choice(np.append(levels, np.uint64(base - 1)), size=(400, m))
+            codes[1::2, : m // 2] = codes[::2, : m // 2]
+            codes[0] = base - 1
+            keys = joint_keys(codes, window)
+            assert keys.shape == (400,) and keys.dtype.itemsize == 8 * -(-m // d)
+            assert [key.tobytes() for key in keys[:40]] == [word_oracle(row, window)
+                                                           for row in codes[:40]]
+            rows, row_counts = np.unique(codes, axis=0, return_counts=True)
+            uniq, key_counts = np.unique(keys, return_counts=True)
+            np.testing.assert_array_equal(key_counts, row_counts)
+            np.testing.assert_array_equal(uniq, joint_keys(rows, window))
+
+    def test_leading_axes_key_each_row(self, rng):
+        codes = rng.integers(0, 24, size=(3, 5, 20))
+        np.testing.assert_array_equal(joint_keys(codes, 4),
+                                      [joint_keys(block, 4) for block in codes])
+
+
 class TestOrdinalCodes:
     @pytest.mark.parametrize("window", [2, 4, 6, 9, MAX_WINDOW])
     def test_any_split_into_pieces_gives_the_one_piece_codes(self, rng, window):
-        # windows 2 and 4 hold their codes in 1 byte, 6 in 2, 9 in 4 and 20
-        # in 8; the split has 1-row pieces, and pieces shorter than the
-        # window - 1 rows carried over, in the middle of the stream
+        # windows 2 and 4 code in 1 byte, 6 in 2, 9 in 4 and 20 in 8, and
+        # a 4-node key takes one word at windows 2 to 6, two at 9 and four
+        # at 20; the
+        # split has 1-row pieces, and pieces shorter than the window - 1
+        # rows carried over, in the middle of the stream
         x = np.round(rng.normal(size=(3, 300, 4)), 1)  # rounding makes ties
         sizes = [7, 1, 1, max(window - 2, 1), 1]
         while sum(sizes) < x.shape[1]:
@@ -103,11 +162,30 @@ class TestOrdinalCodes:
             piece = piece.copy()
             split.add(piece)
             piece[...] = np.nan  # the coder keeps no view of a piece
-        assert whole.codes.dtype == key_dtype(window)
-        np.testing.assert_array_equal(whole.codes, [ordinal_symbols(s, window) for s in x])
-        np.testing.assert_array_equal(split.codes, whole.codes)
+        want = np.array([joint_keys(ordinal_symbols(s, window), window) for s in x])
+        assert whole.keys.dtype == split.keys.dtype == want.dtype
+        np.testing.assert_array_equal(whole.keys, want)
+        np.testing.assert_array_equal(split.keys, whole.keys)
         assert split.entropies() == whole.entropies()
         assert whole.entropies() == [reservoir_entropy(s, window) for s in x]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(coder_splits())
+    def test_entropies_equal_the_unique_rows_oracle_for_any_split(self, split):
+        # the oracle counts the rows of the per-node codes with np.unique
+        # over rows; node counts around a word's digits put nodes in a
+        # partly filled last word
+        window, nodes = split["window"], split["nodes"]
+        x = np.round(np.random.default_rng(split["seed"]).normal(size=(2, 120, nodes)), 1)
+        coder = OrdinalCodes(2, 120, nodes, window)
+        for piece in np.split(x, split["cuts"], axis=1):
+            coder.add(piece)
+        want = []
+        for series in x:
+            _, counts = np.unique(ordinal_symbols(series, window), axis=0, return_counts=True)
+            p = counts / counts.sum()
+            want.append(float(-(p * np.log2(p)).sum()))
+        assert coder.entropies() == want
 
     def test_entropies_need_every_row(self, rng):
         coder = OrdinalCodes(2, 50, 3)
@@ -119,7 +197,7 @@ class TestOrdinalCodes:
     def test_window_out_of_range_rejected(self, rng, window):
         message = re.escape(f"window must be in 1..{MAX_WINDOW}, got {window}")
         codes = rng.integers(0, 24, size=(30, 3))
-        for call in (partial(key_dtype, window), partial(joint_keys, codes, window),
+        for call in (partial(code_dtype, window), partial(joint_keys, codes, window),
                      partial(reservoir_entropy, rng.normal(size=(30, 3)), window)):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -158,8 +236,8 @@ class TestReservoirEntropy:
     @pytest.mark.parametrize("window", [4, 6])
     def test_equals_unique_rows_of_argsort_codes(self, rng, window):
         # The parent computation: stable-argsort Lehmer codes, whose joint
-        # symbols are counted by np.unique over rows. At window 6 the key
-        # holds each code in two bytes.
+        # symbols are counted by np.unique over rows. At window 6 each code
+        # takes two bytes before it is packed.
         values = rng.integers(0, 4, size=(400, 5)).astype(float)
         per_node = []
         for j in range(values.shape[1]):
@@ -174,7 +252,7 @@ class TestReservoirEntropy:
         p = counts / counts.sum()
         expected = float(-(p * np.log2(p)).sum())
         assert reservoir_entropy(values, window) == expected
-        assert key_dtype(window).itemsize == (2 if window == 6 else 1)
+        assert code_dtype(window).itemsize == (2 if window == 6 else 1)
 
     @pytest.mark.parametrize("window", [4, 6, 9])
     def test_keys_sort_like_code_rows(self, rng, window):

@@ -316,6 +316,39 @@ class TestSweep:
             assert field in err and value in err
             assert not replay_out.exists()
 
+    @pytest.mark.parametrize("command", [["sweep"], {"sweep": 1}, None, 1])
+    def test_replay_rejects_command_that_is_not_a_name(self, tmp_path, capsys, command):
+        # a list or an object is not hashable: looking it up in the command
+        # table raised TypeError, a traceback and exit 1
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**manifest, "command": command}))
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "command" in capsys.readouterr().err
+        assert not replay_out.exists()
+
+    @pytest.mark.parametrize("seed", ["x", 32, "31", 31.0, True, None, "missing"])
+    def test_replay_rejects_master_seed_other_than_the_echo(self, tmp_path, capsys, seed):
+        # the top-level seed is what a reader of the manifest sees; an edited
+        # one replayed the echo's seed with exit 0
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == manifest["config_echo"]["master_seed"] == 31
+        edited = tmp_path / "edited.json"
+        if seed == "missing":
+            del manifest["master_seed"]
+        else:
+            manifest["master_seed"] = seed
+        edited.write_text(json.dumps(manifest))
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not replay_out.exists()
+
     def test_replay_rejects_manifest_without_subset_mode(self, tmp_path, capsys):
         # a missing field is not read as "both": a ranked-only sweep would
         # replay with both arms, exit 0, and write another sweep.csv
@@ -426,6 +459,7 @@ class TestSweep:
         manifest.write_text(json.dumps({
             "command": "sweep", "subset_mode": "random", "config_echo": resolved,
             "config_hash": config_hash(resolved), "tool_version": shiftrc.__version__,
+            "master_seed": resolved["master_seed"],
         }))
         out = tmp_path / "out"
         assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2

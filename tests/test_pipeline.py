@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -837,10 +838,12 @@ class TestAnalysisCell:
                 assert getattr(got, name) != getattr(without_bias, name)
 
     def test_batch_holds_one_piece(self):
-        # beside the batch's ordinal codes, the training pass holds at most
-        # one piece, one training block, that block's QR copy and the TSQR
-        # factors, and the codes are freed before the test pass (over 6
-        # blocks' worth when pieces, blocks and codes outlived their use)
+        # beside the batch's packed ordinal keys, the training pass holds at
+        # most one training block, that block's QR copy and the TSQR
+        # factors: each piece is freed once coded and copied into its block,
+        # before the block is factored, and the keys before the test pass
+        # (over 6 blocks' worth when pieces, blocks and codes outlived their
+        # use; 4 with a piece held through its block's QR and a byte per code)
         acfg = tiny_analysis()
         base = acfg.base
         cfg = dataclasses.replace(base, reservoir={**base.reservoir, "nodes": 30},
@@ -850,10 +853,10 @@ class TestAnalysisCell:
         res_cfgs = [pipeline.build_trial_reservoir(cfg, cfg.master_seed, trial)
                     for trial in range(trials)]
         n_windows = cfg.data.train_steps - cfg.washout - acfg.window + 1
-        codes = trials * n_windows * m * analysis.key_dtype(acfg.window).itemsize
+        keys = trials * n_windows * 8 * -(-m // analysis.key_digits(acfg.window))
         block = trials * pipeline.ANALYSIS_SEGMENT * (m + 3) * 8  # [1 | X | g_obs | g_pred]
         peak = traced_peak(pipeline._analysis_batch, cfg, res_cfgs, datasets, acfg.window)
-        assert peak < codes + 4 * block
+        assert peak < keys + 3 * block
 
     @pytest.mark.parametrize("index", [600, 900 + 400], ids=["train", "continued-test"])
     def test_divergence_names_the_run_step_and_member(self, index):
@@ -1096,6 +1099,24 @@ class TestRunPieces:
         assert single.values.shape == (123, cfgs[1].m)
         with pytest.raises(ValueError, match="period shape"):
             run(cfgs, drive, 0, period=np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("kind", sorted(PIECE_RUNS))
+    def test_generator_keeps_no_yielded_piece(self, rng, kind):
+        # the consumer's reference is a piece's last: dropping it frees the
+        # buffer the runner returned while the generator is suspended, so a
+        # block built from the piece can be factored without it
+        cfgs, _ = PIECE_RUNS[kind]
+        drive = rng.uniform(-1.0, 1.0, 300)
+        pieces = pipeline._run_pieces(cfgs, drive, 20, [0, 10, 120, 300], rest_state(cfgs))
+        for _ in range(2):
+            _, x = next(pieces)
+            buffer = x
+            while buffer.base is not None:
+                buffer = buffer.base
+            freed = weakref.ref(buffer)
+            del x, buffer
+            assert freed() is None
+        assert next(pieces, None) is None
 
     @pytest.mark.parametrize("kind", sorted(PIECE_RUNS))
     def test_divergence_names_the_run_step_and_member(self, rng, kind):

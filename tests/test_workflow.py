@@ -47,6 +47,20 @@ def test_job_times_out_long_before_the_platform_default():
     assert 0 < int(minutes) <= 60
 
 
+def test_new_push_cancels_the_superseded_run():
+    # one group per workflow and ref, so a push to one branch cancels only
+    # that branch's run still in progress
+    lines = workflow_lines()
+    start = lines.index("concurrency:")
+    block = []
+    for line in lines[start + 1 :]:
+        if not line.startswith(" "):
+            break
+        block.append(line.strip())
+    assert sorted(block) == ["cancel-in-progress: true",
+                             "group: ${{ github.workflow }}-${{ github.ref }}"]
+
+
 def test_pins_the_installed_toolchain():
     installs = [line for line in workflow_lines() if "pip install" in line]
     assert len(installs) == 1
