@@ -25,6 +25,7 @@ from .config import (
     AnalysisConfig,
     ExperimentConfig,
     analysis_from_dict,
+    canonical_json,
     config_hash,
     experiment_from_dict,
     resolve_config,
@@ -58,16 +59,6 @@ def _read_json(path, what: str):
                           f"column {exc.colno}): {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} cannot be read ({path}): {exc}") from None
-
-
-def _load_config(args) -> dict:
-    """Read ``--config``, apply ``--seed`` and ``--nrmse-mode``, then
-    validate, so that a bad override fails before anything runs."""
-    raw = _read_json(args.config, "config file")
-    overrides = {key: value for key, value in
-                 (("master_seed", args.seed), ("nrmse_mode", args.nrmse_mode))
-                 if value is not None}
-    return resolve_config({**raw, **overrides} if isinstance(raw, dict) else raw)
 
 
 def _validate_threads(args) -> None:
@@ -156,7 +147,64 @@ COMMANDS = {
 }
 
 
-def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> None:
+def _record(command: str, resolved: dict, subset_mode: str) -> dict:
+    """Every manifest field but ``output_paths``, in the order replay checks
+    them: the tool first, and config_hash before the fields it determines."""
+    return {
+        "tool_version": __version__, "tool": "shiftrc",
+        "config_hash": config_hash(resolved),
+        "master_seed": resolved["master_seed"], "config_echo": resolved,
+        "command": command, "subset_mode": subset_mode,
+    }
+
+
+def _replayed(manifest) -> tuple[str, dict, str]:
+    """The command, resolved config and subset mode of a manifest that holds
+    exactly the record of a run of its resolved ``config_echo``, each field
+    equal as canonical JSON (so ``31.0``, ``true`` and ``"31"`` differ from
+    ``31``), and ``output_paths``, which ``_dispatch`` checks."""
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest root must be an object, got {type(manifest).__name__}")
+    try:
+        resolved = resolve_config(manifest.get("config_echo"))
+    except ConfigError as exc:
+        raise ConfigError(f"manifest field 'config_echo' does not resolve in shiftrc "
+                          f"{__version__}: {exc}") from None
+    # the records of every run of this config: the manifest must be one of them
+    records = [_record(command, resolved, mode)
+               for command in COMMANDS for mode in pipeline.SUBSET_MODES]
+    for key in records[0]:
+        allowed = sorted({canonical_json(record[key]) for record in records})
+        got = canonical_json(manifest[key]) if key in manifest else "missing"
+        if got not in allowed:
+            raise ConfigError(f"manifest field {key!r} is {got}, expected {' or '.join(allowed)}")
+    unknown = sorted(manifest.keys() - records[0].keys() - {"output_paths"})
+    if unknown:
+        raise ConfigError(f"manifest has unknown field {unknown[0]!r}")
+    return manifest["command"], resolved, manifest["subset_mode"]
+
+
+def _requested(args) -> tuple[str, dict, str, dict | None]:
+    """The command, resolved config and subset mode that ``args`` ask to run,
+    and a replay's manifest. ``--seed`` and ``--nrmse-mode`` apply before the
+    config is validated. An input nested too deeply is a ConfigError."""
+    path, what = ((args.manifest, "manifest") if args.command == "replay"
+                  else (args.config, "config file"))
+    try:
+        raw = _read_json(path, what)
+        if args.command == "replay":
+            return (*_replayed(raw), raw)
+        overrides = {key: value for key, value in
+                     (("master_seed", args.seed), ("nrmse_mode", args.nrmse_mode))
+                     if value is not None}
+        resolved = resolve_config({**raw, **overrides} if isinstance(raw, dict) else raw)
+        return args.command, resolved, getattr(args, "subset", "both"), None
+    except RecursionError:
+        raise ConfigError(f"{what} nests too deeply ({path})") from None
+
+
+def _dispatch(command: str, resolved: dict, subset_mode: str, out_dir: Path,
+              replayed: dict | None) -> None:
     # Every output is formatted before the first file is written, so a run
     # that fails, with a config error or at run time, writes nothing. An
     # earlier run's files would stay beside outputs whose manifest does not
@@ -168,64 +216,15 @@ def _dispatch(command: str, resolved: dict, out_dir: Path, subset_mode: str) -> 
             raise ConfigError(f"--out {out_dir} is not empty")
     build, run, _ = COMMANDS[command]
     outputs = run(build(resolved), subset_mode)
-    outputs["manifest.json"] = _json({
-        "tool": "shiftrc",
-        "tool_version": __version__,
-        "command": command,
-        "subset_mode": subset_mode,
-        "master_seed": resolved["master_seed"],
-        "config_hash": config_hash(resolved),
-        "config_echo": resolved,
-        "output_paths": list(outputs),  # taken before the manifest is added
-    }, sort_keys=True)
+    paths = list(outputs)  # taken before the manifest is added
+    if replayed is not None and replayed.get("output_paths") != paths:
+        raise ShiftRcError(f"manifest field 'output_paths' differs from this run's: {paths}")
+    outputs["manifest.json"] = _json({**_record(command, resolved, subset_mode),
+                                      "output_paths": paths}, sort_keys=True)
     for name, text in outputs.items():
         path = out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="ascii")
-
-
-def _cmd_run(args, command: str) -> int:
-    resolved = _load_config(args)
-    _validate_threads(args)
-    _dispatch(command, resolved, Path(args.out), getattr(args, "subset", "both"))
-    return EXIT_OK
-
-
-def _cmd_replay(args) -> int:
-    manifest = _read_json(args.manifest, "manifest")
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"manifest root must be an object, got {type(manifest).__name__}")
-    for key in ("command", "config_echo", "config_hash", "tool_version"):
-        if key not in manifest:
-            raise ConfigError(f"manifest is missing required field '{key}'")
-    if manifest["tool_version"] != __version__:
-        raise ConfigError(
-            f"manifest tool_version {manifest['tool_version']!r} differs from "
-            f"this shiftrc {__version__!r}; its outputs need not replay bitwise"
-        )
-    resolved = resolve_config(manifest["config_echo"])
-    if config_hash(resolved) != manifest["config_hash"]:
-        raise ConfigError(
-            "manifest config_echo does not match its config_hash "
-            f"{manifest['config_hash']!r}; the echo or the hash was edited"
-        )
-    if not isinstance(manifest["command"], str) or manifest["command"] not in COMMANDS:
-        raise ConfigError(f"manifest names unknown command {manifest['command']!r}")
-    if "master_seed" not in manifest:
-        raise ConfigError("manifest is missing required field 'master_seed'")
-    seed = manifest["master_seed"]
-    if type(seed) is not int or seed != resolved["master_seed"]:
-        raise ConfigError(f"manifest master_seed {seed!r} differs from its config_echo's "
-                          f"{resolved['master_seed']!r}")
-    if "subset_mode" not in manifest:
-        raise ConfigError("manifest is missing required field 'subset_mode'")
-    subset_mode = manifest["subset_mode"]
-    if subset_mode not in pipeline.SUBSET_MODES:
-        raise ConfigError("manifest field 'subset_mode' must be one of "
-                          f"{', '.join(pipeline.SUBSET_MODES)}, got {subset_mode!r}")
-    _validate_threads(args)
-    _dispatch(manifest["command"], resolved, Path(args.out), subset_mode)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,18 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_run(args, args.command)
+        command, resolved, subset_mode, replayed = _requested(args)
+        _validate_threads(args)
+        _dispatch(command, resolved, subset_mode, Path(args.out), replayed)
     except ConfigError as exc:
         print(f"shiftrc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ShiftRcError, OSError, ValueError) as exc:
         print(f"shiftrc: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

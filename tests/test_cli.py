@@ -370,6 +370,45 @@ class TestSweep:
         assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
         assert "config_hash" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,edit", [
+        ("tool", lambda m: {**m, "tool": "not-shiftrc"}),
+        ("walltime_s", lambda m: {**m, "walltime_s": 1.5}),
+        ("config_echo", lambda m: {**m, "config_echo": TINY_SWEEP}),
+    ], ids=["tool", "unknown-key", "echo-without-defaults"])
+    def test_replay_rejects_manifest_other_than_the_record(self, tmp_path, capsys,
+                                                           field, edit):
+        # each replayed with exit 0; the echo without its defaulted fields
+        # still hashes to config_hash, and was rewritten resolved
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(resolve_config(TINY_SWEEP))
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(edit(manifest)))
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not replay_out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {**m, "output_paths": m["output_paths"][:-1]},
+        lambda m: {**m, "output_paths": [*m["output_paths"], "extra.csv"]},
+        lambda m: {k: v for k, v in m.items() if k != "output_paths"},
+        lambda m: {**m, "command": "generate"},
+    ], ids=["one-less", "one-more", "missing", "sweep-as-generate"])
+    def test_replay_writing_other_outputs_fails_at_run_time(self, tmp_path, capsys, edit):
+        # the manifest would not list the files beside it; a sweep relabelled
+        # generate wrote the generate outputs under the sweep's output_paths
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_config(tmp_path, TINY_SWEEP), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(edit(manifest)))
+        replay_out = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(edited), "--out", str(replay_out)]) == 3
+        assert "'output_paths'" in capsys.readouterr().err
+        assert not replay_out.exists()
+
     def test_reused_out_rejected_and_left_untouched(self, tmp_path, capsys, monkeypatch):
         # a 1-mask run into a 3-mask run's --out would leave mask 1 and 2
         # diagnostics beside a manifest that does not list them
@@ -459,7 +498,7 @@ class TestSweep:
         manifest.write_text(json.dumps({
             "command": "sweep", "subset_mode": "random", "config_echo": resolved,
             "config_hash": config_hash(resolved), "tool_version": shiftrc.__version__,
-            "master_seed": resolved["master_seed"],
+            "master_seed": resolved["master_seed"], "tool": "shiftrc", "output_paths": [],
         }))
         out = tmp_path / "out"
         assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
@@ -796,6 +835,23 @@ class TestErrors:
         out = tmp_path / "o"
         assert main(["replay", "--manifest", str(path), "--out", str(out)]) == 2
         assert "object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("sweep", "--config", "[" * 100_000 + "]" * 100_000),
+        ("replay", "--manifest", '{"a":' * 50_000 + "1" + "}" * 50_000),
+        ("sweep", "--config", json.dumps({**TINY_SWEEP, "washout": []})
+         .replace("[]", "[" * 500 + "]" * 500)),
+    ], ids=["config-array", "manifest-object", "washout-list"])
+    def test_deeply_nested_input_names_the_file(self, tmp_path, capsys, command, flag,
+                                                text):
+        # each raised RecursionError, a traceback and exit 1: json.load in
+        # the first two, merging the config over its defaults in the third
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        assert f"nests too deeply ({path})" in capsys.readouterr().err
         assert not out.exists()
 
     def test_misspelt_kind_reported_as_the_kind(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import importlib.metadata
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +21,16 @@ def job_indent(lines) -> str:
     """The indentation of the job's own keys, read from its ``runs-on``."""
     return next(line[: -len(line.lstrip())] for line in lines
                 if line.lstrip().startswith("runs-on:"))
+
+
+def top_level_block(lines, key: str) -> list[str]:
+    """The stripped lines of the workflow's top-level ``key``."""
+    block = []
+    for line in lines[lines.index(f"{key}:") + 1 :]:
+        if not line.startswith(" "):
+            break
+        block.append(line.strip())
+    return block
 
 
 def test_runs_the_roadmap_verify_command_on_one_blas_thread():
@@ -50,15 +61,25 @@ def test_job_times_out_long_before_the_platform_default():
 def test_new_push_cancels_the_superseded_run():
     # one group per workflow and ref, so a push to one branch cancels only
     # that branch's run still in progress
+    assert sorted(top_level_block(workflow_lines(), "concurrency")) == [
+        "cancel-in-progress: true", "group: ${{ github.workflow }}-${{ github.ref }}"]
+
+
+def test_token_may_only_read_the_repository():
+    # without the key the job's GITHUB_TOKEN gets the repository's default scopes
     lines = workflow_lines()
-    start = lines.index("concurrency:")
-    block = []
-    for line in lines[start + 1 :]:
-        if not line.startswith(" "):
-            break
-        block.append(line.strip())
-    assert sorted(block) == ["cancel-in-progress: true",
-                             "group: ${{ github.workflow }}-${{ github.ref }}"]
+    assert top_level_block(lines, "permissions") == ["contents: read"]
+    assert sum(line.lstrip().startswith("permissions:") for line in lines) == 1
+
+
+def test_runs_the_declared_python_floor():
+    # the pinned numpy and SciPy, and tomllib in the tests, need 3.11; CI
+    # runs the floor the package declares
+    with (ROOT / "pyproject.toml").open("rb") as f:
+        floor = tomllib.load(f)["project"]["requires-python"]
+    (version,) = [line.split(":", 1)[1].strip().strip('"') for line in workflow_lines()
+                  if line.lstrip().startswith("python-version:")]
+    assert floor == f">={version}"
 
 
 def test_pins_the_installed_toolchain():
